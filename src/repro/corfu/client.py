@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.entry import (
@@ -84,10 +84,8 @@ _TIMEOUT_FAILOVER = 4
 _SILENT_PROGRESS_FAILOVER = 12
 
 #: Most appends one pipeline leader commits per round before re-checking
-#: the queue. Bounds both the sequencer grant width and the payload the
-#: leader buffers; the chain-level in-flight window
-#: (:data:`repro.corfu.replication.DEFAULT_PIPELINE_WINDOW`) throttles
-#: below this.
+#: the queue. Bounds the sequencer grant width, the payload the leader
+#: buffers and the size of one batched chain-write RPC.
 _PIPELINE_CHUNK = 32
 
 #: How long a pipeline follower waits on its completion event before
@@ -103,9 +101,7 @@ class AppendFuture:
     The append is durable once :meth:`done` is true and :meth:`result`
     returns the assigned log offset. There is no background thread:
     appends are committed by whichever waiter thread becomes the
-    pipeline *leader* (see ``_AppendPipeline``), so a lone
-    ``append_async(...).result()`` costs the same as a synchronous
-    ``append``.
+    pipeline *leader* (see ``_AppendPipeline``).
     """
 
     __slots__ = ("payload", "stream_ids", "_client", "_done", "_offset", "_exc")
@@ -154,14 +150,13 @@ class _AppendPipeline:
 
     Queued futures are drained by a *leader*: the first waiter to find
     the queue non-empty and no leader active. The leader pops a chunk,
-    groups consecutive futures with identical stream sets into one
-    sequencer grant + pipelined chain write (``append_batch`` →
-    ``ChainReplicator.write_pipelined``), resolves their futures, and
-    loops until the queue is empty. Followers wait on their own
-    completion events with a short timeout so a leader that exits just
-    before their enqueue is noticed and replaced — no lost wakeups, no
-    background thread, and a single uncontended append runs inline on
-    its caller's thread exactly like the old synchronous path.
+    hands each run of consecutive futures with identical stream sets to
+    the client's append routine (one sequencer grant and one batched
+    chain write per replica chain for the whole run), resolves their
+    futures, and loops until the queue is empty. Followers wait on
+    their own completion events with a short timeout so a leader that
+    exits just before their enqueue is noticed and replaced — no lost
+    wakeups, no background thread.
 
     Lock discipline: ``_lock`` guards only the queue and the leader
     flag; it is never held across an RPC (TL012) and takes no other
@@ -228,22 +223,17 @@ class _AppendPipeline:
                 j += 1
             run = chunk[i:j]
             try:
-                if len(run) == 1:
-                    run[0]._resolve(
-                        client._append_sync(run[0].payload, run[0].stream_ids)
-                    )
-                else:
-                    offsets = client.append_batch(
-                        [f.payload for f in run], run[0].stream_ids
-                    )
-                    for fut, offset in zip(run, offsets):
-                        fut._resolve(offset)
+                offsets = client._append_entries(
+                    [f.payload for f in run], run[0].stream_ids
+                )
+                for fut, offset in zip(run, offsets):
+                    fut._resolve(offset)
             except BaseException as exc:  # tangolint: disable=TL006
                 # Not swallowed: the leader commits on behalf of other
                 # threads, so the failure is captured into each waiter's
                 # future and re-raised from result(). The protocol's
-                # retry discipline already ran inside _append_sync /
-                # append_batch below this frame.
+                # retry discipline already ran inside _append_entries
+                # below this frame.
                 for fut in run:
                     if not fut.done():
                         fut._fail(exc)
@@ -285,7 +275,7 @@ class CorfuClient:
         # as cb(offset, is_prefix) after a trim commits cluster-side.
         self._trim_watchers: List[Callable[[int, bool], None]] = []
         # Async append path: queued futures committed by an elected
-        # leader thread (see _AppendPipeline). append() rides on it.
+        # leader thread (see _AppendPipeline).
         self._pipeline = _AppendPipeline(self)
 
     # -- transport plumbing --------------------------------------------------
@@ -445,13 +435,13 @@ class CorfuClient:
         id is given: the entry occupies a single position in the global
         order but belongs to every listed stream.
 
-        Expressed on the async path: ``append_async(...).result()``.
-        A lone call runs inline on the calling thread (same cost as the
-        classic synchronous append); concurrent callers are coalesced
-        into shared sequencer grants and pipelined chain writes by the
-        pipeline leader.
+        Runs on the calling thread: one sequencer grant, one chain
+        write. Concurrent callers do not coalesce; traffic that wants
+        shared grants and batched chain writes asks for them with
+        :meth:`append_async` or :meth:`append_batch`.
         """
-        return self.append_async(payload, stream_ids).result()
+        self._validate_append((payload,), stream_ids)
+        return self._append_entries((payload,), stream_ids)[0]
 
     def append_async(
         self, payload: bytes, stream_ids: Sequence[int] = ()
@@ -461,86 +451,164 @@ class CorfuClient:
         Validation (stream count, payload capacity) happens here,
         synchronously. The append itself is committed by the pipeline
         leader — whichever thread next waits on a handle — so callers
-        may queue a flight of appends and then collect the offsets,
-        overlapping sequencer grants and chain hops across the flight.
+        may queue a flight of appends and then collect the offsets:
+        the flight shares one sequencer grant and one batched chain
+        write per replica chain.
         """
-        self._validate_append(payload, stream_ids)
+        self._validate_append((payload,), stream_ids)
         fut = AppendFuture(self, payload, tuple(stream_ids))
         self._pipeline.submit(fut)
         return fut
 
-    def _validate_append(self, payload: bytes, stream_ids: Sequence[int]) -> None:
+    def append_batch(
+        self, payloads: Sequence[bytes], stream_ids: Sequence[int] = ()
+    ) -> List[int]:
+        """Append several payloads with a single sequencer grant.
+
+        Reserves ``len(payloads)`` consecutive offsets in one
+        ``increment(count=n)`` RPC (section 5's counter, batched the way
+        group commit batches log I/O), then writes them with one
+        batched RPC per replica of each chain they stripe over. Every
+        payload joins every stream in *stream_ids*, and each entry's
+        backpointers chain through its batch predecessors, so the
+        resulting stream linked list is identical to sequential
+        appends. Returns the offsets in payload order.
+
+        A lost ``increment`` response burns the whole reservation — n
+        holes, which the hole-filling machinery absorbs, exactly like a
+        burned single grant. If a hole-filler races one of our chain
+        writes and wins, that payload transparently takes a fresh
+        offset.
+        """
+        self._validate_append(payloads, stream_ids)
+        return self._append_entries(payloads, stream_ids)
+
+    def _validate_append(
+        self, payloads: Sequence[bytes], stream_ids: Sequence[int]
+    ) -> None:
         if len(stream_ids) > self._cluster.max_streams:
             raise TooManyStreamsError(len(stream_ids), self._cluster.max_streams)
-        limit = max_payload_bytes(
-            self._cluster.entry_size, self._cluster.max_streams, self._cluster.k
-        )
-        if len(payload) > limit:
-            raise ValueError(
-                f"payload of {len(payload)} bytes exceeds the "
-                f"{limit}-byte capacity of a {self._cluster.entry_size}-byte entry"
-            )
+        limit = self.max_payload
+        for payload in payloads:
+            if len(payload) > limit:
+                raise ValueError(
+                    f"payload of {len(payload)} bytes exceeds the "
+                    f"{limit}-byte capacity of a "
+                    f"{self._cluster.entry_size}-byte entry"
+                )
 
-    def _append_sync(self, payload: bytes, stream_ids: Sequence[int] = ()) -> int:
-        """The classic synchronous append retry loop.
+    def _append_entries(
+        self, payloads: Sequence[bytes], stream_ids: Sequence[int]
+    ) -> List[int]:
+        """The append routine: grant, encode, chain-write, retry the losers.
 
-        Internal callers (the pipeline leader, batch fallbacks) use
-        this directly — routing them through :meth:`append` would
-        re-enter the pipeline a leader is already driving.
+        Every append — one payload or a batch, called directly or by
+        the pipeline leader — is rounds of this loop: take offsets from
+        the sequencer for the payloads still without one, encode each
+        entry against its granted offset and backpointers, write the
+        round down the chains, and carry the payloads that lost their
+        head race (a hole-filler got to the reserved offset first) into
+        the next round at fresh offsets. Returns the offsets in payload
+        order.
+
+        Only the grant can fail a round outright: the chain writes
+        retry node-level failures themselves, at the same offset (see
+        :meth:`_complete_write`). The retry budget counts consecutive
+        rounds that landed nothing, so a long batch is not charged for
+        its own length.
         """
-        for attempt in range(_MAX_RETRIES):
+        k, max_streams = self._cluster.k, self._cluster.max_streams
+        offsets = [-1] * len(payloads)
+        pending = list(range(len(payloads)))  # payload indices, in order
+        barren = 0  # consecutive rounds that landed nothing
+        while pending:
+            if barren >= _MAX_RETRIES:
+                raise RetriesExhaustedError("append", _MAX_RETRIES)
+            landed = 0
             try:
-                offset = self._append_once(payload, stream_ids)
-            except WrittenError:
-                continue  # lost the race; take a new offset
+                grants = self._grant(len(pending), stream_ids)
             except StaleGrantError:
                 # A racing single-shard append outran our vector grant;
                 # the reserved offsets are burned (holes) and the whole
                 # grant restarts from fresh reservations.
-                continue
+                pass
             except SealedError:
                 self.refresh_projection()
             except NodeDownError as exc:
                 self._handle_node_down(exc)
             except RpcTimeout as exc:
-                # The increment may have executed (lost response): that
-                # offset is burned and becomes a hole for fill() to
-                # patch. Retrying with a fresh offset is always safe.
-                self._handle_timeout(exc, attempt)
+                # The grant may have executed (lost response): those
+                # offsets are burned and become holes for fill() to
+                # patch. Retrying with fresh offsets is always safe.
+                self._handle_timeout(exc, barren)
             else:
+                entries: List[Tuple[int, bytes]] = []
+                for idx, (offset, backpointers) in zip(pending, grants):
+                    headers = tuple(
+                        make_header(sid, backpointers[sid], offset, k)
+                        for sid in stream_ids
+                    )
+                    entry = LogEntry(headers=headers, payload=payloads[idx])
+                    entries.append((offset, entry.encode(offset, k, max_streams)))
+                lost = self._write_entries(entries)
                 self._note_success()
-                return offset
-        raise RetriesExhaustedError("append", _MAX_RETRIES)
+                retry = []
+                for idx, (offset, _) in zip(pending, entries):
+                    if offset in lost:
+                        # Stream membership is preserved (walkers skip
+                        # the junk-filled offset); only the position
+                        # moves.
+                        retry.append(idx)
+                    else:
+                        offsets[idx] = offset
+                landed = len(entries) - len(retry)
+                with self._counter_lock:
+                    self.appends += landed
+                pending = retry + pending[len(entries):]
+            barren = 0 if landed else barren + 1
+        return offsets
 
-    def _append_once(self, payload: bytes, stream_ids: Sequence[int]) -> int:
+    def _grant(
+        self, count: int, stream_ids: Sequence[int]
+    ) -> List[Tuple[int, Dict[int, Tuple[int, ...]]]]:
+        """Take offsets for up to *count* entries joining *stream_ids*.
+
+        Returns ``(offset, {stream id: backpointers, newest first})``
+        per granted entry, in offset order. The general case is one
+        ``increment(count=n)`` on the shard owning the streams
+        (streamless appends go to shard 0): offsets one shard-count
+        stride apart, each entry backpointing through its batch
+        predecessors into the streams' prior tails. Streams spanning
+        shard groups need one vector grant per entry, so that case
+        grants a single entry and the caller comes back for the rest.
+        """
         proj = self._projection
         shards = proj.sequencer_shards
         groups = sorted({sid % len(shards) for sid in stream_ids})
         if len(groups) > 1:
-            return self._append_vector(proj, payload, stream_ids, groups)
-        # Single-group appends — the common case — touch exactly one
-        # shard's lock; a streamless append goes to shard 0.
+            return [self._grant_vector(proj, stream_ids, groups)]
+        stride = len(shards)
         seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
-        offset, backpointers = seq.increment(stream_ids, epoch=proj.epoch)
-        headers = tuple(
-            make_header(sid, backpointers[sid], offset, self._cluster.k)
-            for sid in stream_ids
+        first, backpointers = seq.increment(
+            stream_ids, epoch=proj.epoch, count=count
         )
-        entry = LogEntry(headers=headers, payload=payload)
-        raw = entry.encode(offset, self._cluster.k, self._cluster.max_streams)
-        self._complete_write(offset, raw)
-        with self._counter_lock:
-            self.appends += 1
-        return offset
+        prior = {
+            sid: tuple(p for p in backpointers[sid] if p != NO_BACKPOINTER)
+            for sid in stream_ids
+        }
+        grants = []
+        for offset in range(first, first + count * stride, stride):
+            batch = tuple(range(offset - stride, first - 1, -stride))
+            grants.append((offset, {sid: batch + prior[sid] for sid in stream_ids}))
+        return grants
 
-    def _append_vector(
+    def _grant_vector(
         self,
         proj: Projection,
-        payload: bytes,
         stream_ids: Sequence[int],
         groups: Sequence[int],
-    ) -> int:
-        """Cross-shard multiappend via a two-phase vector grant.
+    ) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
+        """Cross-shard grant for one entry: a two-phase vector grant.
 
         Phase 1 reserves one stripe offset per touched shard in
         ascending (canonical) shard order with a ratcheting floor, so
@@ -551,7 +619,7 @@ class CorfuClient:
         :class:`~repro.errors.StaleGrantError` if a racing append got
         there first. The burned lower reservations get marker entries
         naming the final offset so per-stripe recovery still finds the
-        cross-shard entry; then the data entry is written once.
+        cross-shard entry; the caller then writes the data entry once.
 
         No client-side lock is held across any of these RPCs, and the
         shard locks are only ever taken one at a time server-side, so
@@ -596,168 +664,54 @@ class CorfuClient:
                 # of that shard loses this one advisory backpointer,
                 # which K-redundancy absorbs.
                 pass
-        headers = tuple(
-            make_header(sid, backpointers[sid], offset, self._cluster.k)
-            for sid in stream_ids
-        )
-        entry = LogEntry(headers=headers, payload=payload)
-        raw = entry.encode(offset, self._cluster.k, self._cluster.max_streams)
-        self._complete_write(offset, raw)
-        with self._counter_lock:
-            self.appends += 1
-        return offset
+        return offset, backpointers
 
-    # -- batched append path -------------------------------------------------
+    def _write_entries(self, entries: Sequence[Tuple[int, bytes]]) -> Set[int]:
+        """Chain-write granted ``(offset, raw)`` entries; return the losers.
 
-    def append_batch(
-        self, payloads: Sequence[bytes], stream_ids: Sequence[int] = ()
-    ) -> List[int]:
-        """Append several payloads with a single sequencer grant.
-
-        Reserves ``len(payloads)`` consecutive offsets in one
-        ``increment(count=n)`` RPC (section 5's counter, batched the way
-        group commit batches log I/O), then drives one chain write per
-        entry. Every payload joins every stream in *stream_ids*, and
-        each entry's backpointers chain through its batch predecessors,
-        so the resulting stream linked list is identical to sequential
-        appends. Returns the offsets in payload order.
-
-        A lost ``increment`` response burns the whole reservation — n
-        holes, which the hole-filling machinery absorbs, exactly like a
-        burned single grant. If a hole-filler races one of our chain
-        writes and wins, that payload transparently retries through the
-        single-append path at a fresh offset.
+        Entries are grouped by the replica chain they stripe onto and
+        each group goes down its chain as one batch
+        (:meth:`ChainReplicator.write_pipelined`); a chain that
+        received a single entry has nothing to batch and takes the
+        one-address write. Whatever a batch left unfinished — a
+        node-level error with the entry possibly part-way down the
+        chain — is re-driven at the *same* offset, with ``maybe_mine``
+        so the earlier partial delivery cannot count twice. The offsets
+        returned are the ones whose head holds someone else's bytes (a
+        hole-filler patched the reservation before our write landed):
+        those payloads need fresh offsets, everything else is durable.
         """
-        if not payloads:
-            return []
-        if len(stream_ids) > self._cluster.max_streams:
-            raise TooManyStreamsError(len(stream_ids), self._cluster.max_streams)
-        limit = self.max_payload
-        for payload in payloads:
-            if len(payload) > limit:
-                raise ValueError(
-                    f"payload of {len(payload)} bytes exceeds the "
-                    f"{limit}-byte capacity of a "
-                    f"{self._cluster.entry_size}-byte entry"
-                )
-        count = len(payloads)
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            shards = proj.sequencer_shards
-            groups = sorted({sid % len(shards) for sid in stream_ids})
-            if len(groups) > 1:
-                # A batch spanning shard groups would need one vector
-                # grant per entry anyway; take the per-entry path.
-                return [self._append_sync(p, stream_ids) for p in payloads]
-            seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
-            try:
-                first, backpointers = seq.increment(
-                    stream_ids, epoch=proj.epoch, count=count
-                )
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                # The reservation may have executed (lost response):
-                # those offsets are burned and become holes for fill()
-                # to patch. A fresh reservation is always safe.
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return self._write_batch(
-                    first, payloads, stream_ids, backpointers,
-                    stride=len(shards),
-                )
-        raise RetriesExhaustedError("append_batch", _MAX_RETRIES)
-
-    def _write_batch(
-        self,
-        first: int,
-        payloads: Sequence[bytes],
-        stream_ids: Sequence[int],
-        backpointers: Dict[int, Tuple[int, ...]],
-        stride: int = 1,
-    ) -> List[int]:
-        """Chain-write a reserved batch; entry i backpoints into the batch.
-
-        *stride* is the reservation spacing: 1 for the classic dense
-        sequencer, the shard count for a striped shard (whose grant
-        covers offsets ``first, first + stride, ...``).
-
-        The chain writes are *pipelined*: entries are grouped by
-        replica chain and streamed down each chain with overlapping
-        hops (:meth:`ChainReplicator.write_pipelined`). Per-address
-        outcomes drive recovery exactly as the sequential path did —
-        a head ``WrittenError`` (hole-filler raced the reservation)
-        sends that payload to a fresh offset, and any node-level error
-        re-drives the same offset with ``maybe_mine`` so a partially
-        streamed entry is completed, never duplicated.
-        """
-        k = self._cluster.k
-        prior = {
-            sid: [p for p in backpointers[sid] if p != NO_BACKPOINTER]
-            for sid in stream_ids
-        }
-        entries: List[Tuple[int, bytes]] = []  # (offset, raw), payload order
-        for i, payload in enumerate(payloads):
-            offset = first + i * stride
-            headers = tuple(
-                make_header(
-                    sid,
-                    tuple(range(offset - stride, first - 1, -stride))
-                    + tuple(prior[sid]),
-                    offset,
-                    k,
-                )
-                for sid in stream_ids
-            )
-            entry = LogEntry(headers=headers, payload=payload)
-            entries.append((offset, entry.encode(offset, k, self._cluster.max_streams)))
-        offsets: List[int] = [offset for offset, _ in entries]
         proj = self._projection
-        num_sets = len(proj.replica_sets)
-        groups: Dict[int, List[int]] = {}  # replica-set index -> entry indices
-        for idx, (offset, _) in enumerate(entries):
-            groups.setdefault(offset % num_sets, []).append(idx)
-        retry: List[Tuple[int, BaseException]] = []  # (entry index, first outcome)
-        for set_index in sorted(groups):
-            idxs = groups[set_index]
-            rset = proj.replica_sets[set_index]
-            writes: List[Tuple[int, bytes]] = []
-            by_address: Dict[int, int] = {}
-            for idx in idxs:
-                offset, raw = entries[idx]
-                _, address = proj.map_offset(offset)
-                by_address[address] = idx
-                writes.append((address, raw))
-            outcomes = self._chain.write_pipelined(rset, writes, proj.epoch)
-            for address, outcome in sorted(outcomes.items()):
-                if outcome is None:
-                    continue
+        n = len(proj.replica_sets)
+        chains: Dict[int, List[Tuple[int, bytes]]] = {}
+        for offset, raw in entries:
+            chains.setdefault(offset % n, []).append((offset, raw))
+        lost: Set[int] = set()
+        unfinished: List[Tuple[int, bytes, bool]] = []  # (..., batch tried it)
+        for set_index in sorted(chains):
+            group = chains[set_index]
+            if len(group) == 1:
+                unfinished.append((*group[0], False))
+                continue
+            outcomes = self._chain.write_pipelined(
+                proj.replica_sets[set_index],
+                [(offset // n, raw) for offset, raw in group],
+                proj.epoch,
+            )
+            for offset, raw in group:
+                outcome = outcomes[offset // n]
                 if isinstance(outcome, AssertionError):
                     raise outcome  # chain divergence: a bug, not a retry
-                retry.append((by_address[address], outcome))
-        for idx, outcome in sorted(retry):
-            offset, raw = entries[idx]
-            if isinstance(outcome, WrittenError):
-                # A hole-filler patched our reserved offset before the
-                # write landed; the payload takes a fresh offset via the
-                # ordinary append retry loop. Stream membership is
-                # preserved (the junk-filled offset is skipped by
-                # walkers), only the position moves.
-                offsets[idx] = self._append_sync(payloads[idx], stream_ids)
-            else:
-                # Sealed / node down / timeout with the entry possibly
-                # part-way down the chain: finish the same offset;
-                # maybe_mine from the first retry attempt keeps the
-                # earlier partial delivery from counting twice.
-                self._complete_write(offset, raw, maybe_mine_from_start=True)
-        with self._counter_lock:
-            self.appends += sum(
-                1 for idx in range(len(entries)) if offsets[idx] == entries[idx][0]
-            )
-        return offsets
+                if isinstance(outcome, WrittenError):
+                    lost.add(offset)
+                elif outcome is not None:
+                    unfinished.append((offset, raw, True))
+        for offset, raw, tried in unfinished:
+            try:
+                self._complete_write(offset, raw, maybe_mine_from_start=tried)
+            except WrittenError:
+                lost.add(offset)
+        return lost
 
     def _complete_write(
         self, offset: int, raw: bytes, maybe_mine_from_start: bool = False
@@ -771,12 +725,12 @@ class CorfuClient:
         therefore target the *same* offset with the same bytes and tell
         the chain that a head ``WrittenError`` over identical bytes is
         our own write (``maybe_mine``). A genuine race loss (different
-        bytes at the head) propagates ``WrittenError`` to ``append``,
-        which takes a fresh offset.
+        bytes at the head) propagates ``WrittenError`` to the append
+        routine, which takes a fresh offset.
 
-        *maybe_mine_from_start* is set by callers whose first delivery
-        attempt already happened elsewhere (the pipelined batch path),
-        so even attempt zero here is a retry of an ambiguous write.
+        *maybe_mine_from_start* is set when the first delivery attempt
+        already happened elsewhere (in a batched chain write), so even
+        attempt zero here is a retry of an ambiguous write.
         """
         for attempt in range(_MAX_RETRIES):
             proj = self._projection

@@ -15,7 +15,9 @@ The rules implemented here:
   :class:`~repro.errors.WrittenError` and gives up. A
   :class:`WrittenError` *past* the head means some reader already
   repaired the suffix on the winner's behalf, so the winner treats it as
-  success.
+  success. A batch of writes obeys the same rule hop by hop: one
+  ``write_many`` per replica, head first, only head-accepted entries
+  travelling on.
 - **reads** go to the tail, because an entry is only guaranteed durable
   (and therefore visible) once the whole chain holds it. A hole at the
   tail with data at the head is an in-flight write; the reader completes
@@ -24,8 +26,6 @@ The rules implemented here:
 
 from __future__ import annotations
 
-import queue
-import threading
 from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.corfu.layout import ReplicaSet
@@ -35,12 +35,6 @@ from repro.errors import ReproError, TrimmedError, UnwrittenError, WrittenError
 # Resolves a storage node name to its FlashUnit (or a transport proxy
 # for one — the replicator is agnostic; it calls the same methods).
 UnitLookup = Callable[[str], FlashUnit]
-
-#: Default bound on entries in flight between head issue and tail ack
-#: in :meth:`ChainReplicator.write_pipelined`. Deep enough to keep a
-#: 3-hop chain busy, shallow enough that a stalled suffix backpressures
-#: the head instead of buffering unbounded payloads.
-DEFAULT_PIPELINE_WINDOW = 8
 
 
 class ChainReplicator:
@@ -73,26 +67,15 @@ class ChainReplicator:
         reports success instead of a lost race. This is what keeps
         at-least-once delivery of chain writes exactly-once in the log.
         """
-        for i, node in enumerate(rset):
+        for hop, node in enumerate(rset):
             unit = self._lookup(node)
             try:
                 unit.write(address, data, epoch)
             except WrittenError:
-                if i == 0:
-                    if maybe_mine and self._holds(unit, address, data, epoch):
-                        # Our own earlier (timed-out) delivery won the
-                        # offset; keep completing the chain.
-                        continue
-                    # Lost the race at the head: the offset belongs to
-                    # someone else.
+                if not self._is_ours(
+                    unit, node, hop, address, data, epoch, maybe_mine
+                ):
                     raise
-                # Suffix already repaired by a reader; verify and move on.
-                existing = unit.read(address, epoch)
-                if existing != data:
-                    raise AssertionError(
-                        f"chain divergence at {node}:{address}: replica "
-                        f"holds different data than the head winner wrote"
-                    )
 
     def write_pipelined(
         self,
@@ -100,128 +83,90 @@ class ChainReplicator:
         writes: Sequence[Tuple[int, bytes]],
         epoch: int,
         maybe_mine: FrozenSet[int] = frozenset(),
-        window: int = DEFAULT_PIPELINE_WINDOW,
     ) -> Dict[int, Optional[BaseException]]:
-        """Stream many writes down the chain, overlapping the hops.
+        """Write many entries down the chain, one batched RPC per hop.
 
-        The synchronous :meth:`write` waits for every hop's ack before
-        issuing the next write; here each hop runs in its own stage, so
-        while entry *i* is landing on the tail, entry *i+1* is on the
-        middle replica and entry *i+2* is at the head. The caller's
-        thread drives the head hop — write-once arbitration still
-        happens there, and no suffix replica ever sees an entry whose
-        head write has not been acked (the chain invariant readers
-        depend on). A ``BoundedSemaphore`` caps entries between head
-        issue and tail ack at *window*, so a stalled suffix
-        backpressures the head instead of buffering without limit.
+        The batched twin of :meth:`write`, as :meth:`read_many` is of
+        :meth:`read`: each replica receives one ``write_many`` carrying
+        every entry still travelling, head first. Write-once
+        arbitration happens at the head, and the head's batch is
+        acknowledged before any suffix hop is sent, so no suffix
+        replica ever holds an entry whose head write was not accepted
+        (the chain invariant read-repair depends on). Only entries the
+        previous hop accepted travel on.
 
         *writes* is a sequence of ``(address, data)`` pairs; addresses
         in *maybe_mine* get the retry discipline of :meth:`write`'s
-        ``maybe_mine`` flag (a head ``WrittenError`` over identical
-        bytes is this client's own earlier delivery).
+        ``maybe_mine`` flag (a head ``"written"`` over identical bytes
+        is this client's own earlier delivery).
 
         Returns a per-address outcome map: ``None`` for a tail-acked
         write, otherwise the exception *instance* that stopped that
-        address (``WrittenError`` = lost the head race; node-level
-        errors = the chain is incomplete and the caller must re-drive
-        that address with ``maybe_mine`` before trusting it). Acks are
-        tracked per address, so completions may arrive in any order
-        without being misattributed.
+        address (``WrittenError`` = lost the head race; anything else =
+        the chain is incomplete and the caller must re-drive that
+        address with ``maybe_mine`` before trusting it). A node-level
+        failure of one hop's ``write_many`` (down, sealed, timed out)
+        leaves the fate of its whole batch unknown, so every address
+        still pending in that batch reports it.
         """
         results: Dict[int, Optional[BaseException]] = {}
-        hops = list(rset)
-        if len(hops) == 1 or len(writes) <= 1:
-            # Nothing to overlap: fall back to the synchronous rule.
-            for address, data in writes:
+        pending = list(writes)
+        for hop, node in enumerate(rset):
+            if not pending:
+                break
+            unit = self._lookup(node)
+            try:
+                statuses = unit.write_many(pending, epoch)
+            except ReproError as exc:
+                results.update((address, exc) for address, _ in pending)
+                return results
+            accepted = []
+            for address, data in pending:
                 try:
-                    self.write(
-                        rset, address, data, epoch,
-                        maybe_mine=address in maybe_mine,
-                    )
-                    results[address] = None
+                    if statuses[address] == "trimmed":
+                        raise TrimmedError(address)
+                    if statuses[address] == "written" and not self._is_ours(
+                        unit, node, hop, address, data, epoch,
+                        address in maybe_mine,
+                    ):
+                        raise WrittenError(address)
                 except (ReproError, AssertionError) as exc:
                     results[address] = exc
-            return results
-
-        inflight = threading.BoundedSemaphore(max(1, window))
-        results_lock = threading.Lock()
-        # One queue per suffix hop; stage i consumes queue i-1.
-        inboxes = [queue.Queue() for _ in range(len(hops) - 1)]
-
-        def record(address: int, outcome: Optional[BaseException]) -> None:
-            with results_lock:
-                results[address] = outcome
-            inflight.release()
-
-        def suffix_stage(hop: int) -> None:
-            unit = self._lookup(hops[hop])
-            inbox = inboxes[hop - 1]
-            while True:
-                item = inbox.get()
-                if item is None:  # end-of-batch sentinel, forwarded down
-                    if hop < len(hops) - 1:
-                        inboxes[hop].put(None)
-                    return
-                address, data = item
-                try:
-                    try:
-                        unit.write(address, data, epoch)
-                    except WrittenError:
-                        # Suffix already repaired by a reader; verify.
-                        if unit.read(address, epoch) != data:
-                            raise AssertionError(
-                                f"chain divergence at {hops[hop]}:{address}: "
-                                f"replica holds different data than the "
-                                f"head winner wrote"
-                            ) from None
-                except (ReproError, AssertionError) as exc:
-                    # Chain incomplete for this address: stop forwarding
-                    # it and report; the caller re-drives the whole
-                    # chain for it (maybe_mine absorbs our partial
-                    # progress), so exactly-once survives.
-                    record(address, exc)
-                    continue
-                if hop < len(hops) - 1:
-                    inboxes[hop].put((address, data))
                 else:
-                    record(address, None)  # tail ack: durable
-
-        stages = [
-            threading.Thread(
-                target=suffix_stage, args=(hop,),
-                name=f"chain-hop-{hops[hop]}", daemon=True,
-            )
-            for hop in range(1, len(hops))
-        ]
-        for stage in stages:
-            stage.start()
-        head = self._lookup(hops[0])
-        try:
-            for address, data in writes:
-                inflight.acquire()
-                try:
-                    try:
-                        head.write(address, data, epoch)
-                    except WrittenError as exc:
-                        if not (
-                            address in maybe_mine
-                            and self._holds(head, address, data, epoch)
-                        ):
-                            # Lost the race at the head: the offset
-                            # belongs to someone else.
-                            record(address, exc)
-                            continue
-                        # Our own earlier (timed-out) delivery won the
-                        # offset; keep streaming the suffix.
-                except (ReproError, AssertionError) as exc:
-                    record(address, exc)
-                    continue
-                inboxes[0].put((address, data))
-        finally:
-            inboxes[0].put(None)
-            for stage in stages:
-                stage.join()
+                    accepted.append((address, data))
+            pending = accepted
+        results.update((address, None) for address, _ in pending)
         return results
+
+    def _is_ours(
+        self,
+        unit: FlashUnit,
+        node: str,
+        hop: int,
+        address: int,
+        data: bytes,
+        epoch: int,
+        maybe_mine: bool,
+    ) -> bool:
+        """Decide a write of *data* that bounced off write-once at *hop*.
+
+        The one head/suffix rule, shared by :meth:`write` and
+        :meth:`write_pipelined`. At the head the bounce is a lost race
+        — the offset belongs to someone else (False) — unless the
+        caller is retrying an ambiguous write and the head holds
+        identical bytes: our own earlier, unacknowledged delivery won
+        the offset, so the chain carries on. Past the head, a reader
+        already repaired the suffix on the winner's behalf; the copy
+        must match what the head winner wrote.
+        """
+        if hop == 0:
+            return maybe_mine and self._holds(unit, address, data, epoch)
+        if unit.read(address, epoch) != data:
+            raise AssertionError(
+                f"chain divergence at {node}:{address}: replica "
+                f"holds different data than the head winner wrote"
+            )
+        return True
 
     @staticmethod
     def _holds(unit: FlashUnit, address: int, data: bytes, epoch: int) -> bool:

@@ -162,11 +162,21 @@ class Sequencer:
         first of its own offsets at or above it. A bootstrap carrying a
         stale epoch is rejected: state recovered under an old projection
         must never overwrite a sequencer that has already been sealed
-        into a newer one.
+        into a newer one. Nor may a *late* duplicate — the network
+        delivering the same bootstrap again after this instance started
+        issuing — rewind it: a live sequencer already at *epoch* whose
+        counter is past the recovered tail keeps its state, which is
+        newer than what the duplicate carries.
         """
         with self._lock:
             if epoch < self._epoch:
                 raise SealedError(self._epoch)
+            if (
+                not self._down
+                and epoch == self._epoch
+                and self._tail > self._slot_covering(tail)
+            ):
+                return
             self._down = False
             self._epoch = epoch
             self._tail = self._slot_covering(tail)

@@ -112,6 +112,34 @@ class FlashUnit:
             self._pages[address] = data
             self.writes += 1
 
+    def write_many(self, writes, epoch: int) -> Dict[int, str]:
+        """Batched write: one RPC applying ``(address, data)`` pairs in order.
+
+        Returns ``{address: status}`` where *status* is ``"ok"`` (the
+        page was accepted), ``"written"`` or ``"trimmed"``. As with
+        :meth:`read_many`, per-address outcomes are *data* — a batch
+        must not stop because one offset lost its write-once race —
+        while node-level conditions (down node, stale epoch) raise for
+        the whole call before anything is applied. Each page goes
+        through :meth:`write`, so a persistent subclass makes every
+        accepted page durable exactly as a single write would; the
+        whole batch holds the unit lock, so a delivery repeated by the
+        network bounces off write-once and reports ``"written"``.
+        """
+        with self._lock:
+            self._check_up()
+            self._check_epoch(epoch)
+            results: Dict[int, str] = {}
+            for address, data in writes:
+                try:
+                    self.write(address, data, epoch)
+                    results[address] = "ok"
+                except WrittenError:
+                    results[address] = "written"
+                except TrimmedError:
+                    results[address] = "trimmed"
+            return results
+
     def read(self, address: int, epoch: int) -> bytes:
         """Read the data at *address*.
 

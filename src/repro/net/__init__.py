@@ -11,9 +11,7 @@ Three transports ship:
 
 - :class:`LoopbackTransport` (the default) delivers every RPC as a
   direct in-process method call — today's semantics, with per-endpoint
-  counters but no faults. :class:`LatencyTransport` layers a fixed
-  wall-time delay per call on top of it, so benchmarks can observe the
-  pipelined write path overlapping round trips.
+  counters but no faults.
 - :class:`FaultyTransport` is a seedable fault injector: latency,
   request/response drops (surfacing as :class:`~repro.errors.RpcTimeout`),
   duplicate delivery, reordering via delayed delivery, and node-pair
@@ -31,7 +29,6 @@ wall time for sockets.
 from repro.net.clock import Clock, LogicalClock, MonotonicClock
 from repro.net.transport import (
     EndpointStats,
-    LatencyTransport,
     LoopbackTransport,
     RpcProxy,
     Transport,
@@ -43,7 +40,6 @@ __all__ = [
     "Clock",
     "EndpointStats",
     "FaultyTransport",
-    "LatencyTransport",
     "LogicalClock",
     "LoopbackTransport",
     "MonotonicClock",

@@ -145,11 +145,11 @@ class FaultyTransport(Transport):
     ):
         # Request-side faults are drawn under the lock (one RNG, one
         # deterministic schedule); the server execution itself happens
-        # OUTSIDE it, so concurrent callers — the pipelined chain-write
-        # stages — genuinely overlap their in-flight deliveries, exactly
-        # as on a real fabric. Per-call draw order is unchanged
-        # (request faults before execution, response faults after), so
-        # single-threaded seeded fault schedules are identical.
+        # OUTSIDE it, so concurrent callers — client threads sharing
+        # the deployment — genuinely overlap their in-flight
+        # deliveries, exactly as on a real fabric. Per-call draw order
+        # is fixed (request faults before execution, response faults
+        # after), so single-threaded seeded fault schedules repeat.
         with self._lock:
             self.clock.advance()
             self._flush_deferred_locked()
@@ -168,13 +168,11 @@ class FaultyTransport(Transport):
                 stats.note_timeout()
                 raise RpcTimeout(target, op)
             stats.note_delivery(op, args)
-        stats.note_begin()
         self._note_begin()
         try:
             result = resolve_method(resolve, target, op)(*args, **kwargs)
         finally:
             self._note_end()
-            stats.note_end()
         with self._lock:
             # Post-execution faults apply only to calls the server
             # completed: a duplicate of a rejected request is a no-op,

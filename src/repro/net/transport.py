@@ -71,15 +71,12 @@ class EndpointStats:
     deliveries deferred past their issue order. ``batch_rpcs`` /
     ``batch_offsets`` count delivered *batched* reads (``read_many``)
     and the offsets they carried — the observable proof that the
-    batched read path is collapsing round trips. ``inflight`` /
-    ``max_inflight`` gauge calls currently being delivered and the
-    high-water mark — the observable proof that the pipelined write
-    path overlaps chain hops instead of serializing them.
+    batched read path is collapsing round trips.
     """
 
     __slots__ = (
         "rpcs", "retries", "timeouts", "duplicates", "drops", "reordered",
-        "batch_rpcs", "batch_offsets", "inflight", "max_inflight", "_lock",
+        "batch_rpcs", "batch_offsets", "_lock",
     )
 
     def __init__(self) -> None:
@@ -91,8 +88,6 @@ class EndpointStats:
         self.reordered = 0
         self.batch_rpcs = 0
         self.batch_offsets = 0
-        self.inflight = 0
-        self.max_inflight = 0
         self._lock = threading.Lock()
 
     def note_delivery(self, op: str, args: tuple) -> None:
@@ -105,17 +100,6 @@ class EndpointStats:
                     self.batch_offsets += len(args[0])
                 except TypeError:  # pragma: no cover - malformed batch arg
                     pass
-
-    def note_begin(self) -> None:
-        """A delivery started executing (pairs with :meth:`note_end`)."""
-        with self._lock:
-            self.inflight += 1
-            if self.inflight > self.max_inflight:
-                self.max_inflight = self.inflight
-
-    def note_end(self) -> None:
-        with self._lock:
-            self.inflight -= 1
 
     def note_retry(self) -> None:
         with self._lock:
@@ -149,8 +133,6 @@ class EndpointStats:
                 "reordered": self.reordered,
                 "batch_rpcs": self.batch_rpcs,
                 "batch_offsets": self.batch_offsets,
-                "inflight": self.inflight,
-                "max_inflight": self.max_inflight,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -269,11 +251,9 @@ class Transport:
     def _note_begin(self) -> None:
         """A delivery started executing somewhere on this transport.
 
-        Unlike the per-endpoint gauge (which shows concurrency against
-        one node), the transport-wide gauge shows concurrency across
-        the whole deployment — a pipelined chain write with one
-        in-flight hop per replica reads 1 per endpoint but
-        ``len(chain)`` here.
+        The transport-wide gauge shows how many calls the whole
+        deployment is serving at once (client threads overlap; one
+        thread's RPCs never do).
         """
         with self._stats_lock:
             self._inflight += 1
@@ -328,56 +308,9 @@ class LoopbackTransport(Transport):
         args: tuple,
         kwargs: dict,
     ):
-        stats = self.stats_for(target)
-        stats.note_delivery(op, args)
-        stats.note_begin()
+        self.stats_for(target).note_delivery(op, args)
         self._note_begin()
         try:
             return resolve_method(resolve, target, op)(*args, **kwargs)
         finally:
             self._note_end()
-            stats.note_end()
-
-
-class LatencyTransport(LoopbackTransport):
-    """Loopback delivery plus a fixed real-time delay per call.
-
-    A benchmarking aid: loopback RPCs are plain function calls, so
-    overlapping chain hops cannot be told apart from serializing them.
-    This transport makes every delivery cost *delay_s* of wall time
-    (slept on the caller's thread, never under a lock), so the
-    pipelined write path's overlap shows up as real throughput —
-    ``perf_gate.py``'s ``append_pipelined`` scenario runs on it. Uses a
-    :class:`~repro.net.clock.MonotonicClock` (the sanctioned wall-time
-    source), keeping deterministic logical time for everything else.
-    """
-
-    def __init__(self, delay_s: float = 0.0002) -> None:
-        super().__init__()
-        from repro.net.clock import MonotonicClock
-
-        self.clock = MonotonicClock()
-        self.delay_s = delay_s
-
-    def call(
-        self,
-        source: str,
-        target: str,
-        op: str,
-        resolve: Callable[[], object],
-        args: tuple,
-        kwargs: dict,
-    ):
-        # The simulated wire time is part of the delivery, so it sits
-        # inside the in-flight gauge window: two calls sleeping their
-        # delay concurrently are two overlapped deliveries.
-        stats = self.stats_for(target)
-        stats.note_delivery(op, args)
-        stats.note_begin()
-        self._note_begin()
-        try:
-            self.clock.sleep(self.delay_s)
-            return resolve_method(resolve, target, op)(*args, **kwargs)
-        finally:
-            self._note_end()
-            stats.note_end()

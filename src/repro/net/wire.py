@@ -50,6 +50,7 @@ MAX_FRAME_BYTES = 1 << 26
 STORAGE_OPS = frozenset(
     {
         "write",
+        "write_many",
         "read",
         "read_many",
         "is_written",

@@ -217,7 +217,7 @@ class StreamClient:
         :class:`~repro.corfu.client.AppendFuture` resolves to the log
         offset once the append pipeline commits it. Callers issuing a
         flight of appends and collecting the handles afterwards get the
-        pipelined chain-write path (overlapped hops, shared grants).
+        batched chain-write path (one RPC per hop, shared grants).
         """
         return self._corfu.append_async(payload, stream_ids)
 

@@ -2,7 +2,8 @@
 
 ``CorfuClient.append_async`` returns an :class:`AppendFuture`;
 whichever waiter thread becomes the pipeline leader group-commits the
-queued appends through ``append_batch`` → ``write_pipelined``. These
+queued appends: one sequencer grant and one batched chain write per
+replica chain (``write_pipelined``) for each run. These
 tests pin the completion-handle semantics, the exactly-once guarantee
 under concurrency and network faults, and the stream-layer passthrough.
 """
@@ -39,9 +40,26 @@ class TestAppendAsync:
         for i, offset in enumerate(offsets):
             assert client.read(offset).payload == b"entry-%d" % i
 
+    def test_flight_costs_one_rpc_per_hop_per_chain(self):
+        """A flight shares one grant and one batched write per replica
+        of each chain it stripes over; a lone append is one grant plus
+        one write per replica of its chain."""
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        client = cluster.client()
+
+        def delivered():
+            return sum(s["rpcs"] for s in client.net_stats().values())
+
+        client.append(b"lone", (1,))
+        assert delivered() == 3
+        futures = [client.append_async(b"f%d" % i, (1,)) for i in range(16)]
+        assert [fut.result() for fut in futures] == list(range(1, 17))
+        assert delivered() == 3 + 1 + 2 * 2
+
     def test_append_is_async_result(self, client):
-        """The synchronous append is re-expressed on top of the async
-        path; interleaving the two keeps the log dense and ordered."""
+        """The synchronous append commits directly and the async path
+        through the pipeline; interleaving the two keeps the log dense
+        and ordered."""
         offsets = [client.append(b"sync-0", (1,))]
         fut = client.append_async(b"async-1", (1,))
         offsets.append(client.append(b"sync-2", (2,)))

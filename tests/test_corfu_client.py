@@ -4,10 +4,12 @@ import pytest
 
 from repro.corfu import CorfuCluster
 from repro.errors import (
+    RpcTimeout,
     TooManyStreamsError,
     TrimmedError,
     UnwrittenError,
 )
+from repro.net import LoopbackTransport
 
 
 @pytest.fixture
@@ -182,6 +184,41 @@ class TestFaultTolerance:
             if not c1.is_written(maybe_hole):
                 c1.fill(maybe_hole)
                 assert c1.read(maybe_hole).is_junk
+
+    def test_batch_absorbs_hole_filler_beating_a_lost_head_write(self):
+        """A batched head write times out undelivered and a hole-filler
+        junk-fills one of its offsets before the re-drive. That payload
+        lost a genuine race: it moves to a fresh offset, and the caller
+        sees three appends, not a ``WrittenError`` it would answer by
+        re-appending the entries that did land."""
+
+        class FillThenLoseHeadWrite(LoopbackTransport):
+            armed = True
+
+            def call(self, source, target, op, resolve, args, kwargs):
+                covers_1 = (op == "write" and args[0] == 1) or (
+                    op == "write_many" and any(a == 1 for a, _ in args[0])
+                )
+                if self.armed and target == head and covers_1:
+                    self.armed = False
+                    filler.fill(1)
+                    raise RpcTimeout(target, op)
+                return super().call(source, target, op, resolve, args, kwargs)
+
+        cluster = CorfuCluster(
+            num_sets=1, replication_factor=2, transport=FillThenLoseHeadWrite()
+        )
+        head = cluster.projection.replica_sets[0].head
+        client, filler = cluster.client(), cluster.client()
+        offsets = client.append_batch([b"a", b"b", b"c"], (1,))
+        assert len(set(offsets)) == 3
+        assert [client.read(o).payload for o in offsets] == [b"a", b"b", b"c"]
+        live = [
+            client.read(o).payload
+            for o in range(client.check())
+            if not client.read(o).is_junk
+        ]
+        assert sorted(live) == [b"a", b"b", b"c"]
 
     def test_max_payload_property(self, cluster, client):
         assert client.max_payload > 0

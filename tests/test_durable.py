@@ -7,6 +7,7 @@ import pytest
 from repro.corfu.durable import DurableFlashUnit, open_durable_cluster
 from repro.errors import SealedError, TrimmedError, UnwrittenError, WrittenError
 from repro.objects import TangoMap
+from repro.store.segment import OP_WRITE, read_flat_log
 from repro.tango.runtime import TangoRuntime
 
 
@@ -27,6 +28,28 @@ class TestDurableFlashUnit:
         reopened = DurableFlashUnit("u", path)
         with pytest.raises(WrittenError):
             reopened.write(5, b"second", epoch=0)
+
+    def test_write_many_persists_each_accepted_page_once(self, tmp_path):
+        path = str(tmp_path / "unit.flash")
+        unit = DurableFlashUnit("u", path)
+        unit.write(1, b"theirs", epoch=0)
+        batch = [(0, b"a"), (1, b"b"), (2, b"c")]
+        assert unit.write_many(batch, epoch=0) == {0: "ok", 1: "written", 2: "ok"}
+        # A repeated delivery is rejected in memory and adds no frame.
+        assert set(unit.write_many(batch, epoch=0).values()) == {"written"}
+        unit.seal(1)
+        with pytest.raises(SealedError):
+            unit.write_many([(3, b"late")], epoch=0)
+        unit.close()
+        frames = [
+            (address, data)
+            for op, _, address, data in read_flat_log(path)
+            if op == OP_WRITE
+        ]
+        assert frames == [(1, b"theirs"), (0, b"a"), (2, b"c")]
+        reopened = DurableFlashUnit("u", path)
+        assert reopened.written_addresses() == [0, 1, 2]
+        assert reopened.read(1, epoch=1) == b"theirs"
 
     def test_trim_survives_reopen(self, tmp_path):
         path = str(tmp_path / "unit.flash")

@@ -7,6 +7,7 @@ from repro.corfu.replication import ChainReplicator
 from repro.corfu.storage import FlashUnit
 from repro.errors import (
     NodeDownError,
+    RpcTimeout,
     TrimmedError,
     UnwrittenError,
     WrittenError,
@@ -121,12 +122,25 @@ class TestWritePipelined:
         assert results == {0: None, 1: None}
         assert units["a"].read(0, epoch=0) == b"x"
 
-    def test_window_one_still_exactly_once(self, chain, rset, units):
-        writes = [(i, f"w{i}".encode()) for i in range(12)]
-        results = chain.write_pipelined(rset, writes, epoch=0, window=1)
-        assert all(outcome is None for outcome in results.values())
-        for address, data in writes:
-            assert chain.read(rset, address, epoch=0) == data
+    def test_head_timeout_reports_whole_batch_and_spares_suffix(
+        self, rset, units
+    ):
+        """A head ``write_many`` that times out leaves the fate of its
+        whole batch unknown: every address reports the timeout, and no
+        suffix replica is sent an entry the head never acknowledged."""
+
+        class LostHeadBatch:
+            def write_many(self, writes, epoch):
+                raise RpcTimeout("a", "write_many")
+
+        lookup = {**units, "a": LostHeadBatch()}
+        chain = ChainReplicator(lambda name: lookup[name])
+        results = chain.write_pipelined(
+            rset, [(i, b"v") for i in range(4)], epoch=0
+        )
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(isinstance(o, RpcTimeout) for o in results.values())
+        assert units["b"].writes == 0 and units["c"].writes == 0
 
 
 class TestRead:

@@ -109,6 +109,30 @@ class TestSealAndCrash:
         assert offset == 2
         assert bps[1] == (1, 0)
 
+    def test_late_duplicate_bootstrap_does_not_rewind(self):
+        """The network may deliver a bootstrap again after the
+        replacement started issuing (a reordered retry). Re-installing
+        the recovered state then would rewind the counter and wipe the
+        grants made since — committed entries vanishing from sync."""
+        seq = Sequencer("seq-1")
+        seq.bootstrap(tail=3, stream_tails={1: [2, 0]}, epoch=1)
+        assert seq.increment((3,), epoch=1)[0] == 3
+        seq.bootstrap(tail=3, stream_tails={1: [2, 0]}, epoch=1)
+        assert seq.query((1, 3), epoch=1) == (4, {1: (2, 0), 3: (3,)})
+        # Everything that is not a late duplicate still installs: a
+        # higher recovered tail, a newer epoch, a crashed instance.
+        seq.bootstrap(tail=10, stream_tails={}, epoch=1)
+        assert seq.query((3,), epoch=1) == (10, {3: ()})
+        seq.bootstrap(tail=2, stream_tails={3: [1]}, epoch=2)
+        assert seq.query((3,), epoch=2) == (2, {3: (1,)})
+        seq.increment((3,), epoch=2)
+        seq.crash()
+        seq.bootstrap(tail=1, stream_tails={}, epoch=2)
+        assert not seq.is_down
+        assert seq.query((3,), epoch=2) == (1, {3: ()})
+        with pytest.raises(SealedError):
+            seq.bootstrap(tail=50, stream_tails={}, epoch=1)
+
     def test_bootstrap_truncates_to_k(self):
         seq = Sequencer("s", k=2)
         seq.bootstrap(tail=10, stream_tails={1: [9, 8, 7, 6]}, epoch=0)

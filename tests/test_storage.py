@@ -47,6 +47,36 @@ class TestWriteOnce:
         assert unit.read(2**40, epoch=0) == b"b"
 
 
+class TestWriteMany:
+    def test_mixed_outcomes_are_data_and_do_not_stop_the_batch(self, unit):
+        unit.write(0, b"gone", epoch=0)
+        unit.trim_prefix(1, epoch=0)
+        unit.write(2, b"theirs", epoch=0)
+        statuses = unit.write_many(
+            [(0, b"a"), (1, b"b"), (2, b"c"), (3, b"d")], epoch=0
+        )
+        assert statuses == {0: "trimmed", 1: "ok", 2: "written", 3: "ok"}
+        assert unit.read(1, epoch=0) == b"b"
+        assert unit.read(2, epoch=0) == b"theirs"
+        assert unit.read(3, epoch=0) == b"d"
+
+    def test_repeated_delivery_bounces_off_write_once(self, unit):
+        batch = [(0, b"a"), (1, b"b")]
+        assert unit.write_many(batch, epoch=0) == {0: "ok", 1: "ok"}
+        assert unit.write_many(batch, epoch=0) == {0: "written", 1: "written"}
+        assert unit.writes == 2
+
+    def test_sealed_or_down_raises_and_applies_nothing(self, unit):
+        unit.seal(2)
+        with pytest.raises(SealedError):
+            unit.write_many([(0, b"a"), (1, b"b")], epoch=1)
+        unit.crash()
+        with pytest.raises(NodeDownError):
+            unit.write_many([(0, b"a"), (1, b"b")], epoch=2)
+        unit.recover()
+        assert unit.written_addresses() == []
+
+
 class TestTrim:
     def test_trim_single(self, unit):
         unit.write(5, b"x", epoch=0)

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from repro.corfu.durable import DurableFlashUnit, open_durable_cluster
-from repro.errors import TrimmedError, WrittenError
+from repro.errors import SealedError, TrimmedError, WrittenError
 from repro.store import (
     CompactionPolicy,
     Compactor,
@@ -226,6 +226,37 @@ class TestSegmentedFlashUnit:
             reopened.read(6, epoch=0)
         with pytest.raises(WrittenError):
             reopened.write(5, b"again", epoch=0)
+        reopened.close()
+
+    def test_write_many_persists_each_accepted_page_once(self, tmp_path):
+        unit = self.unit(tmp_path)
+        unit.write(0, b"gone", epoch=0)
+        unit.trim_prefix(1, epoch=0)
+        unit.write(2, b"theirs", epoch=0)
+        batch = [(0, b"a"), (1, b"b"), (2, b"c"), (3, b"d" * 300), (4, b"e")]
+        assert unit.write_many(batch, epoch=0) == {
+            0: "trimmed", 1: "ok", 2: "written", 3: "ok", 4: "ok",
+        }
+        # A repeated delivery is rejected in memory and adds no frame.
+        assert "ok" not in unit.write_many(batch, epoch=0).values()
+        unit.seal(1)
+        with pytest.raises(SealedError):
+            unit.write_many([(5, b"late")], epoch=0)
+        unit.close()
+        on_disk = small_store(tmp_path, name="u.store")
+        frames = [
+            (address, data)
+            for op, _, address, data in on_disk.replay()
+            if op == OP_WRITE
+        ]
+        on_disk.close()
+        # The 300-byte page rolled the 256-byte segment mid-batch.
+        assert frames == [
+            (0, b"gone"), (2, b"theirs"), (1, b"b"), (3, b"d" * 300), (4, b"e"),
+        ]
+        reopened = self.unit(tmp_path)
+        assert reopened.written_addresses() == [1, 2, 3, 4]
+        assert reopened.read(2, epoch=1) == b"theirs"
         reopened.close()
 
     def test_compaction_reclaims_trimmed_prefix(self, tmp_path):

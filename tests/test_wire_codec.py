@@ -51,6 +51,11 @@ from repro.tools.lint.rules.net import _RPC_OPS as LINT_RPC_OPS
 #: exact types the real servers consume and produce.
 SAMPLES = {
     "write": ((7, b"\x00\xffpage", 3), {}, None),
+    "write_many": (
+        ([(1, b"\x00\xffpage"), (2, b""), (3, b"late")], 3),
+        {},
+        {1: "ok", 2: "written", 3: "trimmed"},
+    ),
     "read": ((7, 3), {}, b"\x00\xffpage"),
     "read_many": (
         ([1, 2, 3], 3),
