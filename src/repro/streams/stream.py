@@ -23,9 +23,19 @@ caches it").
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.corfu.client import CorfuClient
 from repro.corfu.entry import NO_BACKPOINTER, LogEntry
@@ -47,32 +57,53 @@ DEFAULT_HOLE_TIMEOUT = 0.1
 #: batching it is a pure round-trip win).
 SCAN_WINDOW = 32
 
-#: Known upcoming offsets prefetched per batched RPC during playback.
-PLAYBACK_PREFETCH = 8
+#: Known offsets warmed per batched read round by playback, ``scan``
+#: and ``lookahead`` (fewer when a cache byte budget could not hold
+#: them until they are played).
+PLAYBACK_PREFETCH = 64
 
 #: Estimated fixed per-entry cost charged against a cache byte budget,
 #: on top of the payload: LogEntry + header objects + the cache's dict
 #: slot. A rough constant — the budget bounds growth, it is not an
-#: allocator.
+#: allocator. An entry whose decoded form is remembered beside it (see
+#: :meth:`StreamClient.decoded`) is charged twice: the decoded records
+#: hold copies of the payload's bytes.
 CACHE_ENTRY_OVERHEAD = 200
 
 
-class _InflightFetch:
-    """Single-flight slot for one offset's fetch.
+class _Cached:
+    """One cache slot: the raw entry and, once asked for, its decoded form.
 
-    Exactly one thread (the owner) issues the read RPC and runs the
-    hole handler; every concurrent fetch of the same offset waits on
-    the event and shares the owner's entry or exception. A slot that
-    resolves with neither (the owner obtained nothing it could share,
-    e.g. a best-effort batch skipping a hole) tells waiters to retry —
-    the next one through becomes the new owner.
+    The decoded form is whatever a caller's ``parse`` made of the entry
+    (opaque here). Sharing the slot is what ties its lifetime to the raw
+    entry's: one LRU position, one byte charge, one trim eviction.
     """
 
-    __slots__ = ("event", "entry", "exc")
+    __slots__ = ("entry", "decoded")
+
+    def __init__(self, entry: LogEntry) -> None:
+        self.entry = entry
+        self.decoded: object = None
+
+
+class _InflightFetch:
+    """Single-flight slot for one read: an offset's fetch, or a batch.
+
+    Exactly one thread (the owner) issues the read RPC and, for a lone
+    fetch, runs the hole handler; every concurrent fetch of an offset
+    the flight covers waits on the event and shares the owner's entry
+    or exception. A batched round claims all its offsets with one
+    flight. An offset the flight resolved with neither (the owner
+    obtained nothing it could share, e.g. a best-effort batch skipping
+    a hole) tells its waiters to retry — the next one through becomes
+    the new owner.
+    """
+
+    __slots__ = ("event", "entries", "exc")
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.entry: Optional[LogEntry] = None
+        self.entries: Dict[int, LogEntry] = {}
         self.exc: Optional[BaseException] = None
 
 
@@ -148,7 +179,7 @@ class StreamClient:
     ) -> None:
         self._corfu = corfu
         self._streams: Dict[int, _StreamState] = {}
-        self._cache: "OrderedDict[int, LogEntry]" = OrderedDict()
+        self._cache: "OrderedDict[int, _Cached]" = OrderedDict()
         self._cache_entries = cache_entries
         # Optional cache byte budget (memory-bounded mode); None keeps
         # the entry-count cap alone.
@@ -163,11 +194,11 @@ class StreamClient:
         self._hole_handler = hole_handler or self._default_hole_handler
         # Serializes iterator/cache state across application threads:
         # every method that reads or moves read_ptr/offsets (readnext,
-        # seek, peek_offset, reset, position, pending, known_offsets,
-        # lookahead, sync) takes it. The owning runtime also holds its
-        # own coarser lock during playback; this one covers direct uses
-        # like indexed-map reads. Reentrant because readnext fetches
-        # (and caches) entries while holding it.
+        # play, seek, peek_offset, reset, position, pending,
+        # known_offsets, lookahead, sync) takes it. The owning runtime
+        # also holds its own coarser lock during playback; this one
+        # covers direct uses like indexed-map reads. Reentrant because
+        # readnext fetches (and caches) entries while holding it.
         self._lock = threading.RLock()
         # GC must actually free client memory: evict cached entries for
         # offsets the log reclaims, whoever drives the trim. Registered
@@ -256,7 +287,7 @@ class StreamClient:
                 cached = self._cache.get(offset)
                 if cached is not None:
                     self._cache.move_to_end(offset)
-                    return cached
+                    return cached.entry
                 flight = self._inflight.get(offset)
                 if flight is None:
                     flight = _InflightFetch()
@@ -268,8 +299,9 @@ class StreamClient:
                 flight.event.wait()
                 if flight.exc is not None:
                     raise flight.exc
-                if flight.entry is not None:
-                    return flight.entry
+                shared = flight.entries.get(offset)
+                if shared is not None:
+                    return shared
                 # Unresolved slot (a best-effort batch skipped this
                 # offset): loop and become the new owner.
                 continue
@@ -284,7 +316,7 @@ class StreamClient:
             with self._cache_lock:
                 self._cache_insert_locked(offset, entry)
                 self._inflight.pop(offset, None)
-                flight.entry = entry
+                flight.entries[offset] = entry
             flight.event.set()
             return entry
 
@@ -304,17 +336,18 @@ class StreamClient:
             return LogEntry.junk()
 
     @staticmethod
-    def _entry_bytes(entry: LogEntry) -> int:
-        return len(entry.payload) + CACHE_ENTRY_OVERHEAD
+    def _slot_bytes(slot: _Cached) -> int:
+        cost = len(slot.entry.payload) + CACHE_ENTRY_OVERHEAD
+        return cost if slot.decoded is None else 2 * cost
 
     def _cache_insert_locked(self, offset: int, entry: LogEntry) -> None:
         """Insert into the LRU cache; caller holds ``_cache_lock``."""
         old = self._cache.get(offset)
         if old is not None:
-            self._cache_bytes -= self._entry_bytes(old)
-        self._cache[offset] = entry
+            self._cache_bytes -= self._slot_bytes(old)
+        slot = self._cache[offset] = _Cached(entry)
         self._cache.move_to_end(offset)
-        self._cache_bytes += self._entry_bytes(entry)
+        self._cache_bytes += self._slot_bytes(slot)
         self._cache_shrink_locked()
 
     def _cache_shrink_locked(self) -> None:
@@ -326,42 +359,40 @@ class StreamClient:
             and len(self._cache) > 1
         ):
             _off, victim = self._cache.popitem(last=False)
-            self._cache_bytes -= self._entry_bytes(victim)
+            self._cache_bytes -= self._slot_bytes(victim)
 
     def _fetch_many_best_effort(self, offsets: Sequence[int]) -> int:
         """Warm the cache for *offsets* in one batched read per chain.
 
-        Claims single-flight slots for the offsets that are neither
-        cached nor already in flight, reads them all with a single
-        :meth:`CorfuClient.read_many` round, and caches the written
-        ones (trimmed offsets cache as junk, matching ``fetch``).
-        Unwritten offsets are *skipped* — no hole handling here — and
-        their slots resolve empty, which sends any waiter (including our
+        Claims the offsets that are neither cached nor already in
+        flight under one shared single-flight slot, reads them all with
+        a single :meth:`CorfuClient.read_many` round, and caches the
+        written ones (trimmed offsets cache as junk, matching
+        ``fetch``). Unwritten offsets are *skipped* — no hole handling
+        here — and resolve empty, which sends any waiter (including our
         caller's per-offset fallback) through ``fetch`` to own the hole.
         Returns the number of offsets newly cached.
         """
-        claimed: Dict[int, _InflightFetch] = {}
+        claimed: List[int] = []
+        flight = _InflightFetch()
         with self._cache_lock:
             for off in offsets:
-                if off in self._cache or off in claimed or off in self._inflight:
+                if off in self._cache or off in self._inflight:
                     continue
-                flight = _InflightFetch()
                 self._inflight[off] = flight
-                claimed[off] = flight
+                claimed.append(off)
         if not claimed:
             return 0
         try:
-            outcomes = self._corfu.read_many(tuple(claimed))
+            outcomes = self._corfu.read_many(claimed)
         except BaseException:
             with self._cache_lock:
                 for off in claimed:
                     self._inflight.pop(off, None)
-            for flight in claimed.values():
-                flight.event.set()  # unresolved: waiters retry solo
+            flight.event.set()  # unresolved: waiters retry solo
             raise
-        filled = 0
         with self._cache_lock:
-            for off, flight in claimed.items():
+            for off in claimed:
                 outcome = outcomes.get(off)
                 if isinstance(outcome, LogEntry):
                     entry: Optional[LogEntry] = outcome
@@ -371,12 +402,10 @@ class StreamClient:
                     entry = None  # hole: leave to per-offset fetch
                 if entry is not None:
                     self._cache_insert_locked(off, entry)
-                    flight.entry = entry
-                    filled += 1
+                    flight.entries[off] = entry
                 self._inflight.pop(off, None)
-        for flight in claimed.values():
-            flight.event.set()
-        return filled
+        flight.event.set()
+        return len(flight.entries)
 
     def _prefetch(self, offsets: Sequence[int]) -> None:
         """Best-effort batched cache warm: never raises, never fills holes.
@@ -415,6 +444,93 @@ class StreamClient:
             except ReproError:
                 pass  # fall through to the per-offset retry discipline
         return {off: self.fetch(off) for off in wanted}
+
+    def scan(self, offsets: Iterable[int]) -> Iterator[Tuple[int, LogEntry]]:
+        """Yield ``(offset, entry)`` for each of *offsets*, in the order given.
+
+        For offsets the caller already knows it will visit (a stream's
+        linked list walked newest-first for a checkpoint, a suffix
+        searched for a decision record): each round warms the next
+        :data:`PLAYBACK_PREFETCH` of them with one batched read per
+        replica chain, then hands them out through :meth:`fetch`, so
+        holes and trimmed offsets behave exactly as they do there.
+        Lazy — a consumer that stops early reads at most one round
+        more than it used.
+        """
+        offsets = list(offsets)
+        done = 0
+        while done < len(offsets):
+            chunk = offsets[done : done + self._warm_limit()]
+            self._prefetch(chunk)
+            for offset in chunk:
+                yield offset, self.fetch(offset)
+            done += len(chunk)
+
+    def decoded(
+        self,
+        offset: int,
+        entry: LogEntry,
+        parse: Callable[[LogEntry], object],
+        keep: bool = True,
+    ) -> object:
+        """``parse(entry)``, computed once for as long as *entry* stays cached.
+
+        *entry* is what :meth:`fetch` returned for *offset*. The result
+        is remembered in the entry's cache slot, so it is evicted by
+        the same LRU, byte budget and trim as the raw entry, and every
+        later caller (a checkpoint hunt followed by playback, another
+        stream visiting the same multiappended entry, a search ahead
+        for a decision record) gets the remembered object back. What
+        *parse* returns is opaque here, must not be ``None``, and is
+        shared — treat it as immutable. An entry that is no longer
+        cached is parsed without being remembered.
+
+        ``keep=False`` is for the entry's last reader (playback, once
+        every iterator is past it): a remembered form is handed over
+        and forgotten, and a fresh parse is not remembered — played
+        history stays cached raw, at half the bytes.
+        """
+        with self._cache_lock:
+            slot = self._cache.get(offset)
+            if slot is None or slot.entry is not entry:
+                slot = None  # evicted (or re-read) since the caller's fetch
+            elif slot.decoded is not None:
+                form = slot.decoded
+                if not keep:
+                    slot.decoded = None
+                    self._cache_bytes -= self._slot_bytes(slot)
+                return form
+        form = parse(entry)
+        if slot is None or not keep:
+            return form
+        with self._cache_lock:
+            if self._cache.get(offset) is slot:
+                if slot.decoded is None:
+                    self._cache_bytes += self._slot_bytes(slot)
+                    slot.decoded = form
+                    if self._cache_budget is not None:
+                        self._cache_shrink_locked()
+                return slot.decoded
+        return form
+
+    def _warm_limit(self) -> int:
+        """How many known offsets one batched round may warm.
+
+        :data:`PLAYBACK_PREFETCH`, or fewer under a byte budget: a
+        round must still be resident when its last entry is played
+        (decoded, so charged twice), or the LRU evicts what was just
+        warmed and every entry is read twice. Sized from the mean cost
+        of what the cache holds now.
+        """
+        with self._cache_lock:
+            budget = self._cache_budget
+            if budget is None:
+                return PLAYBACK_PREFETCH
+            if self._cache:
+                per_entry = self._cache_bytes // len(self._cache)
+            else:
+                per_entry = self._corfu.max_payload + CACHE_ENTRY_OVERHEAD
+            return max(1, min(PLAYBACK_PREFETCH, budget // (2 * per_entry)))
 
     # -- cache maintenance -------------------------------------------------------
 
@@ -468,7 +584,7 @@ class StreamClient:
             else:
                 stale = [offset] if offset in self._cache else []
             for off in stale:
-                self._cache_bytes -= self._entry_bytes(self._cache.pop(off))
+                self._cache_bytes -= self._slot_bytes(self._cache.pop(off))
             bounded = self._cache_budget is not None
         if is_prefix and bounded:
             with self._lock:
@@ -630,16 +746,70 @@ class StreamClient:
 
     # -- playback ---------------------------------------------------------------
 
+    def play(
+        self, stream_ids: Collection[int], upto: Optional[int] = None
+    ) -> Iterator[Tuple[int, LogEntry, Tuple[int, ...]]]:
+        """Merged playback: the next entries of *stream_ids*, in log order.
+
+        Yields ``(offset, entry, delivering)`` for every undelivered
+        offset of any of the streams, ascending, and moves the
+        iterators as it goes. An entry multiappended to several of the
+        streams is delivered once; *delivering* names every stream
+        whose iterator it advanced, in *stream_ids* order. With *upto*,
+        offsets above it are held back (and never read early).
+
+        Works a window at a time: under one hold of the iterator lock
+        it merges each stream's next known offsets, warms the window's
+        cache misses with one batched read per replica chain, then
+        hands the entries out through :meth:`fetch` (so a hole
+        surfaces, and runs the hole handler, exactly as there). Each
+        iterator moves just before its entry is yielded: a consumer
+        that stops early, or a hole that raises, leaves everything not
+        yet yielded undelivered. *stream_ids* is read again for every
+        window, so a live collection picks up streams opened meanwhile.
+        """
+        while True:
+            holders: Dict[int, List[_StreamState]] = {}
+            with self._lock:
+                for sid in stream_ids:
+                    state = self._state(sid)
+                    offsets = state.offsets
+                    lo = state.read_ptr
+                    hi = min(lo + PLAYBACK_PREFETCH, len(offsets))
+                    if upto is not None:
+                        hi = bisect_right(offsets, upto, lo, hi)
+                    for offset in offsets[lo:hi]:
+                        holders.setdefault(offset, []).append(state)
+            if not holders:
+                return
+            window = sorted(holders)
+            if len(window) > 1:
+                window = window[: self._warm_limit()]
+                self._prefetch(window)
+            for offset in window:
+                entry = self.fetch(offset)
+                delivering = []
+                with self._lock:
+                    # Claim against the live iterators: one that was
+                    # moved since the merge (seek, reset, a trim that
+                    # forgot the offset) is left where it now stands.
+                    for state in holders[offset]:
+                        ptr = state.read_ptr
+                        if ptr < len(state.offsets) and state.offsets[ptr] == offset:
+                            state.read_ptr = ptr + 1
+                            delivering.append(state.stream_id)
+                if delivering:
+                    yield offset, entry, tuple(delivering)
+
     def readnext(
         self, stream_id: int, upto: Optional[int] = None
     ) -> Optional[Tuple[int, LogEntry]]:
         """Deliver the stream's next entry, or None if caught up.
 
         With *upto* set, entries at offsets greater than *upto* are held
-        back; the Tango runtime uses this to play "all the streams
-        involved until position X" when it meets a multi-stream commit
-        record (section 4.1), and to build historical views from a
-        prefix of the log (section 3.1, "History").
+        back, which instantiates a view from a prefix of the log
+        (section 3.1, "History"). :meth:`play` is the same step for
+        several streams at once, a window at a time.
         """
         with self._lock:
             state = self._state(stream_id)
@@ -648,19 +818,17 @@ class StreamClient:
             offset = state.offsets[state.read_ptr]
             if upto is not None and offset > upto:
                 return None
-            # The next few deliverable offsets are already known; warm
-            # them with one batched read instead of one RPC each as the
-            # iterator reaches them. Bounded by *upto* so a held-back
-            # suffix is never read early.
-            upcoming = [
-                off
-                for off in state.offsets[
-                    state.read_ptr : state.read_ptr + PLAYBACK_PREFETCH
-                ]
-                if upto is None or off <= upto
-            ]
-            if len(upcoming) > 1:
-                self._prefetch(upcoming)
+            with self._cache_lock:
+                miss = offset not in self._cache
+            if miss:
+                # About to go to the log anyway: warm this offset and
+                # the known ones behind it in the same round. Bounded
+                # by *upto* so a held-back suffix is never read early.
+                lo = state.read_ptr
+                hi = min(lo + self._warm_limit(), len(state.offsets))
+                if upto is not None:
+                    hi = bisect_right(state.offsets, upto, lo, hi)
+                self._prefetch(state.offsets[lo:hi])
             entry = self.fetch(offset)
             state.read_ptr += 1
             return offset, entry
@@ -668,8 +836,7 @@ class StreamClient:
     def peek_offset(self, stream_id: int) -> Optional[int]:
         """Offset of the next undelivered entry, or None if caught up.
 
-        Does not move the iterator; the runtime's merged playback uses
-        this to pick the globally smallest next offset across streams.
+        Does not move the iterator.
         """
         with self._lock:
             state = self._state(stream_id)
@@ -685,10 +852,7 @@ class StreamClient:
         """
         with self._lock:
             state = self._state(stream_id)
-            ptr = 0
-            while ptr < len(state.offsets) and state.offsets[ptr] <= after_offset:
-                ptr += 1
-            state.read_ptr = ptr
+            state.read_ptr = bisect_right(state.offsets, after_offset)
 
     def known_offsets(self, stream_id: int) -> Tuple[int, ...]:
         """The stream's current linked list (ascending), without fetching."""
@@ -707,17 +871,9 @@ class StreamClient:
         iterator lock against playback threads.
         """
         with self._lock:
-            offsets = [
-                offset
-                for offset in self._state(stream_id).offsets
-                if offset > after_offset
-            ]
-        for i in range(0, len(offsets), PLAYBACK_PREFETCH):
-            chunk = offsets[i : i + PLAYBACK_PREFETCH]
-            if len(chunk) > 1:
-                self._prefetch(chunk)
-            for offset in chunk:
-                yield offset, self.fetch(offset)
+            offsets = self._state(stream_id).offsets
+            offsets = offsets[bisect_right(offsets, after_offset) :]
+        yield from self.scan(offsets)
 
     def position(self, stream_id: int) -> int:
         """Offset of the last delivered entry (NO_BACKPOINTER before any).

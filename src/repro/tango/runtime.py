@@ -16,7 +16,12 @@ Core mechanics implemented here:
   offset order, so when a multi-object commit record is encountered at
   position X, every involved hosted stream has already been played to X
   — the "consistent snapshot of all the objects touched by the
-  transaction as of X" of section 4.1.
+  transaction as of X" of section 4.1. There is one loop:
+  ``StreamClient.play`` merges the hosted streams a window at a time,
+  and query playback, the speculative-batch reconcile and late-stream
+  catch-up all consume it; each entry is decoded once (``_records``),
+  but versions are bumped entry by entry, so a commit record sees them
+  as of its own offset.
 - **transactions** (sections 3.2, 4.1): optimistic concurrency control
   with speculative updates, commit records carrying versioned read
   sets, deterministic commit/abort decisions at every consumer, and
@@ -42,7 +47,7 @@ from repro.errors import (
     TransactionAborted,
     UnknownObjectError,
 )
-from repro.streams.stream import PLAYBACK_PREFETCH, StreamClient
+from repro.streams.stream import StreamClient
 from repro.tango.records import (
     NO_TX,
     NO_VERSION,
@@ -69,6 +74,11 @@ _MAX_DECISION_WAIT_ROUNDS = 3
 #: checkpoint) the runtime will emit before forcing a full one. Loading
 #: a chain costs one random read per link, so this bounds reload cost.
 MAX_DELTA_CHAIN = 8
+
+
+def _decode_payload(entry) -> Tuple[Record, ...]:
+    """An entry's record batch, as the stream cache remembers it."""
+    return tuple(decode_records(entry.payload))
 
 
 class _GroupCommitPolicy:
@@ -172,7 +182,7 @@ class TangoRuntime:
         self._decided: Dict[int, bool] = {}
         self._awaiting: Dict[int, PendingTx] = {}
         self._blocked_streams: Set[int] = set()
-        self._deferred: List[Tuple[int, object, Tuple[int, ...]]] = []
+        self._deferred: List[Tuple[int, Tuple[Record, ...], Tuple[int, ...]]] = []
         # Commit records we generated with decision_expected, retained so
         # the decision can be (re)published after a crash of a peer.
         self._own_commits: Dict[int, Tuple[int, CommitRecord]] = {}
@@ -322,22 +332,18 @@ class TangoRuntime:
     def _maybe_load_checkpoint(self, oid: int, obj) -> None:
         """Find and load the newest checkpoint record in *oid*'s stream.
 
-        Scans newest-first, prefetching the candidate offsets in small
-        batched reads (the checkpoint is usually within the last few
-        entries, so a full-stream batch would over-read). A delta
-        checkpoint is loaded by walking its ``base_offset`` chain back
-        to a full checkpoint; a chain that cannot be reconstructed
-        (trimmed base, hole) is skipped and the scan continues with
-        older candidates.
+        Scans newest-first, a batched round of known offsets at a time
+        (lazily: a checkpoint near the tail ends the scan after one
+        round). Without a checkpoint the scan visits the whole stream;
+        what it fetched and decoded is what playback then consumes from
+        the cache. A delta checkpoint is loaded by walking its
+        ``base_offset`` chain back to a full checkpoint; a chain that
+        cannot be reconstructed (trimmed base, hole) is skipped and the
+        scan continues with older candidates.
         """
-        offsets = list(reversed(self._streams.known_offsets(oid)))
-        for i, offset in enumerate(offsets):
-            if i % PLAYBACK_PREFETCH == 0:
-                self._streams._prefetch(offsets[i : i + PLAYBACK_PREFETCH])
-            entry = self._streams.fetch(offset)
-            if entry.is_junk:
-                continue
-            for record in decode_records(entry.payload):
+        newest_first = reversed(self._streams.known_offsets(oid))
+        for offset, entry in self._streams.scan(newest_first):
+            for record in self._records(offset, entry):
                 if (
                     isinstance(record, (CheckpointRecord, DeltaCheckpointRecord))
                     and record.oid == oid
@@ -364,10 +370,8 @@ class TangoRuntime:
                 entry = self._streams.fetch(cursor.base_offset)
             except ReproError:
                 return False
-            if entry.is_junk:
-                return False
             base = None
-            for record in decode_records(entry.payload):
+            for record in self._records(cursor.base_offset, entry):
                 if (
                     isinstance(record, (CheckpointRecord, DeltaCheckpointRecord))
                     and record.oid == oid
@@ -993,27 +997,13 @@ class TangoRuntime:
 
         Streams currently blocked behind an awaited decision record do
         not participate; their entries are deferred and drained when the
-        decision arrives.
+        decision arrives. The iterator reads ``_objects`` itself, window
+        by window, so a stream registered mid-playback joins the merge.
         """
-        while True:
-            best: Optional[int] = None
-            for sid in self._objects:
-                offset = self._streams.peek_offset(sid)
-                if offset is None or offset > upto:
-                    continue
-                if best is None or offset < best:
-                    best = offset
-            if best is None:
-                break
-            delivering = []
-            for sid in self._objects:
-                if self._streams.peek_offset(sid) == best:
-                    self._streams.readnext(sid)
-                    delivering.append(sid)
-            entry = self._streams.fetch(best)
-            self._process_entry(best, entry, tuple(delivering))
-            if best > self._watermark:
-                self._watermark = best
+        for offset, entry, delivering in self._streams.play(self._objects, upto):
+            self._process_entry(offset, entry, delivering)
+            if offset > self._watermark:
+                self._watermark = offset
 
     def _flush_speculative(
         self, batch: "_UpdateBatch"
@@ -1046,43 +1036,28 @@ class TangoRuntime:
             last = max(our)
             self._streams.sync_many(self.hosted_oids())
             conflict = False
-            while True:
-                best: Optional[int] = None
-                for sid in self._objects:
-                    offset = self._streams.peek_offset(sid)
-                    if offset is None or offset > last:
-                        continue
-                    if best is None or offset < best:
-                        best = offset
-                if best is None:
-                    break
-                delivering = [
-                    sid for sid in self._objects
-                    if self._streams.peek_offset(sid) == best
-                ]
-                if best in our:
+            for offset, entry, delivering in self._streams.play(
+                self._objects, last
+            ):
+                if offset in our:
                     # Our own entry: the speculative apply already
-                    # mutated the views; just consume it.
-                    for sid in delivering:
-                        self._streams.readnext(sid)
-                    if best > self._watermark:
-                        self._watermark = best
-                    continue
-                entry = self._streams.fetch(best)
-                if not entry.is_junk and any(
+                    # mutated the views; it is consumed, nothing more.
+                    pass
+                elif not entry.is_junk and any(
                     sid in spec_oids for sid in delivering
                 ):
                     # A foreign entry interleaved below our flushed
                     # offsets on a speculated stream: the speculation
-                    # applied out of log order. Stop (iterators still
-                    # point at this entry) and roll back.
+                    # applied out of log order. Put the iterators back
+                    # on this entry, stop, and roll back.
+                    for sid in delivering:
+                        self._streams.seek(sid, offset - 1)
                     conflict = True
                     break
-                for sid in delivering:
-                    self._streams.readnext(sid)
-                self._process_entry(best, entry, tuple(delivering))
-                if best > self._watermark:
-                    self._watermark = best
+                else:
+                    self._process_entry(offset, entry, delivering)
+                if offset > self._watermark:
+                    self._watermark = offset
             if conflict:
                 for oid, (snap, pos) in sorted(batch._snapshots.items()):
                     obj = self._objects.get(oid)
@@ -1120,20 +1095,52 @@ class TangoRuntime:
             self.stats["speculative_commits"] += 1
             return flushed
 
+    def _records(
+        self, offset: int, entry, keep: bool = True
+    ) -> Tuple[Record, ...]:
+        """The records of the entry fetched from *offset* (junk has none).
+
+        Every consumer of entry payloads — checkpoint hunt, playback,
+        catch-up, reconstruction, decision hunts — decodes through
+        here, and the stream cache keeps the result beside the raw
+        entry, so an entry is decoded once however many of them (or
+        however many hosted streams) visit it. The two that play an
+        entry into the views are its last readers and pass
+        ``keep=False``: they take what an earlier visitor left and
+        leave nothing, so history already played costs no more memory
+        than its raw entries.
+        """
+        if entry.is_junk:
+            return ()
+        return self._streams.decoded(offset, entry, _decode_payload, keep)
+
     def _process_entry(
         self, offset: int, entry, scope: Tuple[int, ...]
     ) -> None:
         """Dispatch one log entry's records for the objects in *scope*."""
-        if entry.is_junk:
-            return
-        records = decode_records(entry.payload)
+        if not entry.is_junk:
+            self._process_records(
+                offset, self._records(offset, entry, keep=False), scope
+            )
+
+    def _process_records(
+        self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
+    ) -> None:
+        """What :meth:`_process_entry` does with the decoded records; a
+        deferred entry comes back through here when its stream unblocks."""
         # Decision records for awaited transactions bypass stream
         # blocking — they are the unblocking events.
-        for record in records:
-            if isinstance(record, DecisionRecord) and record.tx_id in self._awaiting:
-                self._resolve_awaited(record)
-        if any(sid in self._blocked_streams for sid in scope):
-            self._deferred.append((offset, entry, scope))
+        if self._awaiting:
+            for record in records:
+                if (
+                    isinstance(record, DecisionRecord)
+                    and record.tx_id in self._awaiting
+                ):
+                    self._resolve_awaited(record)
+        if self._blocked_streams and any(
+            sid in self._blocked_streams for sid in scope
+        ):
+            self._deferred.append((offset, records, scope))
             return
         for record in records:
             self._dispatch(offset, record, scope)
@@ -1252,8 +1259,8 @@ class TangoRuntime:
     def _drain_deferred(self) -> None:
         """Re-run deferred entries now that streams were unblocked."""
         deferred, self._deferred = self._deferred, []
-        for offset, entry, scope in deferred:
-            self._process_entry(offset, entry, scope)
+        for offset, records, scope in deferred:
+            self._process_records(offset, records, scope)
 
     def _finalize_tx(
         self,
@@ -1326,13 +1333,9 @@ class TangoRuntime:
         self._streams.sync(oid)
         table = VersionTable()
         pending: Dict[int, List[Tuple[int, UpdateRecord]]] = {}
-        for offset in self._streams.known_offsets(oid):
-            if offset >= upto:
-                break
-            entry = self._streams.fetch(offset)
-            if entry.is_junk:
-                continue
-            for record in decode_records(entry.payload):
+        below = [o for o in self._streams.known_offsets(oid) if o < upto]
+        for offset, entry in self._streams.scan(below):
+            for record in self._records(offset, entry):
                 if isinstance(record, UpdateRecord):
                     if record.oid != oid:
                         continue
@@ -1392,10 +1395,8 @@ class TangoRuntime:
                 table.is_stale(e.oid, e.key, e.version) for e in record.read_set
             )
         if record.decision_expected:
-            for _off, entry in self._streams.lookahead(oid, offset):
-                if entry.is_junk:
-                    continue
-                for rec in decode_records(entry.payload):
+            for off, entry in self._streams.lookahead(oid, offset):
+                for rec in self._records(off, entry):
                     if (
                         isinstance(rec, DecisionRecord)
                         and rec.tx_id == record.tx_id
@@ -1415,14 +1416,8 @@ class TangoRuntime:
         (versions are reconstructed historically during the replay), or
         a decision record found further down the stream.
         """
-        while True:
-            item = self._streams.readnext(oid, upto=upto)
-            if item is None:
-                break
-            offset, entry = item
-            if entry.is_junk:
-                continue
-            for record in decode_records(entry.payload):
+        for offset, entry, _ in self._streams.play((oid,), upto):
+            for record in self._records(offset, entry, keep=False):
                 if isinstance(record, UpdateRecord):
                     if record.is_speculative:
                         pending = self._pending.setdefault(
@@ -1456,10 +1451,8 @@ class TangoRuntime:
 
     def _hunt_decision(self, oid: int, offset: int, tx_id: int) -> Optional[bool]:
         """Scan forward in the stream for the transaction's decision record."""
-        for _off, entry in self._streams.lookahead(oid, offset):
-            if entry.is_junk:
-                continue
-            for record in decode_records(entry.payload):
+        for off, entry in self._streams.lookahead(oid, offset):
+            for record in self._records(off, entry):
                 if isinstance(record, DecisionRecord) and record.tx_id == tx_id:
                     return record.committed
         return None

@@ -1,9 +1,13 @@
 """Tests for memory-bounded mode: version eviction and cache budgets."""
 
+from unittest import mock
+
 import pytest
 
 from repro.corfu import CorfuCluster
 from repro.objects import TangoMap
+from repro.streams.stream import CACHE_ENTRY_OVERHEAD
+from repro.tango import runtime as runtime_module
 from repro.tango.directory import TangoDirectory
 from repro.tango.records import NO_VERSION
 from repro.tango.runtime import TangoRuntime
@@ -178,6 +182,56 @@ class TestStreamCacheBudget:
             m.put(f"k{i}", i)
         assert m.size() == 50
         assert all(m.get(f"k{i}") == i for i in range(0, 50, 7))
+
+    def test_catch_up_under_a_budget_smaller_than_one_window(self):
+        """A fresh runtime whose cache cannot hold 64 entries: the bytes
+        charged (decoded forms included) never pass the budget, the
+        views are right, and no entry is read more than once per pass —
+        a warm-up sized past the budget would evict what it just read
+        and fetch every entry twice."""
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer = TangoRuntime(cluster, client_id=1)
+        maps = {oid: TangoMap(writer, oid) for oid in (1, 2)}
+        n = 300
+        for i in range(n):
+            maps[1 + i % 2].put(f"k{i % 40}", "v" * 64 + str(i))
+        for tmap in maps.values():
+            tmap.size()
+
+        budget = 8 * 1024  # ~25 raw entries of ~320 charged bytes
+        rt = TangoRuntime(cluster, client_id=2, memory_budget=budget)
+        streams = rt.streams
+        peak = []
+        decode = runtime_module._decode_payload
+
+        def sampling(entry):
+            peak.append(streams.resident_bytes())
+            return decode(entry)
+
+        def raw_bytes():
+            resident = streams.cached_offsets()
+            assert 0 < len(resident) < 64
+            return sum(
+                len(streams.fetch(off).payload) + CACHE_ENTRY_OVERHEAD
+                for off in resident
+            )
+
+        rt.subscribe("apply", lambda ev: peak.append(streams.resident_bytes()))
+        with mock.patch.object(runtime_module, "_decode_payload", sampling):
+            held = {oid: TangoMap(rt, oid) for oid in (1, 2)}
+            # What the checkpoint hunt left resident is decoded, and
+            # charged as such: twice the raw entry...
+            assert streams.resident_bytes() == 2 * raw_bytes()
+            held[1].size()
+        # ...and playback, the last reader, leaves history raw.
+        assert streams.resident_bytes() == raw_bytes()
+        assert len(peak) >= 2 * n and 0 < max(peak) <= budget
+        for oid in (1, 2):
+            assert dict(held[oid].items()) == dict(maps[oid].items())
+        # The backpointer walk (one entry in K), the checkpoint hunt and
+        # playback: one read per entry per pass, nothing read twice in a
+        # pass.
+        assert streams.corfu.reads <= n // 4 + 2 * n + 8
 
     def test_trim_releases_stream_state(self, cluster):
         """Prefix GC shrinks per-stream offset lists in bounded mode."""

@@ -256,3 +256,258 @@ class TestCache:
         reads_before = sclient.corfu.reads
         sclient.fetch(a)
         assert sclient.corfu.reads == reads_before  # cache hit
+
+
+def _storage_rpcs(sclient, cluster) -> int:
+    stats = sclient.corfu.net_stats()
+    return sum(
+        stats[n]["rpcs"] for n in cluster.projection.all_nodes() if n in stats
+    )
+
+
+class TestSeek:
+    """seek positions by bisection; same answers as the old linear walk."""
+
+    @pytest.fixture
+    def odd(self, sclient):
+        """Stream 1 holds offsets 1, 3, 5, 7, 9 (stream 2 the even ones)."""
+        sclient.open_stream(1)
+        for i in range(10):
+            sclient.append(b"e%d" % i, (1,) if i % 2 else (2,))
+        sclient.sync(1)
+        assert sclient.known_offsets(1) == (1, 3, 5, 7, 9)
+        return sclient
+
+    @pytest.mark.parametrize(
+        "after, nxt",
+        [
+            (NO_BACKPOINTER, 1),  # below the first offset
+            (0, 1),
+            (4, 5),  # between two
+            (5, 7),  # exactly on one
+            (9, None),  # on the last
+            (100, None),  # beyond the last
+        ],
+    )
+    def test_seek_lands_past_after_offset(self, odd, after, nxt):
+        odd.seek(1, 7)  # somewhere else first: seek is absolute
+        odd.seek(1, after)
+        assert odd.peek_offset(1) == nxt
+
+    def test_seek_after_forget_below_moved_the_list(self, odd):
+        odd.set_cache_budget(1 << 20)  # bounded mode: a trim forgets offsets
+        odd.corfu.trim_prefix(4)
+        assert odd.known_offsets(1) == (5, 7, 9)
+        odd.seek(1, 5)
+        assert odd.peek_offset(1) == 7
+        assert odd.position(1) == 5
+        odd.seek(1, 0)  # below everything still listed
+        assert odd.peek_offset(1) == 5
+        assert odd.position(1) == 3  # the trim floor stands in
+        odd.seek(1, 9)
+        assert odd.peek_offset(1) is None
+
+
+class TestMergedPlay:
+    """StreamClient.play: several streams, log order, a window at a time."""
+
+    def test_log_order_one_delivery_per_entry(self, sclient):
+        for sid in (1, 2, 3):
+            sclient.open_stream(sid)
+        sclient.append(b"a", (1,))  # 0
+        sclient.append(b"b", (2,))  # 1
+        sclient.append(b"ab", (1, 2))  # 2
+        sclient.append(b"other", (9,))  # 3: not played
+        sclient.append(b"c", (3,))  # 4
+        sclient.append(b"abc", (3, 1, 2))  # 5
+        sclient.sync_many((1, 2, 3))
+        played = [
+            (off, entry.payload, sids)
+            for off, entry, sids in sclient.play((2, 1, 3))
+        ]
+        # Once per entry, every delivering stream named in the order asked.
+        assert played == [
+            (0, b"a", (1,)),
+            (1, b"b", (2,)),
+            (2, b"ab", (2, 1)),
+            (4, b"c", (3,)),
+            (5, b"abc", (2, 1, 3)),
+        ]
+        assert [sclient.pending(sid) for sid in (1, 2, 3)] == [0, 0, 0]
+        assert list(sclient.play((1, 2, 3))) == []
+
+    def test_upto_holds_back_and_reads_nothing_above(self, sclient):
+        sclient.open_stream(1)
+        for i in range(6):
+            sclient.append(b"e%d" % i, (1,))
+        sclient.sync(1)
+        assert [off for off, _, _ in sclient.play((1,), upto=2)] == [0, 1, 2]
+        assert not set(sclient.cached_offsets()) & {3, 5}  # 4: the sync walk
+        assert sclient.readnext(1, upto=2) is None
+        assert [off for off, _, _ in sclient.play((1,))] == [3, 4, 5]
+
+    def test_stopping_early_leaves_the_rest_undelivered(self, sclient):
+        sclient.open_stream(1)
+        sclient.open_stream(2)
+        for i in range(8):
+            sclient.append(b"e%d" % i, (1, 2) if i % 2 else (1,))
+        sclient.sync_many((1, 2))
+        for off, _entry, _sids in sclient.play((1, 2)):
+            if off == 2:
+                break
+        assert sclient.position(1) == 2 and sclient.position(2) == 1
+        assert [off for off, _, _ in sclient.play((1, 2))] == [3, 4, 5, 6, 7]
+
+    def test_iterator_moved_mid_window_is_left_where_it_stands(self, sclient):
+        """seek/reset between two yields win over the merged window."""
+        sclient.open_stream(1)
+        for i in range(6):
+            sclient.append(b"e%d" % i, (1,))
+        sclient.sync(1)
+        seen = []
+        for off, _entry, _sids in sclient.play((1,)):
+            seen.append(off)
+            if off == 1:
+                sclient.seek(1, 3)
+        assert seen == [0, 1, 4, 5]
+
+    def test_hole_surfaces_once_and_stays_undelivered(self, cluster):
+        attempts = []
+
+        def patient(offset):
+            attempts.append(offset)
+            if len(attempts) >= 2:
+                cluster.client().fill(offset)
+
+        sclient = StreamClient(cluster.client(), hole_handler=patient)
+        sclient.open_stream(1)
+        sclient.append(b"a", (1,))  # 0
+        cluster.sequencer().increment(stream_ids=(1,))  # hole at 1
+        sclient.append(b"b", (1,))  # 2
+        sclient.sync(1)
+        assert sclient.known_offsets(1) == (0, 1, 2)
+        seen = []
+        with pytest.raises(UnwrittenError):
+            for off, _entry, _sids in sclient.play((1,)):
+                seen.append(off)
+        # The batched warm-up skipped the hole; the per-offset fetch
+        # ran the handler (once) and the hole was not consumed.
+        assert seen == [0] and attempts == [1]
+        assert sclient.peek_offset(1) == 1
+        rest = [(off, e.is_junk) for off, e, _ in sclient.play((1,))]
+        assert rest == [(1, True), (2, False)]
+        assert attempts == [1, 1]
+
+    def test_known_offsets_are_read_in_exact_batches(self):
+        """A window's misses cost one read_many per chain, not ~N/3 rounds."""
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer = cluster.client()
+        n = 200
+        for i in range(n):
+            writer.append(b"e%d" % i, (1,))
+        sclient = StreamClient(cluster.client())
+        sclient.open_stream(1)
+        sclient.sync(1)  # the walk caches every 4th entry
+        before = _storage_rpcs(sclient, cluster)
+        assert len(list(sclient.play((1,)))) == n
+        windows = -(-n // 64)
+        assert _storage_rpcs(sclient, cluster) - before <= 2 * windows
+        # The same goes for the one-stream iterator (it used to slide
+        # its window by one and end up reading two offsets per round).
+        sclient = StreamClient(cluster.client())
+        sclient.open_stream(1)
+        sclient.sync(1)
+        before = _storage_rpcs(sclient, cluster)
+        while sclient.readnext(1) is not None:
+            pass
+        assert _storage_rpcs(sclient, cluster) - before <= 2 * windows
+
+    def test_scan_keeps_the_callers_order_and_stops_lazily(self):
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        sclient = StreamClient(cluster.client())
+        offsets = [sclient.append(b"e%d" % i, (1,)) for i in range(200)]
+        newest_first = list(reversed(offsets))
+        reads0 = sclient.corfu.reads
+        for off, entry in sclient.scan(newest_first):
+            assert entry.payload == b"e%d" % off
+            if off == 190:
+                break
+        assert sclient.corfu.reads - reads0 == 64  # one round, no more
+        assert [off for off, _ in sclient.scan(newest_first)] == newest_first
+        assert sclient.corfu.reads - reads0 == 200  # each entry read once
+
+
+class TestDecodedSlot:
+    """StreamClient.decoded: one parse per cached residency of an entry."""
+
+    @staticmethod
+    def _parser(calls):
+        def parse(entry):
+            calls.append(entry.payload)
+            return (entry.payload.upper(),)
+
+        return parse
+
+    def test_parsed_once_while_cached(self, sclient):
+        calls = []
+        parse = self._parser(calls)
+        off = sclient.append(b"abc", (1,))
+        entry = sclient.fetch(off)
+        first = sclient.decoded(off, entry, parse)
+        assert first == (b"ABC",)
+        assert sclient.decoded(off, sclient.fetch(off), parse) is first
+        assert calls == [b"abc"]
+
+    def test_decoded_form_is_charged_and_leaves_with_its_entry(self, cluster):
+        sclient = StreamClient(cluster.client(), cache_entries=2)
+        calls = []
+        parse = self._parser(calls)
+        a = sclient.append(b"a" * 50, (1,))
+        assert sclient.resident_bytes() == 0
+        entry = sclient.fetch(a)
+        raw = sclient.resident_bytes()
+        sclient.decoded(a, entry, parse)
+        assert sclient.resident_bytes() == 2 * raw
+        # LRU eviction takes both halves of the slot...
+        for i in range(2):
+            sclient.fetch(sclient.append(b"x%d" % i, (1,)))
+        assert a not in sclient.cached_offsets()
+        assert sclient.resident_bytes() < 2 * raw
+        sclient.decoded(a, sclient.fetch(a), parse)
+        assert calls == [b"a" * 50] * 2
+        # ...and so does a trim: nothing of the offset stays resident.
+        sclient.corfu.trim(a)
+        assert a not in sclient.cached_offsets()
+        junk = sclient.fetch(a)
+        assert junk.is_junk and sclient.decoded(a, junk, parse) == (b"",)
+
+    def test_uncached_entry_is_parsed_but_not_remembered(self, cluster):
+        sclient = StreamClient(cluster.client(), cache_entries=1)
+        calls = []
+        parse = self._parser(calls)
+        a = sclient.append(b"a", (1,))
+        b = sclient.append(b"b", (1,))
+        entry = sclient.fetch(a)
+        sclient.fetch(b)  # evicts a
+        before = sclient.resident_bytes()
+        assert sclient.decoded(a, entry, parse) == (b"A",)
+        assert sclient.decoded(a, entry, parse) == (b"A",)
+        assert calls == [b"a", b"a"]
+        assert sclient.resident_bytes() == before
+
+    def test_last_reader_takes_the_form_and_leaves_nothing(self, sclient):
+        calls = []
+        parse = self._parser(calls)
+        off = sclient.append(b"abc", (1,))
+        entry = sclient.fetch(off)
+        raw = sclient.resident_bytes()
+        kept = sclient.decoded(off, entry, parse)
+        assert sclient.resident_bytes() == 2 * raw
+        # keep=False hands the remembered object over and forgets it...
+        assert sclient.decoded(off, entry, parse, keep=False) is kept
+        assert sclient.resident_bytes() == raw and calls == [b"abc"]
+        # ...and does not remember a parse of its own.
+        assert sclient.decoded(off, entry, parse, keep=False) == kept
+        assert sclient.resident_bytes() == raw and calls == [b"abc"] * 2
+        sclient.decoded(off, entry, parse)
+        assert sclient.resident_bytes() == 2 * raw and calls == [b"abc"] * 3

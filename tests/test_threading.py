@@ -285,3 +285,67 @@ class TestStreamIteratorThreadSafety:
         # flag, but a torn pointer behind the seek is impossible.
         peek = sclient.peek_offset(1)
         assert peek is None or peek > 20
+
+    def test_concurrent_merged_players_deliver_each_entry_once(self):
+        """More players than cores on one StreamClient, the interpreter
+        switching threads every few instructions: the per-entry claim
+        against the live iterators hands every entry to exactly one of
+        them (a lost or doubled ``read_ptr`` move would show as a
+        duplicate or a gap), batched rounds share their single-flight
+        slot, and the byte accounting of the decoded slots adds up."""
+        import sys
+
+        from repro.streams import StreamClient
+        from repro.streams.stream import CACHE_ENTRY_OVERHEAD
+
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer = cluster.client()
+        n = 400
+        for i in range(n):
+            writer.append(b"e%d" % i, (1, 2) if i % 5 == 0 else (1 + i % 2,))
+        sclient = StreamClient(cluster.client())
+        for sid in (1, 2):
+            sclient.open_stream(sid)
+        sclient.sync_many((1, 2))
+        delivered = [[] for _ in range(6)]
+        errors = []
+
+        def player(mine):
+            def run():
+                try:
+                    for off, entry, sids in sclient.play((1, 2)):
+                        assert entry.payload == b"e%d" % off
+                        form = sclient.decoded(off, entry, lambda e: (e.payload,))
+                        assert form == (entry.payload,)
+                        mine.append((off, sids))
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            return run
+
+        threads = [threading.Thread(target=player(mine)) for mine in delivered]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        # A two-stream entry may be claimed one stream at a time by two
+        # players racing for it; every (offset, stream) pair goes once.
+        pairs = sorted(
+            (off, sid) for mine in delivered for off, sids in mine for sid in sids
+        )
+        expected = sorted(
+            (off, sid) for sid in (1, 2) for off in sclient.known_offsets(sid)
+        )
+        assert pairs == expected
+        assert sclient.corfu.reads <= n  # no offset was read twice
+        assert sclient.resident_bytes() == sum(
+            2 * (len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD)
+            for off in sclient.cached_offsets()
+        )
