@@ -274,6 +274,9 @@ class CorfuClient:
         # Trim observers (e.g. the stream layer's entry cache), called
         # as cb(offset, is_prefix) after a trim commits cluster-side.
         self._trim_watchers: List[Callable[[int, bool], None]] = []
+        # Append observers (the same cache, filled on the write path),
+        # called as cb(offset, entry) once an append of ours has landed.
+        self._append_watchers: List[Callable[[int, LogEntry], None]] = []
         # Async append path: queued futures committed by an elected
         # leader thread (see _AppendPipeline).
         self._pipeline = _AppendPipeline(self)
@@ -328,6 +331,26 @@ class CorfuClient:
     def _notify_trim(self, offset: int, is_prefix: bool) -> None:
         for callback in self._trim_watchers:
             callback(offset, is_prefix)
+
+    # -- append observers ----------------------------------------------------
+
+    def subscribe_append(self, callback: Callable[[int, LogEntry], None]) -> None:
+        """Register ``callback(offset, entry)`` to run after own appends land.
+
+        An offset is write-once (section 2.2), so once this client's
+        chain write for *offset* has completed, *entry* — the object the
+        append routine encoded — is exactly what any reader will decode
+        from that offset, for ever. The stream layer uses this to fill
+        its entry cache on the write path, so playing one's own writes
+        costs no read. Only landed offsets are reported: a payload whose
+        head write lost to a hole-filler is reported once, at the offset
+        its retry landed at, with the retry's stream headers.
+
+        Callbacks run on the appending thread — for :meth:`append_async`
+        that is the pipeline leader — after the chain write returns and
+        with no lock of this client held.
+        """
+        self._append_watchers.append(callback)
 
     # -- projection management ----------------------------------------------
 
@@ -518,6 +541,7 @@ class CorfuClient:
         its own length.
         """
         k, max_streams = self._cluster.k, self._cluster.max_streams
+        watchers = self._append_watchers
         offsets = [-1] * len(payloads)
         pending = list(range(len(payloads)))  # payload indices, in order
         barren = 0  # consecutive rounds that landed nothing
@@ -543,6 +567,8 @@ class CorfuClient:
                 self._handle_timeout(exc, barren)
             else:
                 entries: List[Tuple[int, bytes]] = []
+                # The entries as encoded, kept only if someone observes.
+                built: Optional[List[LogEntry]] = [] if watchers else None
                 for idx, (offset, backpointers) in zip(pending, grants):
                     headers = tuple(
                         make_header(sid, backpointers[sid], offset, k)
@@ -550,6 +576,8 @@ class CorfuClient:
                     )
                     entry = LogEntry(headers=headers, payload=payloads[idx])
                     entries.append((offset, entry.encode(offset, k, max_streams)))
+                    if built is not None:
+                        built.append(entry)
                 lost = self._write_entries(entries)
                 self._note_success()
                 retry = []
@@ -564,6 +592,15 @@ class CorfuClient:
                 landed = len(entries) - len(retry)
                 with self._counter_lock:
                     self.appends += landed
+                # Write-once => write-through: what landed is known
+                # without reading it back. A lost offset holds someone
+                # else's junk; its payload is reported by the round
+                # that lands it.
+                if built:
+                    for (offset, _), entry in zip(entries, built):
+                        if offset not in lost:
+                            for callback in watchers:
+                                callback(offset, entry)
                 pending = retry + pending[len(entries):]
             barren = 0 if landed else barren + 1
         return offsets

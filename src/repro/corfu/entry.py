@@ -135,8 +135,12 @@ def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k:
         return StreamHeader(stream_id, (NO_BACKPOINTER,) * k, is_absolute=False)
     all_overflow = all(own_offset - p > _MAX_RELATIVE_DELTA for p in ptrs)
     if all_overflow:
+        # Padded to K/4 like the relative list below is to K: the header
+        # built here is then the header ``decode`` returns, so a writer
+        # can keep the entry it encoded in place of reading it back.
         count = max(1, k // 4)
-        return StreamHeader(stream_id, tuple(ptrs[:count]), is_absolute=True)
+        absolute = ptrs[:count] + [NO_BACKPOINTER] * (count - len(ptrs))
+        return StreamHeader(stream_id, tuple(absolute), is_absolute=True)
     # Relative format: individually-overflowing pointers degrade to "none".
     rel = [
         p if own_offset - p <= _MAX_RELATIVE_DELTA else NO_BACKPOINTER

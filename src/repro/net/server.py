@@ -56,6 +56,7 @@ from repro.net.wire import (
     ADMIN_OPS,
     SEQUENCER_OPS,
     STORAGE_OPS,
+    FramedSocket,
     decode_value,
     encode_error,
     encode_value,
@@ -208,17 +209,18 @@ class NodeServer:
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        framed = FramedSocket(conn)
         try:
             while not self._stopped.is_set():
                 try:
-                    request = recv_frame(conn)
+                    request = recv_frame(framed)
                 except (OSError, ValueError):
                     return  # peer went away or sent garbage: drop the conn
                 if request is None:
                     return  # clean EOF
                 response = self._respond(request)
                 try:
-                    send_frame(conn, response)
+                    send_frame(framed, response)
                 except (OSError, ValueError):
                     return
         finally:

@@ -37,13 +37,15 @@ Reliability model, mirroring what :class:`FaultyTransport` simulates:
 
 Concurrency: the address map and connection pool have their own locks;
 all socket I/O, dialing, and closing happen *outside* them. Request
-ids come from a counter under its own lock. Per-endpoint stats share
+ids come from an ``itertools.count`` (``next`` on it is atomic under the
+interpreter lock; no lock of ours). Per-endpoint stats share
 :class:`~repro.net.transport.EndpointStats` with every other transport,
 so ``net_stats()`` dashboards read identically against a wire.
 """
 
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
@@ -52,6 +54,7 @@ from repro.errors import NodeDownError, RpcTimeout
 from repro.net.clock import Clock, MonotonicClock
 from repro.net.transport import Transport
 from repro.net.wire import (
+    FramedSocket,
     decode_error,
     decode_value,
     encode_value,
@@ -81,11 +84,10 @@ class SocketTransport(Transport):
         self.pool_size = max(1, pool_size)
         self._addresses: Dict[str, Tuple[str, int]] = dict(addresses or {})
         self._addr_lock = threading.Lock()
-        self._pools: Dict[str, List[socket.socket]] = {}
+        self._pools: Dict[str, List[FramedSocket]] = {}
         self._pool_lock = threading.Lock()
         self._pool_closed = False
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        self._ids = itertools.count(1)
 
     # -- addressing ----------------------------------------------------------
 
@@ -122,7 +124,7 @@ class SocketTransport(Transport):
         addr = self._address_of(target)
         stats = self.stats_for(target)
         deadline = self.clock.now() + self.timeout
-        request_id = self._fresh_id(source)
+        request_id = f"{source}#{next(self._ids)}"
         request = {
             "id": request_id,
             "source": source,
@@ -195,13 +197,7 @@ class SocketTransport(Transport):
 
     # -- connection management ----------------------------------------------
 
-    def _fresh_id(self, source: str) -> str:
-        with self._id_lock:
-            self._next_id += 1
-            seq = self._next_id
-        return f"{source}#{seq}"
-
-    def _armed(self, conn: socket.socket, deadline: float) -> socket.socket:
+    def _armed(self, conn: FramedSocket, deadline: float) -> FramedSocket:
         """Set the socket timeout to the remaining deadline budget."""
         remaining = deadline - self.clock.now()
         if remaining <= 0:
@@ -215,7 +211,7 @@ class SocketTransport(Transport):
         addr: Tuple[str, int],
         deadline: float,
         op: str,
-    ) -> socket.socket:
+    ) -> FramedSocket:
         refused = 0
         attempt = 0
         while True:
@@ -228,7 +224,7 @@ class SocketTransport(Transport):
                     addr, timeout=max(_MIN_IO_TIMEOUT, budget)
                 )
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return conn
+                return FramedSocket(conn)
             except ConnectionRefusedError:
                 refused += 1
                 if self.refused_as_down and refused >= 2:
@@ -240,14 +236,14 @@ class SocketTransport(Transport):
 
     def _checkout(
         self, target: str
-    ) -> Tuple[Optional[socket.socket], bool]:
+    ) -> Tuple[Optional[FramedSocket], bool]:
         with self._pool_lock:
             pool = self._pools.get(target)
             if pool:
                 return pool.pop(), True
         return None, False
 
-    def _checkin(self, target: str, conn: socket.socket) -> None:
+    def _checkin(self, target: str, conn: FramedSocket) -> None:
         with self._pool_lock:
             if not self._pool_closed:
                 pool = self._pools.setdefault(target, [])
@@ -256,7 +252,7 @@ class SocketTransport(Transport):
                     return
         self._discard(conn)
 
-    def _discard(self, conn: socket.socket) -> None:
+    def _discard(self, conn: FramedSocket) -> None:
         try:
             conn.close()
         except OSError:  # pragma: no cover - close is best-effort

@@ -18,8 +18,11 @@ loopback and wire deployments stay behaviorally identical:
   client retry logic is transport-agnostic; unknown codes surface as
   :class:`~repro.errors.RemoteCallError`.
 - **Frames** (:func:`send_frame` / :func:`recv_frame`): a little-endian
-  u32 length prefix (via :mod:`repro.util.encoding`, the same helpers
-  log entries use) followed by that many bytes of compact JSON.
+  u32 length prefix followed by that many bytes of compact JSON. Both
+  ends read through a :class:`FramedSocket` — the connection plus the
+  bytes received past the last frame — so a frame normally costs one
+  ``recv``, and a second frame that arrived in the same segment is
+  served from the buffer.
 - **Op registries**: the canonical sets of method names each node kind
   serves. tangolint's TL009 rule derives its RPC surface from these,
   so adding an op here automatically extends the lint contract.
@@ -30,15 +33,14 @@ worst a ``ValueError``, never code execution.
 
 from __future__ import annotations
 
-import base64
 import builtins
 import json
 import socket
+from binascii import a2b_base64, b2a_base64
 from typing import Any, Dict, Optional, Tuple
 
 from repro import errors as _errors
 from repro.errors import RemoteCallError
-from repro.util.encoding import pack_u32, unpack_u32
 
 #: Hard upper bound on a single frame (64 MiB). A length prefix past
 #: this is treated as stream corruption, not an allocation request.
@@ -96,22 +98,36 @@ _TAG_ERROR = "__error__"
 _TAGS = frozenset({_TAG_BYTES, _TAG_TUPLE, _TAG_MAP, _TAG_ERROR})
 
 
+#: Exact types that are their own wire form. Dispatch below is on
+#: ``type(value)``: almost every value on the RPC surface is one of a
+#: handful of exact builtin types, and a scalar inside a container is
+#: passed through without a call.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def encode_value(value: Any) -> Any:
     """Lower a Python RPC value to a JSON-safe shape, preserving types."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        return {_TAG_BYTES: base64.b64encode(raw).decode("ascii")}
-    if isinstance(value, tuple):
-        return {_TAG_TUPLE: [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
+    if kind is bytes:
+        return {_TAG_BYTES: b2a_base64(value, newline=False).decode("ascii")}
+    if kind is tuple:
+        return {
+            _TAG_TUPLE: [
+                v if type(v) in _SCALARS else encode_value(v) for v in value
+            ]
+        }
+    if kind is list:
+        return [v if type(v) in _SCALARS else encode_value(v) for v in value]
+    if kind is dict:
         if all(isinstance(k, str) for k in value) and not (
             _TAGS & value.keys()
         ):
-            return {k: encode_value(v) for k, v in value.items()}
+            return {
+                k: v if type(v) in _SCALARS else encode_value(v)
+                for k, v in value.items()
+            }
         # Non-string keys (offset->page maps, stream-id->backpointer
         # maps) ride as ordered [key, value] pairs.
         return {
@@ -119,6 +135,21 @@ def encode_value(value: Any) -> Any:
                 [encode_value(k), encode_value(v)] for k, v in value.items()
             ]
         }
+    return _encode_subclass(value)
+
+
+def _encode_subclass(value: Any) -> Any:
+    """Everything that is not an exact builtin: subclasses, buffers, errors."""
+    if isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return encode_value(bytes(value))
+    if isinstance(value, tuple):
+        return encode_value(tuple(value))
+    if isinstance(value, list):
+        return encode_value(list(value))
+    if isinstance(value, dict):
+        return encode_value(dict(value))
     if isinstance(value, BaseException):
         return {_TAG_ERROR: encode_error(value)}
     raise TypeError(
@@ -130,20 +161,27 @@ def encode_value(value: Any) -> Any:
 
 def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value`."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        return [v if type(v) in _SCALARS else decode_value(v) for v in value]
     if isinstance(value, dict):
         if len(value) == 1:
             ((tag, body),) = value.items()
             if tag == _TAG_BYTES:
-                return base64.b64decode(body)
+                return a2b_base64(body)
             if tag == _TAG_TUPLE:
-                return tuple(decode_value(v) for v in body)
+                return tuple(
+                    v if type(v) in _SCALARS else decode_value(v) for v in body
+                )
             if tag == _TAG_MAP:
                 return {decode_value(k): decode_value(v) for k, v in body}
             if tag == _TAG_ERROR:
                 return decode_error(body)
-        return {k: decode_value(v) for k, v in value.items()}
+        return {
+            k: v if type(v) in _SCALARS else decode_value(v)
+            for k, v in value.items()
+        }
     return value
 
 
@@ -225,58 +263,110 @@ def decode_error(envelope: Dict[str, Any]) -> BaseException:
 # -- frames ------------------------------------------------------------------
 
 
+_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+#: Bytes asked of the kernel per ``recv``: several small frames' worth,
+#: so whatever has arrived comes back in one call.
+_RECV_BYTES = 65536
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """Serialize one message: u32 length prefix + compact JSON body."""
-    body = json.dumps(
-        payload, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ValueError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
         )
-    buf = bytearray()
-    pack_u32(buf, len(body))
-    buf += body
-    return bytes(buf)
+    return len(body).to_bytes(4, "little") + body
 
 
-def send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
-    """Write one framed message to *sock*."""
-    sock.sendall(encode_frame(payload))
+class FramedSocket:
+    """A connected socket read a frame at a time through one buffer.
+
+    Each ``recv`` asks for whatever has arrived, so a frame that came
+    in one segment costs one system call (reading the length and the
+    body separately cost two), and bytes past the end of a frame stay
+    buffered for the next :meth:`read_frame`. Writes go straight to
+    the socket. Not thread-safe: like the socket it wraps, one
+    connection serves one exchange at a time.
+
+    After any exception out of :meth:`read_frame` the position in the
+    stream is unknown; the only safe move is :meth:`close`.
+    """
+
+    __slots__ = ("_sock", "_buf")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._buf = b""
+
+    def settimeout(self, timeout: Optional[float]) -> None:
+        self._sock.settimeout(timeout)
+
+    def sendall(self, data: bytes) -> None:
+        self._sock.sendall(data)
+
+    def close(self) -> None:
+        self._sock.close()
+
+    def __enter__(self) -> "FramedSocket":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def read_frame(self) -> Optional[bytes]:
+        """The next frame's body; None on clean EOF at a frame boundary.
+
+        Raises ``ConnectionError`` on EOF inside a frame and
+        ``ValueError`` on a length prefix past :data:`MAX_FRAME_BYTES`
+        — checked as soon as the prefix is in, before any of the body
+        is awaited.
+        """
+        buf = self._buf
+        while True:
+            have = len(buf)
+            end = 4
+            if have >= 4:
+                length = int.from_bytes(buf[:4], "little")
+                if length > MAX_FRAME_BYTES:
+                    raise ValueError(
+                        f"frame length {length} exceeds MAX_FRAME_BYTES"
+                    )
+                end += length
+                if have >= end:
+                    self._buf = buf[end:]
+                    return buf[4:end]
+            # Short: gather until the prefix (then the whole frame) is
+            # in, joining once so a large frame is not copied per chunk.
+            chunks = [buf] if buf else []
+            while have < end:
+                chunk = self._sock.recv(max(_RECV_BYTES, end - have))
+                if not chunk:
+                    if have == 0:
+                        return None
+                    raise ConnectionError(
+                        f"connection closed mid-frame ({have}/{end} bytes)"
+                    )
+                chunks.append(chunk)
+                have += len(chunk)
+            buf = b"".join(chunks)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly *n* bytes; None on EOF before the first byte."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(min(65536, n - got))
-        if not chunk:
-            if got == 0:
-                return None
-            raise ConnectionError(
-                f"connection closed mid-frame ({got}/{n} bytes)"
-            )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+def send_frame(conn: Any, payload: Dict[str, Any]) -> None:
+    """Write one framed message to *conn* (a socket or a :class:`FramedSocket`)."""
+    conn.sendall(encode_frame(payload))
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
+def recv_frame(conn: FramedSocket) -> Optional[Dict[str, Any]]:
     """Read one framed message; None on clean EOF at a frame boundary.
 
     Raises ``ConnectionError`` on mid-frame EOF and ``ValueError`` on a
     corrupt length prefix or non-object body.
     """
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    length, _ = unpack_u32(header, 0)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-    body = _recv_exact(sock, length) if length else b""
+    body = conn.read_frame()
     if body is None:
-        raise ConnectionError("connection closed between header and body")
+        return None
     payload = json.loads(body.decode("utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("frame body must be a JSON object")

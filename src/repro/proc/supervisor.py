@@ -37,7 +37,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import NodeDownError
 from repro.net.clock import MonotonicClock
 from repro.net.socket import SocketTransport
-from repro.net.wire import decode_value, recv_frame, send_frame
+from repro.net.wire import FramedSocket, decode_value, recv_frame, send_frame
 
 #: Output lines retained per child for post-mortem diagnostics.
 _OUTPUT_TAIL = 200
@@ -266,7 +266,9 @@ class Supervisor:
         """One shot at the graceful ``shutdown`` RPC; failures are fine."""
         assert handle.address is not None
         try:
-            with _socket.create_connection(handle.address, timeout=1.0) as conn:
+            with FramedSocket(
+                _socket.create_connection(handle.address, timeout=1.0)
+            ) as conn:
                 conn.settimeout(1.0)
                 send_frame(
                     conn,
@@ -316,7 +318,9 @@ class Supervisor:
         if handle.address is None or handle.process.poll() is not None:
             raise NodeDownError(name)
         try:
-            with _socket.create_connection(handle.address, timeout=1.0) as conn:
+            with FramedSocket(
+                _socket.create_connection(handle.address, timeout=1.0)
+            ) as conn:
                 conn.settimeout(1.0)
                 send_frame(
                     conn,

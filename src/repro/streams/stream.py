@@ -17,7 +17,9 @@ The library fetches each log entry once and caches it, so an entry
 multiappended to S streams is read from the cluster a single time even
 though every one of the S streams delivers it (section 4.1: "under the
 hood, the streaming layer fetches the entry once from the shared log and
-caches it").
+caches it"). An entry this client appended itself is not fetched at
+all: an offset is write-once, so the cache is filled on the write path
+(``_on_append``) with the entry exactly as a reader would decode it.
 """
 
 from __future__ import annotations
@@ -202,8 +204,11 @@ class StreamClient:
         self._lock = threading.RLock()
         # GC must actually free client memory: evict cached entries for
         # offsets the log reclaims, whoever drives the trim. Registered
-        # last — the callback uses both locks.
+        # last — the callbacks use both locks.
         corfu.subscribe_trim(self._on_trim)
+        # Never read back what this client wrote: appends that land on
+        # an open stream go into the cache as they are acknowledged.
+        corfu.subscribe_append(self._on_append)
         # Counters for tests / the performance model.
         self.sync_reads = 0
         self.backward_scans = 0
@@ -270,8 +275,11 @@ class StreamClient:
         self._corfu.fill(offset)
 
     def fetch(self, offset: int) -> LogEntry:
-        """Read (and cache) the entry at *offset*, patching holes.
+        """The entry at *offset*: from the cache, else read, patching holes.
 
+        The cache holds what was fetched before and what this client
+        appended itself to a stream it has open (:meth:`_on_append`);
+        only a miss goes to the log, and what it reads is cached.
         Returns a junk entry for trimmed offsets so that walkers treat
         reclaimed space like filled holes.
 
@@ -342,13 +350,15 @@ class StreamClient:
 
     def _cache_insert_locked(self, offset: int, entry: LogEntry) -> None:
         """Insert into the LRU cache; caller holds ``_cache_lock``."""
-        old = self._cache.get(offset)
+        cache = self._cache
+        old = cache.get(offset)
+        cache[offset] = _Cached(entry)  # a new key lands at the LRU's young end
         if old is not None:
             self._cache_bytes -= self._slot_bytes(old)
-        slot = self._cache[offset] = _Cached(entry)
-        self._cache.move_to_end(offset)
-        self._cache_bytes += self._slot_bytes(slot)
-        self._cache_shrink_locked()
+            cache.move_to_end(offset)
+        self._cache_bytes += len(entry.payload) + CACHE_ENTRY_OVERHEAD
+        if len(cache) > self._cache_entries or self._cache_budget is not None:
+            self._cache_shrink_locked()
 
     def _cache_shrink_locked(self) -> None:
         """Evict LRU entries past the entry cap or the byte budget."""
@@ -563,6 +573,27 @@ class StreamClient:
         with self._cache_lock:
             return self._cache_bytes
 
+    def _on_append(self, offset: int, entry: LogEntry) -> None:
+        """Write-through: cache an entry this client just appended.
+
+        Registered with :meth:`CorfuClient.subscribe_append`; runs on
+        the appending thread once the chain write for *offset* has
+        completed. *entry* equals what ``LogEntry.decode`` would return
+        for the offset, so it goes in like a fetched entry — same LRU,
+        entry cap, byte budget and trim eviction — and playing it costs
+        no storage read and no decode. An entry none of whose streams
+        is open here is not kept: a client that only writes to streams
+        it never plays (remote writes) caches nothing.
+        """
+        with self._lock:
+            for header in entry.headers:
+                if header.stream_id in self._streams:
+                    break
+            else:
+                return
+        with self._cache_lock:
+            self._cache_insert_locked(offset, entry)
+
     def _on_trim(self, offset: int, is_prefix: bool) -> None:
         """Release client memory the log just reclaimed.
 
@@ -618,6 +649,35 @@ class StreamClient:
             for sid in stream_ids
         }
 
+    def sync_after_append(
+        self, offset: int, stream_ids: Sequence[int]
+    ) -> Dict[int, int]:
+        """:meth:`sync_many`, for a caller that just appended *offset*.
+
+        The stream headers of an entry are the sequencer's last-K
+        offsets for each of its streams as of its own grant (section
+        5), so ``(offset,) + backpointers`` is what a sequencer query
+        for that stream would have answered at that instant — enough
+        to play up to *offset*, which is all a caller deciding its own
+        commit record needs. The entry is in the cache because it was
+        written through. When it names every stream in *stream_ids*
+        the sync is seeded from it and no RPC is sent; otherwise (a
+        stream the entry does not belong to, which must not fall
+        behind the others, or the entry already evicted) the sequencer
+        is asked as usual. Not linearizable past *offset*: accessors
+        keep using :meth:`sync_many`.
+        """
+        with self._cache_lock:
+            slot = self._cache.get(offset)
+        if slot is not None:
+            headers = [slot.entry.header_for(sid) for sid in stream_ids]
+            if None not in headers:
+                return {
+                    sid: self._sync_from(sid, (offset,) + header.backpointers)
+                    for sid, header in zip(stream_ids, headers)
+                }
+        return self.sync_many(stream_ids)
+
     def _sync_from(self, stream_id: int, recent_offsets: Sequence[int]) -> int:
         """Walk backpointers from the sequencer's last-K offsets."""
         with self._lock:
@@ -627,10 +687,13 @@ class StreamClient:
         self, stream_id: int, recent_offsets: Sequence[int]
     ) -> int:
         state = self._state(stream_id)
-        recents = [o for o in recent_offsets if o != NO_BACKPOINTER]
-        if not recents:
-            return state.highest_known()
         floor = state.highest_known()
+        # Nothing the sequencer named is news (NO_BACKPOINTER sorts
+        # below every floor): the common case for all but one hosted
+        # stream of a linearizable read.
+        if not recent_offsets or max(recent_offsets) <= floor:
+            return floor
+        recents = [o for o in recent_offsets if o != NO_BACKPOINTER]
         discovered: set = set()
         # Seed the walk with the sequencer's last-K offsets; they are the
         # newest entries of the stream, newest first.

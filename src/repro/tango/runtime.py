@@ -605,8 +605,12 @@ class TangoRuntime:
     def _end_read_write_locked(self, ctx: TxContext) -> bool:
         commit_offset, record = self._append_commit(ctx)
         # Play forward to the commit point; processing the commit record
-        # (we host the whole read set, by construction) decides it.
-        self._streams.sync_many(self.hosted_oids())
+        # (we host the whole read set, by construction) decides it. The
+        # record's own grant says what lies below it on every stream it
+        # joined, so when those are all the streams we host, nobody is
+        # asked; a hosted stream outside the transaction sends the
+        # usual sequencer query (decided inside the stream layer).
+        self._streams.sync_after_append(commit_offset, self.hosted_oids())
         self._play_until(commit_offset)
         outcome = self._decided.get(ctx.tx_id)
         # Our commit record may sit behind an earlier transaction that is
@@ -1140,7 +1144,12 @@ class TangoRuntime:
         if self._blocked_streams and any(
             sid in self._blocked_streams for sid in scope
         ):
+            # A deferred entry holds its whole scope, not only the
+            # stream that blocked it: a later entry of one of its other
+            # streams must queue behind it, or that object's view
+            # leaves log order.
             self._deferred.append((offset, records, scope))
+            self._blocked_streams.update(scope)
             return
         for record in records:
             self._dispatch(offset, record, scope)
@@ -1239,26 +1248,42 @@ class TangoRuntime:
         pending.commit_offset = offset
         pending.commit_record = record
         self._awaiting[record.tx_id] = pending
-        involved = set(e.oid for e in record.read_set) | set(record.write_oids)
-        self._blocked_streams.update(involved & set(self._objects))
+        self._blocked_streams.update(self._hosted_streams_of(record))
+
+    def _hosted_streams_of(self, record: CommitRecord) -> Set[int]:
+        """The streams *record* was multiappended to that this client plays."""
+        involved = set(e.oid for e in record.read_set)
+        involved.update(record.write_oids)
+        return involved.intersection(self._objects)
 
     def _resolve_awaited(self, decision: DecisionRecord) -> None:
         pending = self._awaiting.pop(decision.tx_id, None)
         if pending is None:
             return
-        record = pending.commit_record
-        offset = pending.commit_offset
         self._decided[decision.tx_id] = decision.committed
-        involved = set(e.oid for e in record.read_set) | set(record.write_oids)
-        self._blocked_streams -= involved
         self._finalize_tx(
-            offset, record, decision.committed, tuple(self._objects)
+            pending.commit_offset,
+            pending.commit_record,
+            decision.committed,
+            tuple(self._objects),
         )
         self._drain_deferred()
 
     def _drain_deferred(self) -> None:
-        """Re-run deferred entries now that streams were unblocked."""
+        """Replay deferred entries, in log order, after a decision landed.
+
+        The blocked set is rebuilt as it goes: it starts as the streams
+        of the transactions still awaited (one of them may hold a
+        stream the resolved transaction also held), and every entry
+        that is still held re-defers and adds its whole scope back, so
+        nothing queued behind it on any of its streams overtakes it.
+        """
         deferred, self._deferred = self._deferred, []
+        self._blocked_streams = set()
+        for pending in self._awaiting.values():
+            self._blocked_streams |= self._hosted_streams_of(
+                pending.commit_record
+            )
         for offset, records, scope in deferred:
             self._process_records(offset, records, scope)
 

@@ -347,11 +347,54 @@ def _check_equivalence(steps):
         both(("play", oid, 0.0))
     final = windowed.snapshot()
     assert final["playback"]["awaiting_decisions"] == []
-    if not any(step[0] == "park" for step in steps):
-        # Against the writer too. Not after a parked transaction: a
-        # two-map commit deferred behind the blocked stream is overtaken
-        # by later entries of its other stream, in either player (a
-        # runtime defect this comparison found; playback order is not
-        # where it lives).
-        for oid in SHARED:
-            assert final["views"][oid] == dict(maps[oid].items())
+    # Against the writer too: a parked transaction defers what follows
+    # it, and a deferred entry holds every stream it belongs to, so each
+    # consumer's view still follows log order.
+    for oid in SHARED:
+        writer.query_helper(oid)
+        assert final["views"][oid] == dict(maps[oid].items())
+        offsets = [off for o, off, _key in final["applied"] if o == oid]
+        assert offsets == sorted(offsets)
+
+
+def test_deferred_entry_holds_its_whole_scope():
+    """Park on stream 1; a two-map commit on (1, 2) is deferred behind
+    it; a later put on 2 must queue behind that commit, not overtake it."""
+    cluster = CorfuCluster(num_sets=2, replication_factor=2)
+    writer = TangoRuntime(cluster, client_id=1, name="writer")
+    maps = {oid: TangoMap(writer, oid) for oid in (1, 2)}
+    private = _Marked(writer, PRIVATE)
+    private.put("gate", 0)
+    consumer = _Consumer(cluster, StreamClient, client_id=3)
+
+    private.get("gate")
+    writer.begin_tx()
+    private.get("gate")
+    maps[1].put("a", "parked")
+    ctx = writer._current_tx()
+    writer._tls.tx = None
+    _offset, record = writer._append_commit(ctx)
+
+    writer.begin_tx()
+    maps[1].put("b", "both")
+    maps[2].put("b", "both")
+    assert writer.end_tx()
+    maps[2].put("b", "after")
+
+    consumer.rt.query_helper(2)
+    status = consumer.rt.status()
+    assert status["awaiting_decisions"] == [ctx.tx_id]
+    assert status["blocked_streams"] == [1, 2]
+    assert status["deferred_entries"] == 2
+    assert consumer.applied == []
+
+    private.get("gate")
+    writer._append_decision(ctx.tx_id, writer._decided[ctx.tx_id], record)
+    consumer.rt.query_helper(1)  # the decision record rides on stream 1
+    status = consumer.rt.status()
+    assert status["blocked_streams"] == [] and status["deferred_entries"] == 0
+    for oid in (1, 2):
+        offsets = [off for o, off, _key in consumer.applied if o == oid]
+        assert offsets == sorted(offsets) and offsets
+        assert dict(consumer.held[oid]._map) == dict(maps[oid].items())
+    assert consumer.held[2]._map["b"] == "after"

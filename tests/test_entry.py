@@ -151,3 +151,45 @@ class TestLogEntry:
         assert decoded.payload == payload
         back = [p for p in decoded.headers[0].backpointers if p != NO_BACKPOINTER]
         assert back == offsets[: len(back)]
+
+    #: Gaps between consecutive entries of one stream, on both sides of
+    #: the 16-bit relative-delta limit.
+    _GAPS = st.one_of(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0xFFFF - 2, max_value=0xFFFF + 2),
+        st.integers(min_value=0x10000, max_value=1 << 24),
+    )
+
+    @given(
+        data=st.data(),
+        k=st.sampled_from((4, 8, 16)),
+        max_streams=st.integers(min_value=1, max_value=16),
+        own=st.integers(min_value=0, max_value=1 << 34),
+        payload=st.binary(max_size=256),
+    )
+    def test_what_the_writer_built_is_what_a_reader_decodes(
+        self, data, k, max_streams, own, payload
+    ):
+        """The write-through cache keeps the entry the append routine
+        built instead of reading it back: for every header
+        ``make_header`` can produce — relative, individually
+        overflowed to none, absolute (padded to K/4) — that object must
+        equal the decoded one."""
+        headers = []
+        for sid in range(data.draw(st.integers(min_value=1, max_value=max_streams))):
+            # The sequencer's last-K answer for the stream: newest
+            # first, NO_BACKPOINTER-padded, possibly longer than K
+            # (a batch prepends its own predecessors).
+            last, cursor = [], own
+            for gap in data.draw(st.lists(self._GAPS, max_size=k + 2)):
+                cursor -= gap
+                if cursor < 0:
+                    break
+                last.append(cursor)
+            if data.draw(st.booleans()):
+                last += [NO_BACKPOINTER] * max(0, k - len(last))
+            headers.append(make_header(sid, tuple(last), own, k))
+        entry = LogEntry(headers=tuple(headers), payload=payload)
+        raw = entry.encode(own, k, max_streams)
+        assert LogEntry.decode(raw, own, k) == entry
+        assert len(raw) == 8 + len(headers) * header_bytes(k) + len(payload)

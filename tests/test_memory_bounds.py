@@ -282,3 +282,41 @@ def test_memory_budget_accepted_by_cluster_kwarg():
     cluster = CorfuCluster(num_sets=2, replication_factor=2)
     rt = TangoRuntime(cluster, client_id=913, memory_budget=1 << 16)
     assert rt.status()["store"]["memory_budget"] == 1 << 16
+
+
+class TestWriterUnderABudgetSmallerThanItsBurst:
+    """Write-through goes through the same budget as a fetched entry."""
+
+    def test_own_entries_are_evicted_reread_and_still_correct(self, cluster):
+        budget = 4 * 1024
+        rt = TangoRuntime(cluster, client_id=911, memory_budget=budget)
+        m = TangoMap(rt, oid=1)
+        streams, corfu = rt.streams, rt.streams.corfu
+        value = "x" * 100
+        burst = 60  # ~60 x (payload + overhead) is several budgets
+        for i in range(burst):
+            m.put(f"k{i:02d}", value + str(i))
+            assert streams.resident_bytes() <= budget
+        # The burst outgrew the cache: the oldest of our own entries
+        # are gone, the newest are resident without ever being read.
+        assert 0 < streams.cache_size < burst
+        assert corfu.reads == 0
+        newest = streams.cached_offsets()[-1]
+        assert m.get(f"k{burst - 1:02d}") == value + str(burst - 1)
+        assert newest in streams.cached_offsets()
+        # Playing the burst re-reads what was evicted: at worst the
+        # backpointer walk's one entry in K and then each entry once.
+        assert 0 < corfu.reads <= burst // 4 + burst + 2
+        assert streams.resident_bytes() <= budget
+        for i in range(burst):
+            assert m.get(f"k{i:02d}") == value + str(i)
+        # Down to a single slot, a commit still decides correctly: its
+        # record displaces whatever held the slot.
+        streams.set_cache_budget(1)
+        m.put("pad", value)
+        rt.begin_tx()
+        m.get("k00")
+        m.put("k00", "committed")
+        assert rt.end_tx()
+        assert m.get("k00") == "committed"
+        assert streams.cache_size == 1

@@ -336,10 +336,13 @@ class TestMergedPlay:
         assert [sclient.pending(sid) for sid in (1, 2, 3)] == [0, 0, 0]
         assert list(sclient.play((1, 2, 3))) == []
 
-    def test_upto_holds_back_and_reads_nothing_above(self, sclient):
+    def test_upto_holds_back_and_reads_nothing_above(self, cluster, sclient):
         sclient.open_stream(1)
+        # Another client's appends: our own would be written through
+        # to the cache, and this is about what playback reads.
+        writer = StreamClient(cluster.client())
         for i in range(6):
-            sclient.append(b"e%d" % i, (1,))
+            writer.append(b"e%d" % i, (1,))
         sclient.sync(1)
         assert [off for off, _, _ in sclient.play((1,), upto=2)] == [0, 1, 2]
         assert not set(sclient.cached_offsets()) & {3, 5}  # 4: the sync walk

@@ -349,3 +349,99 @@ class TestStreamIteratorThreadSafety:
             2 * (len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD)
             for off in sclient.cached_offsets()
         )
+
+    def test_writers_fill_the_cache_while_players_drain_it(self):
+        """Appending threads (lone appends and ``append_async`` flights,
+        whose observer runs on whichever waiter leads the pipeline) insert
+        into the cache that syncing, playing threads are reading: every
+        entry is delivered once with its own payload, every one of them
+        ends up cached as a reader would decode it, and the byte
+        accounting still adds up. A player that meets a granted but
+        unwritten offset fills it, so some writers lose a race and
+        retry: the junk is delivered as junk and never cached as theirs."""
+        import sys
+
+        from repro.streams import StreamClient
+        from repro.streams.stream import CACHE_ENTRY_OVERHEAD
+
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        sclient = StreamClient(cluster.client())
+        for sid in (1, 2):
+            sclient.open_stream(sid)
+        per_writer, writers = 60, 4
+        written = [[] for _ in range(writers)]
+        delivered = [[] for _ in range(3)]
+        done = threading.Event()
+        errors = []
+
+        def writer(w, mine):
+            def run():
+                try:
+                    for i in range(0, per_writer, 4):
+                        sids = (1, 2) if i % 3 == 0 else (1 + w % 2,)
+                        payloads = [b"w%d-%d" % (w, i + j) for j in range(4)]
+                        offsets = [sclient.append(payloads[0], sids)]
+                        flight = [sclient.append_async(p, sids) for p in payloads[1:]]
+                        offsets += [f.result(timeout=30) for f in flight]
+                        mine.extend(zip(offsets, payloads))
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            return run
+
+        def player(mine):
+            def run():
+                try:
+                    while True:
+                        finished = done.is_set()
+                        sclient.sync_many((1, 2))
+                        for off, entry, sids in sclient.play((1, 2)):
+                            mine.append((off, entry, sids))
+                        if finished:
+                            return
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            return run
+
+        writing = [threading.Thread(target=writer(w, written[w])) for w in range(writers)]
+        playing = [threading.Thread(target=player(mine)) for mine in delivered]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in writing + playing:
+                t.start()
+            for t in writing:
+                t.join(timeout=60)
+            done.set()
+            for t in playing:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writing + playing)
+        assert not errors
+        payload_at = {off: p for mine in written for off, p in mine}
+        assert len(payload_at) == writers * per_writer
+        pairs = sorted(
+            (off, sid) for mine in delivered for off, _e, sids in mine for sid in sids
+        )
+        expected = sorted(
+            (off, sid) for sid in (1, 2) for off in sclient.known_offsets(sid)
+        )
+        assert pairs == expected
+        real = {
+            off: entry for mine in delivered for off, entry, _s in mine if not entry.is_junk
+        }
+        assert set(real) == set(payload_at)
+        assert all(real[off].payload == payload_at[off] for off in real)
+        # Written through (or, in the instant between a write landing
+        # and its observer running, read): either way the cache holds
+        # what another client decodes from the log.
+        cached = sclient.cached_offsets()
+        assert set(cached) >= set(payload_at)
+        reader = cluster.client()
+        for off in cached:
+            assert sclient.fetch(off) == reader.read(off)
+        assert sclient.resident_bytes() == sum(
+            len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD for off in cached
+        )

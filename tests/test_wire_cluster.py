@@ -18,8 +18,10 @@ import threading
 import pytest
 
 from repro.errors import NodeDownError, TrimmedError, UnwrittenError
+from repro.objects import TangoMap
 from repro.proc import RemoteCluster, Supervisor, cluster_specs
 from repro.streams import StreamClient
+from repro.tango.runtime import TangoRuntime
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix" or not hasattr(signal, "SIGKILL"),
@@ -119,6 +121,52 @@ class TestHappyPath:
         stats = client.net_stats()
         for node in ("flash-0-0", "flash-0-1", "flash-0-2", "seq-0"):
             assert stats[node]["rpcs"] > 0
+
+
+class TestTangoRoundTrips:
+    """Tango objects over the wire cost their necessary round trips.
+
+    The same exact counts as ``tests/test_round_trips.py`` asserts
+    in-process, on the same 2x2+1 layout, with every RPC a real TCP
+    exchange with another process.
+    """
+
+    def test_put_get_and_commit_counts_over_tcp(self):
+        with Supervisor(cluster_specs(2, 2)) as supervisor:
+            with RemoteCluster(
+                supervisor.addresses(),
+                num_sets=2,
+                replication_factor=2,
+                timeout=5.0,
+            ) as cluster:
+                rt = TangoRuntime(cluster, client_id=1)
+                tmap = TangoMap(rt, 1)
+                tmap.put("warm", 0)
+                tmap.get("warm")
+                corfu = rt.streams.corfu
+
+                def cost():
+                    rpcs = sum(s["rpcs"] for s in corfu.net_stats().values())
+                    return rpcs, corfu.reads
+
+                before = cost()
+                tmap.put("k", "v")
+                assert tmap.get("k") == "v"
+                after = cost()
+                # increment, two chain writes, query; nothing read back.
+                assert (after[0] - before[0], after[1] - before[1]) == (4, 0)
+
+                before = cost()
+                rt.begin_tx()
+                for i in range(3):
+                    tmap.get("k%d" % i)
+                for i in range(3):
+                    tmap.put("k%d" % i, i)
+                assert rt.end_tx()
+                after = cost()
+                # The commit's own grant is its sync: the append alone.
+                assert (after[0] - before[0], after[1] - before[1]) == (3, 0)
+                assert tmap.get("k2") == 2
 
 
 # -- failure drills (function-scoped deployments: they kill things) ---------

@@ -10,9 +10,11 @@ constructor attributes intact (a client retry loop dispatches on
 ``SealedError.epoch`` and ``UnwrittenError.offset``, not on strings).
 """
 
+import base64
 import json
 import socket
 import threading
+from collections import OrderedDict, namedtuple
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.net.wire import (
     MAX_FRAME_BYTES,
     RPC_OPS,
     SEQUENCER_OPS,
+    FramedSocket,
     decode_error,
     decode_value,
     encode_error,
@@ -296,12 +299,110 @@ class TestErrorEnvelope:
         assert isinstance(got, RemoteCallError)
 
 
+def _frozen_encode_value(value):
+    """``encode_value`` as it stood before exact-type dispatch — the
+    ``isinstance`` chain and ``base64.b64encode`` — kept verbatim as the
+    reference the current codec must match byte for byte."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        raw = bytes(value)
+        return {"__bytes__": base64.b64encode(raw).decode("ascii")}
+    if isinstance(value, tuple):
+        return {"__tuple__": [_frozen_encode_value(v) for v in value]}
+    if isinstance(value, list):
+        return [_frozen_encode_value(v) for v in value]
+    if isinstance(value, dict):
+        tags = {"__bytes__", "__tuple__", "__map__", "__error__"}
+        if all(isinstance(k, str) for k in value) and not (tags & value.keys()):
+            return {k: _frozen_encode_value(v) for k, v in value.items()}
+        return {
+            "__map__": [
+                [_frozen_encode_value(k), _frozen_encode_value(v)]
+                for k, v in value.items()
+            ]
+        }
+    if isinstance(value, BaseException):
+        return {"__error__": _frozen_encode_error(value)}
+    raise TypeError("not wire-encodable")
+
+
+def _frozen_encode_error(exc):
+    from repro.net.wire import _ERROR_PARAMS
+
+    code = type(exc).__name__
+    envelope = {"code": code, "message": str(exc)}
+    params = _ERROR_PARAMS.get(code)
+    if params is not None and all(hasattr(exc, p) for p in params):
+        envelope["params"] = {
+            p: _frozen_encode_value(getattr(exc, p)) for p in params
+        }
+    return envelope
+
+
+def _frozen_encode_frame(payload):
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return len(body).to_bytes(4, "little") + body
+
+
+_Grant = namedtuple("_Grant", "offset backpointers")
+
+
+class TestFrozenCodecEquivalence:
+    """The codec got faster, not different: same bytes on the wire."""
+
+    @pytest.mark.parametrize("op", sorted(SAMPLES))
+    def test_every_op_frames_byte_identically(self, op):
+        args, kwargs, result = SAMPLES[op]
+        request = {"id": "c#7", "source": "c", "target": "n", "op": op}
+        assert encode_frame(
+            {**request, "args": encode_value(list(args)), "kwargs": encode_value(dict(kwargs))}
+        ) == _frozen_encode_frame(
+            {
+                **request,
+                "args": _frozen_encode_value(list(args)),
+                "kwargs": _frozen_encode_value(dict(kwargs)),
+            }
+        )
+        assert encode_frame(
+            {"id": "c#7", "ok": encode_value(result)}
+        ) == _frozen_encode_frame({"id": "c#7", "ok": _frozen_encode_value(result)})
+
+    @pytest.mark.parametrize(
+        "exc", [e for e, _ in ERROR_SAMPLES] + [ValueError("bad count")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_every_typed_error_frames_byte_identically(self, exc):
+        assert encode_frame(
+            {"id": "c#7", "err": encode_error(exc)}
+        ) == _frozen_encode_frame({"id": "c#7", "err": _frozen_encode_error(exc)})
+        # ... and embedded as a value (read_many's per-offset outcomes).
+        assert encode_value({3: exc}) == _frozen_encode_value({3: exc})
+
+    def test_subclasses_and_buffers_take_the_general_path(self):
+        blob = bytes(range(256)) * 3
+        for value in (
+            bytearray(blob),
+            memoryview(blob),
+            _Grant(9, {1: (8, 5)}),
+            OrderedDict([("b", (1,)), ("a", [b"x"])]),
+            OrderedDict([(2, b"x"), (1, None)]),
+            [True, 1, 1.5, None, "s", b"", (), [], {}],
+            {"unicode": "\u00e9\u4e2d", "nested": {"k": (b"\x00",)}},
+        ):
+            assert encode_value(value) == _frozen_encode_value(value)
+            assert json.dumps(encode_value(value)) == json.dumps(
+                _frozen_encode_value(value)
+            )
+        assert decode_value(encode_value(blob)) == blob
+
+
 class TestFrames:
     def _pair(self):
         a, b = socket.socketpair()
         a.settimeout(5.0)
         b.settimeout(5.0)
-        return a, b
+        return a, FramedSocket(b)
 
     def test_send_recv_round_trip(self):
         a, b = self._pair()
@@ -347,6 +448,40 @@ class TestFrames:
             a.close()
             b.close()
 
+    def test_two_frames_in_one_segment_cost_one_recv(self):
+        # Both frames (and the first bytes of a third) arrive together:
+        # one recv serves the first, the buffer serves the second, and
+        # the partial third waits for its remainder.
+        a, raw_b = socket.socketpair()
+        raw_b.settimeout(5.0)
+        recvs = []
+
+        class Counting:
+            def recv(self, n):
+                recvs.append(n)
+                return raw_b.recv(n)
+
+            def close(self):
+                raw_b.close()
+
+        b = FramedSocket(Counting())
+        try:
+            third = encode_frame({"id": "c#3", "ok": encode_value(b"tail" * 50)})
+            a.sendall(
+                encode_frame({"id": "c#1"}) + encode_frame({"id": "c#2"}) + third[:9]
+            )
+            assert recv_frame(b)["id"] == "c#1"
+            assert recv_frame(b)["id"] == "c#2"
+            assert len(recvs) == 1
+            a.sendall(third[9:])
+            assert decode_value(recv_frame(b)["ok"]) == b"tail" * 50
+            assert len(recvs) == 2
+            a.close()
+            assert recv_frame(b) is None
+        finally:
+            a.close()
+            b.close()
+
     def test_clean_eof_returns_none(self):
         a, b = self._pair()
         a.close()
@@ -366,12 +501,38 @@ class TestFrames:
         finally:
             b.close()
 
+    def test_eof_inside_the_length_prefix_raises(self):
+        a, b = self._pair()
+        try:
+            a.sendall(b"\x10\x00")
+            a.close()
+            with pytest.raises(ConnectionError):
+                recv_frame(b)
+        finally:
+            b.close()
+
     def test_oversized_length_prefix_rejected(self):
+        # Rejected on the prefix alone: no body follows, and the reader
+        # must not wait for one.
         a, b = self._pair()
         try:
             a.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "little"))
             with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
                 recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_large_frame_spanning_many_recvs(self):
+        a, b = self._pair()
+        try:
+            blob = bytes(range(256)) * 2048  # 512 KiB, ~700 KiB framed
+            raw = encode_frame({"id": "c#1", "ok": encode_value(blob)})
+            t = threading.Thread(target=a.sendall, args=(raw,), daemon=True)
+            t.start()
+            assert decode_value(recv_frame(b)["ok"]) == blob
+            t.join(5.0)
+            assert not t.is_alive()
         finally:
             a.close()
             b.close()
