@@ -447,7 +447,8 @@ class CorfuClient:
     def _note_success(self) -> None:
         """An RPC round completed: clear the failure-detector streaks."""
         with self._counter_lock:
-            self._timeout_streaks.clear()
+            if self._timeout_streaks:
+                self._timeout_streaks.clear()
 
     # -- append path ---------------------------------------------------------
 
@@ -810,9 +811,10 @@ class CorfuClient:
             except RpcTimeout as exc:
                 self._handle_timeout(exc, attempt)
                 continue
-            with self._counter_lock:
+            with self._counter_lock:  # the count and _note_success, one hold
                 self.reads += 1
-            self._note_success()
+                if self._timeout_streaks:
+                    self._timeout_streaks.clear()
             return LogEntry.decode(raw, offset, self._cluster.k)
         raise RetriesExhaustedError("read", _MAX_RETRIES)
 
@@ -837,6 +839,8 @@ class CorfuClient:
         remaining = sorted(set(offsets))
         if not remaining:
             return results
+        k = self._cluster.k
+        decode = LogEntry.decode
         for attempt in range(_MAX_RETRIES):
             proj = self._projection
             # Group the missing offsets by replica set under the current
@@ -858,9 +862,7 @@ class CorfuClient:
                     for offset, address in zip(batch, addresses):
                         status, data = raw_map[address]
                         if status == "ok":
-                            results[offset] = LogEntry.decode(
-                                data, offset, self._cluster.k
-                            )
+                            results[offset] = decode(data, offset, k)
                             served += 1
                         elif status == "trimmed":
                             results[offset] = TrimmedError(offset)
@@ -870,7 +872,6 @@ class CorfuClient:
                         self.reads += served
                         self.batched_reads += 1
                         self.batched_read_offsets += len(batch)
-                    remaining = [o for o in remaining if o not in results]
             except SealedError:
                 self.refresh_projection()
             except NodeDownError as exc:
@@ -880,6 +881,9 @@ class CorfuClient:
             else:
                 self._note_success()
                 return results
+            # Only a failed attempt comes back round: it re-reads what
+            # the groups before the failure did not serve.
+            remaining = [o for o in remaining if o not in results]
         raise RetriesExhaustedError("read_many", _MAX_RETRIES)
 
     def is_written(self, offset: int) -> bool:

@@ -17,23 +17,24 @@ store the format indicator. If K = 4, which is the minimum required for
 this scheme, the header uses 12 bytes." An entry carries a fixed number
 of such headers, equal to the maximum number of streams a single
 multiappend (and therefore a single transaction's write set) may touch.
+
+:class:`StreamHeader` and :class:`LogEntry` are immutable tuple values
+(equal, and hashing equal, to any value — or plain tuple — with the same
+fields). Their byte layouts live in :mod:`repro.util.encoding`; a header
+packs and unpacks in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import TooManyStreamsError
 from repro.util.encoding import (
-    decode_bytes,
+    ENTRY_PREFIX,
+    U32,
+    absolute_header,
     encode_bytes,
-    pack_u16,
-    pack_u32,
-    pack_u64,
-    unpack_u16,
-    unpack_u32,
-    unpack_u64,
+    relative_header,
 )
 
 # Sentinel meaning "no previous entry for this stream".
@@ -53,9 +54,21 @@ DEFAULT_K = 4
 #: Default 4KB log entries (paper section 6).
 DEFAULT_ENTRY_SIZE = 4096
 
+#: What a storage unit may hand a decoder.
+Buffer = Union[bytes, bytearray, memoryview]
 
-@dataclass(frozen=True)
-class StreamHeader:
+# Decoders build values straight from their fields: the bytes were
+# validated when they were encoded.
+_new = tuple.__new__
+
+
+class _StreamHeaderFields(NamedTuple):
+    stream_id: int
+    backpointers: Tuple[int, ...]
+    is_absolute: bool = False
+
+
+class StreamHeader(_StreamHeaderFields):
     """One stream's header on a log entry.
 
     ``backpointers`` always has logical length K (relative format) or
@@ -64,13 +77,17 @@ class StreamHeader:
     to deltas for the relative format.
     """
 
-    stream_id: int
-    backpointers: Tuple[int, ...]
-    is_absolute: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.stream_id <= MAX_STREAM_ID:
-            raise ValueError(f"stream id {self.stream_id} out of 31-bit range")
+    def __new__(
+        cls,
+        stream_id: int,
+        backpointers: Tuple[int, ...],
+        is_absolute: bool = False,
+    ) -> "StreamHeader":
+        if not 0 <= stream_id <= MAX_STREAM_ID:
+            raise ValueError(f"stream id {stream_id} out of 31-bit range")
+        return _new(cls, (stream_id, backpointers, is_absolute))
 
     def previous_offset(self) -> int:
         """Offset of the stream's most recent prior entry, or NO_BACKPOINTER."""
@@ -80,46 +97,61 @@ class StreamHeader:
 
     def encode(self, buf: bytearray, own_offset: int, k: int) -> None:
         """Serialize this header into *buf* for an entry at *own_offset*."""
-        flag = 1 if self.is_absolute else 0
-        pack_u32(buf, (self.stream_id << 1) | flag)
         if self.is_absolute:
             count = max(1, k // 4)
-            ptrs = list(self.backpointers[:count])
-            ptrs += [NO_BACKPOINTER] * (count - len(ptrs))
-            for ptr in ptrs:
-                pack_u64(buf, _ABSOLUTE_NONE if ptr == NO_BACKPOINTER else ptr)
-        else:
-            ptrs = list(self.backpointers[:k])
-            ptrs += [NO_BACKPOINTER] * (k - len(ptrs))
-            for ptr in ptrs:
-                if ptr == NO_BACKPOINTER:
-                    pack_u16(buf, 0)
-                    continue
-                delta = own_offset - ptr
-                if not 0 < delta <= _MAX_RELATIVE_DELTA:
-                    raise ValueError(
-                        f"relative delta {delta} out of range at offset "
-                        f"{own_offset}; caller should have used the "
-                        f"absolute format"
-                    )
-                pack_u16(buf, delta)
+            ptrs = [
+                _ABSOLUTE_NONE if ptr == NO_BACKPOINTER else ptr
+                for ptr in self.backpointers[:count]
+            ]
+            ptrs += [_ABSOLUTE_NONE] * (count - len(ptrs))
+            buf += absolute_header(k).pack((self.stream_id << 1) | 1, *ptrs)
+            return
+        deltas = []
+        for ptr in self.backpointers[:k]:
+            if ptr == NO_BACKPOINTER:
+                deltas.append(0)
+                continue
+            delta = own_offset - ptr
+            if not 0 < delta <= _MAX_RELATIVE_DELTA:
+                raise ValueError(
+                    f"relative delta {delta} out of range at offset "
+                    f"{own_offset}; caller should have used the "
+                    f"absolute format"
+                )
+            deltas.append(delta)
+        deltas += [0] * (k - len(deltas))
+        buf += relative_header(k).pack(self.stream_id << 1, *deltas)
 
     @staticmethod
-    def decode(buf: bytes, off: int, own_offset: int, k: int) -> Tuple["StreamHeader", int]:
+    def decode(
+        buf: Buffer, off: int, own_offset: int, k: int
+    ) -> Tuple["StreamHeader", int]:
         """Deserialize a header encoded at *off* for an entry at *own_offset*."""
-        word, off = unpack_u32(buf, off)
-        stream_id = word >> 1
-        is_absolute = bool(word & 1)
-        ptrs = []
-        if is_absolute:
-            for _ in range(max(1, k // 4)):
-                raw, off = unpack_u64(buf, off)
-                ptrs.append(NO_BACKPOINTER if raw == _ABSOLUTE_NONE else raw)
+        headers, off = _decode_headers(buf, off, 1, own_offset, k)
+        return headers[0], off
+
+
+def _decode_headers(
+    buf: Buffer, off: int, count: int, own_offset: int, k: int
+) -> Tuple[Tuple[StreamHeader, ...], int]:
+    """Decode *count* consecutive headers at *off*: one unpack per header."""
+    relative = relative_header(k)
+    headers = []
+    for _ in range(count):
+        if buf[off] & 1:  # the format bit is the low bit of the first byte
+            layout = absolute_header(k)
+            fields = layout.unpack_from(buf, off)
+            ptrs = [
+                NO_BACKPOINTER if p == _ABSOLUTE_NONE else p for p in fields[1:]
+            ]
+            headers.append(_new(StreamHeader, (fields[0] >> 1, tuple(ptrs), True)))
+            off += layout.size
         else:
-            for _ in range(k):
-                delta, off = unpack_u16(buf, off)
-                ptrs.append(NO_BACKPOINTER if delta == 0 else own_offset - delta)
-        return StreamHeader(stream_id, tuple(ptrs), is_absolute), off
+            fields = relative.unpack_from(buf, off)
+            ptrs = [own_offset - d if d else NO_BACKPOINTER for d in fields[1:]]
+            headers.append(_new(StreamHeader, (fields[0] >> 1, tuple(ptrs), False)))
+            off += relative.size
+    return tuple(headers), off
 
 
 def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k: int) -> StreamHeader:
@@ -150,8 +182,7 @@ def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k:
     return StreamHeader(stream_id, tuple(rel), is_absolute=False)
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """A single entry in the shared log.
 
     ``headers`` carries one :class:`StreamHeader` per stream the entry
@@ -162,7 +193,7 @@ class LogEntry:
     entries carry no headers and no payload.
     """
 
-    headers: Tuple[StreamHeader, ...] = field(default_factory=tuple)
+    headers: Tuple[StreamHeader, ...] = ()
     payload: bytes = b""
     is_junk: bool = False
 
@@ -187,27 +218,29 @@ class LogEntry:
 
         Layout: ``[junk:u16][nheaders:u16][headers...][payload]``.
         """
-        if len(self.headers) > max_streams:
-            raise TooManyStreamsError(len(self.headers), max_streams)
-        buf = bytearray()
-        pack_u16(buf, 1 if self.is_junk else 0)
-        pack_u16(buf, len(self.headers))
-        for header in self.headers:
+        headers = self.headers
+        if len(headers) > max_streams:
+            raise TooManyStreamsError(len(headers), max_streams)
+        buf = bytearray(ENTRY_PREFIX.pack(1 if self.is_junk else 0, len(headers)))
+        for header in headers:
             header.encode(buf, own_offset, k)
         encode_bytes(buf, self.payload)
         return bytes(buf)
 
     @staticmethod
-    def decode(raw: bytes, own_offset: int, k: int = DEFAULT_K) -> "LogEntry":
-        """Deserialize an entry previously produced by :meth:`encode`."""
-        junk_flag, off = unpack_u16(raw, 0)
-        nheaders, off = unpack_u16(raw, off)
-        headers = []
-        for _ in range(nheaders):
-            header, off = StreamHeader.decode(raw, off, own_offset, k)
-            headers.append(header)
-        payload, off = decode_bytes(raw, off)
-        return LogEntry(tuple(headers), payload, is_junk=bool(junk_flag))
+    def decode(raw: Buffer, own_offset: int, k: int = DEFAULT_K) -> "LogEntry":
+        """Deserialize an entry previously produced by :meth:`encode`.
+
+        ``payload`` comes back as ``bytes`` whatever buffer type *raw* is.
+        """
+        junk_flag, nheaders = ENTRY_PREFIX.unpack_from(raw, 0)
+        headers, off = _decode_headers(
+            raw, ENTRY_PREFIX.size, nheaders, own_offset, k
+        )
+        (length,) = U32.unpack_from(raw, off)
+        off += 4
+        payload = bytes(raw[off : off + length])  # decode_bytes, inlined
+        return _new(LogEntry, (headers, payload, junk_flag != 0))
 
 
 # -- vector-grant markers ----------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.corfu.client import _MAX_RETRIES
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.layout import Projection
 from repro.errors import (
@@ -40,7 +41,12 @@ _DEFAULT_SOURCE = "reconfig"
 
 #: Per-node RPC attempts before reconfiguration gives a node up as
 #: unreachable. Sealing must try hard: an unsealed reachable node could
-#: keep serving stale-epoch requests.
+#: keep serving stale-epoch requests. Bootstrapping a replacement
+#: sequencer does not use this budget: the replacement was created a
+#: moment ago, so it is alive, and ``bootstrap`` is idempotent per
+#: epoch — it retries on the client's lossy-network budget
+#: (``_MAX_RETRIES``), since eight timeouts in a row do happen under
+#: the chaos suite's worst fault mix.
 _RPC_ATTEMPTS = 8
 
 
@@ -300,7 +306,7 @@ def replace_sequencer_shard(
         new_name, shard_index=shard_index, num_shards=len(shards)
     )
     replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_RPC_ATTEMPTS):
+    for attempt in range(_MAX_RETRIES):
         try:
             replacement.bootstrap(tail, stream_tails, new.epoch)
             break
@@ -310,7 +316,7 @@ def replace_sequencer_shard(
             return cluster.projection
         except RpcTimeout as exc:
             cluster.transport.backoff(source, attempt)
-            if attempt == _RPC_ATTEMPTS - 1:
+            if attempt == _MAX_RETRIES - 1:
                 raise NodeDownError(exc.node)
     try:
         cluster.install_projection(new)
@@ -437,7 +443,7 @@ def replace_sequencer(
         cluster, new, tail, cluster.k, new.epoch, source=source
     )
     replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_RPC_ATTEMPTS):
+    for attempt in range(_MAX_RETRIES):
         try:
             replacement.bootstrap(tail, stream_tails, new.epoch)
             break
@@ -447,7 +453,7 @@ def replace_sequencer(
             return cluster.projection
         except RpcTimeout as exc:
             cluster.transport.backoff(source, attempt)
-            if attempt == _RPC_ATTEMPTS - 1:
+            if attempt == _MAX_RETRIES - 1:
                 raise NodeDownError(exc.node)
     try:
         cluster.install_projection(new)

@@ -217,14 +217,16 @@ class ChainReplicator:
         rule of the single-address path.
         """
         tail = self._lookup(rset.tail)
-        results = dict(tail.read_many(addresses, epoch))
+        # Every delivery hands back a fresh map: it is ours to amend.
+        results = tail.read_many(addresses, epoch)
         if len(rset) == 1:
             return results
-        pending = sorted(
+        pending = [
             addr for addr, (status, _) in results.items() if status == "unwritten"
-        )
+        ]
         if not pending:
             return results
+        pending.sort()
         head = self._lookup(rset.head)
         head_results = head.read_many(pending, epoch)
         for addr in pending:

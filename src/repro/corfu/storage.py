@@ -170,14 +170,22 @@ class FlashUnit:
             self._check_up()
             self._check_epoch(epoch)
             results: Dict[int, Tuple[str, Optional[bytes]]] = {}
+            # _is_trimmed, inlined: this loop runs once per address.
+            prefix, sparse, pages = (
+                self._trimmed_prefix, self._trimmed_sparse, self._pages,
+            )
+            served = 0
             for address in addresses:
-                if self._is_trimmed(address):
+                if address < prefix or address in sparse:
                     results[address] = ("trimmed", None)
-                elif address not in self._pages:
+                    continue
+                data = pages.get(address)
+                if data is None:
                     results[address] = ("unwritten", None)
                 else:
-                    self.reads += 1
-                    results[address] = ("ok", self._pages[address])
+                    served += 1
+                    results[address] = ("ok", data)
+            self.reads += served
             return results
 
     def is_written(self, address: int, epoch: int) -> bool:

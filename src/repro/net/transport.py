@@ -152,7 +152,8 @@ class RpcProxy:
     a loopback-only shortcut.
     """
 
-    __slots__ = ("_transport", "_source", "_target", "_resolve")
+    # ``__dict__`` caches the per-op stubs built by __getattr__.
+    __slots__ = ("_transport", "_source", "_target", "_resolve", "__dict__")
 
     def __init__(
         self,
@@ -185,9 +186,16 @@ class RpcProxy:
         source, target, resolve = self._source, self._target, self._resolve
 
         def rpc(*args, **kwargs):
+            # ``transport.call`` is looked up per call, not bound here:
+            # an instance-level replacement (a tracer wrapping delivery)
+            # must see calls through stubs built before it.
             return transport.call(source, target, op, resolve, args, kwargs)
 
         rpc.__name__ = op
+        # Built once: later lookups of *op* find it in the instance dict
+        # and never reach __getattr__ again. Two threads racing the
+        # first lookup build equivalent stubs; either one may stay.
+        self.__dict__[op] = rpc
         return rpc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -273,6 +281,14 @@ class Transport:
             }
 
     def stats_for(self, target: str) -> EndpointStats:
+        # Hot path, once per delivery: a known endpoint is returned
+        # without the lock. The map is add-only and a dict lookup is
+        # atomic under the GIL, so the read sees either no entry (and
+        # falls through to the locked create) or the one entry that will
+        # ever exist for *target*.
+        stats = self._stats.get(target)  # tangolint: disable=TL010
+        if stats is not None:
+            return stats
         with self._stats_lock:
             stats = self._stats.get(target)
             if stats is None:

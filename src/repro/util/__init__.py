@@ -1,29 +1,10 @@
-"""Shared utilities: binary encoding helpers and workload distributions."""
+"""Shared utilities: binary log layouts and workload distributions."""
 
-from repro.util.encoding import (
-    pack_u16,
-    pack_u32,
-    pack_u64,
-    unpack_u16,
-    unpack_u32,
-    unpack_u64,
-    encode_bytes,
-    decode_bytes,
-    encode_str,
-    decode_str,
-)
+from repro.util.encoding import decode_bytes, encode_bytes
 from repro.util.zipf import ZipfGenerator
 
 __all__ = [
-    "pack_u16",
-    "pack_u32",
-    "pack_u64",
-    "unpack_u16",
-    "unpack_u32",
-    "unpack_u64",
     "encode_bytes",
     "decode_bytes",
-    "encode_str",
-    "decode_str",
     "ZipfGenerator",
 ]

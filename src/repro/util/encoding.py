@@ -1,70 +1,63 @@
-"""Little-endian binary encoding helpers.
+"""Little-endian binary layouts of the shared log.
 
 CORFU log entries are flat byte strings on the storage units, so every
 record type in the system (stream headers, update records, commit
-records) serializes itself with these helpers. Each ``pack_*`` function
-appends to a ``bytearray``; each ``unpack_*`` function reads from a
-``bytes``/``memoryview`` at an offset and returns ``(value, new_offset)``.
+records) serializes itself through the layouts defined here — and only
+here: :mod:`repro.corfu.entry` and :mod:`repro.tango.records` hold no
+format strings of their own. A fixed run of fields is one precompiled
+``struct.Struct``, packed and unpacked in a single call; variable-length
+byte strings are a ``u32`` length prefix followed by the bytes
+(:func:`encode_bytes` / :func:`decode_bytes`).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Tuple
 
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
+U64 = struct.Struct("<Q")
+
+#: Log entry prefix: junk flag, number of stream headers.
+ENTRY_PREFIX = struct.Struct("<HH")
+
+#: Update record prefix: object id, transaction id, key-present flag.
+UPDATE_PREFIX = struct.Struct("<IQH")
+#: Commit record prefix: transaction id, flags, read-set size.
+COMMIT_PREFIX = struct.Struct("<QHH")
+#: Read-set entry prefix: object id, key-present flag.
+READ_PREFIX = struct.Struct("<IH")
+#: Decision record: transaction id, committed flag.
+DECISION = struct.Struct("<QH")
+#: Checkpoint prefix: object id, covered offset, object version,
+#: unkeyed version, number of key versions.
+CHECKPOINT_PREFIX = struct.Struct("<IQQQI")
+#: Delta checkpoint prefix: object id, base offset, covered offset,
+#: object version, unkeyed version, chain depth, number of key versions.
+DELTA_CHECKPOINT_PREFIX = struct.Struct("<IQQQQHI")
+
+@functools.lru_cache(maxsize=None)
+def relative_header(k: int) -> struct.Struct:
+    """Relative stream header: id/format word, then K ``u16`` deltas."""
+    return struct.Struct("<I" + "H" * k)
 
 
-def pack_u16(buf: bytearray, value: int) -> None:
-    """Append an unsigned 16-bit integer to *buf*."""
-    buf += _U16.pack(value)
-
-
-def pack_u32(buf: bytearray, value: int) -> None:
-    """Append an unsigned 32-bit integer to *buf*."""
-    buf += _U32.pack(value)
-
-
-def pack_u64(buf: bytearray, value: int) -> None:
-    """Append an unsigned 64-bit integer to *buf*."""
-    buf += _U64.pack(value)
-
-
-def unpack_u16(buf: bytes, off: int) -> Tuple[int, int]:
-    """Read an unsigned 16-bit integer from *buf* at *off*."""
-    return _U16.unpack_from(buf, off)[0], off + 2
-
-
-def unpack_u32(buf: bytes, off: int) -> Tuple[int, int]:
-    """Read an unsigned 32-bit integer from *buf* at *off*."""
-    return _U32.unpack_from(buf, off)[0], off + 4
-
-
-def unpack_u64(buf: bytes, off: int) -> Tuple[int, int]:
-    """Read an unsigned 64-bit integer from *buf* at *off*."""
-    return _U64.unpack_from(buf, off)[0], off + 8
+@functools.lru_cache(maxsize=None)
+def absolute_header(k: int) -> struct.Struct:
+    """Absolute stream header: id/format word, then K/4 ``u64`` offsets."""
+    return struct.Struct("<I" + "Q" * max(1, k // 4))
 
 
 def encode_bytes(buf: bytearray, data: bytes) -> None:
     """Append a length-prefixed byte string to *buf*."""
-    pack_u32(buf, len(data))
+    buf += U32.pack(len(data))
     buf += data
 
 
 def decode_bytes(buf: bytes, off: int) -> Tuple[bytes, int]:
     """Read a length-prefixed byte string from *buf* at *off*."""
-    length, off = unpack_u32(buf, off)
+    (length,) = U32.unpack_from(buf, off)
+    off += 4
     return bytes(buf[off : off + length]), off + length
-
-
-def encode_str(buf: bytearray, text: str) -> None:
-    """Append a length-prefixed UTF-8 string to *buf*."""
-    encode_bytes(buf, text.encode("utf-8"))
-
-
-def decode_str(buf: bytes, off: int) -> Tuple[str, int]:
-    """Read a length-prefixed UTF-8 string from *buf* at *off*."""
-    raw, off = decode_bytes(buf, off)
-    return raw.decode("utf-8"), off

@@ -1,72 +1,70 @@
-"""Unit and property tests for the binary encoding helpers."""
+"""Unit and property tests for the binary log layouts."""
+
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.encoding import (
+    U16,
+    U32,
+    U64,
+    UPDATE_PREFIX,
+    absolute_header,
     decode_bytes,
-    decode_str,
     encode_bytes,
-    encode_str,
-    pack_u16,
-    pack_u32,
-    pack_u64,
-    unpack_u16,
-    unpack_u32,
-    unpack_u64,
+    relative_header,
 )
 
 
 class TestFixedWidth:
     def test_u16_round_trip(self):
-        buf = bytearray()
-        pack_u16(buf, 0xBEEF)
-        value, off = unpack_u16(bytes(buf), 0)
-        assert value == 0xBEEF
-        assert off == 2
+        raw = U16.pack(0xBEEF)
+        assert U16.unpack_from(raw, 0) == (0xBEEF,)
+        assert len(raw) == U16.size == 2
 
     def test_u32_round_trip(self):
-        buf = bytearray()
-        pack_u32(buf, 0xDEADBEEF)
-        value, off = unpack_u32(bytes(buf), 0)
-        assert value == 0xDEADBEEF
-        assert off == 4
+        raw = U32.pack(0xDEADBEEF)
+        assert U32.unpack_from(raw, 0) == (0xDEADBEEF,)
+        assert len(raw) == U32.size == 4
 
     def test_u64_round_trip(self):
-        buf = bytearray()
-        pack_u64(buf, 2**63 + 17)
-        value, off = unpack_u64(bytes(buf), 0)
-        assert value == 2**63 + 17
-        assert off == 8
+        raw = U64.pack(2**63 + 17)
+        assert U64.unpack_from(raw, 0) == (2**63 + 17,)
+        assert len(raw) == U64.size == 8
 
     def test_sequential_fields_advance_offset(self):
-        buf = bytearray()
-        pack_u16(buf, 1)
-        pack_u32(buf, 2)
-        pack_u64(buf, 3)
-        a, off = unpack_u16(bytes(buf), 0)
-        b, off = unpack_u32(bytes(buf), off)
-        c, off = unpack_u64(bytes(buf), off)
-        assert (a, b, c) == (1, 2, 3)
-        assert off == len(buf)
+        # A record prefix is its fields back to back, little-endian, with
+        # no padding: one unpack reads what three per-field reads would.
+        raw = UPDATE_PREFIX.pack(1, 2, 3)
+        assert raw == U32.pack(1) + U64.pack(2) + U16.pack(3)
+        assert UPDATE_PREFIX.unpack_from(raw, 0) == (1, 2, 3)
+        assert UPDATE_PREFIX.size == len(raw) == 14
 
     def test_u16_overflow_rejected(self):
-        buf = bytearray()
-        with pytest.raises(Exception):
-            pack_u16(buf, 0x10000)
+        with pytest.raises(struct.error):
+            U16.pack(0x10000)
 
     @given(st.integers(min_value=0, max_value=0xFFFF))
     def test_u16_property(self, value):
-        buf = bytearray()
-        pack_u16(buf, value)
-        assert unpack_u16(bytes(buf), 0)[0] == value
+        assert U16.unpack_from(U16.pack(value), 0) == (value,)
 
     @given(st.integers(min_value=0, max_value=0xFFFFFFFFFFFFFFFF))
     def test_u64_property(self, value):
-        buf = bytearray()
-        pack_u64(buf, value)
-        assert unpack_u64(bytes(buf), 0)[0] == value
+        assert U64.unpack_from(U64.pack(value), 0) == (value,)
+
+
+class TestHeaderLayouts:
+    @pytest.mark.parametrize("k", [1, 4, 8, 16])
+    def test_sizes(self, k):
+        assert relative_header(k).size == 4 + 2 * k
+        assert absolute_header(k).size == 4 + 8 * max(1, k // 4)
+
+    def test_one_layout_per_k(self):
+        assert relative_header(8) is relative_header(8)
+        assert absolute_header(8) is absolute_header(8)
+        assert relative_header(4) is not relative_header(8)
 
 
 class TestVariableLength:
@@ -84,11 +82,12 @@ class TestVariableLength:
         assert data == b""
         assert off == 4
 
-    def test_str_round_trip_unicode(self):
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_decode_returns_bytes_for_any_buffer(self, kind):
         buf = bytearray()
-        encode_str(buf, "héllo wörld — ←")
-        text, _ = decode_str(bytes(buf), 0)
-        assert text == "héllo wörld — ←"
+        encode_bytes(buf, b"abc")
+        data, _ = decode_bytes(kind(bytes(buf)), 0)
+        assert type(data) is bytes and data == b"abc"
 
     @given(st.binary(max_size=4096))
     def test_bytes_property(self, data):

@@ -1,5 +1,8 @@
 """Tests for log entries and stream headers (paper section 5 formats)."""
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from repro.corfu.entry import (
     max_payload_bytes,
 )
 from repro.errors import TooManyStreamsError
+from tests import frozen_codec as frozen
 
 
 class TestStreamHeader:
@@ -193,3 +197,152 @@ class TestLogEntry:
         raw = entry.encode(own, k, max_streams)
         assert LogEntry.decode(raw, own, k) == entry
         assert len(raw) == 8 + len(headers) * header_bytes(k) + len(payload)
+
+
+# -- equivalence with the frozen codec -----------------------------------------
+
+#: Every buffer type a storage unit may hand the decoder.
+_BUFFERS = st.sampled_from((bytes, bytearray, memoryview))
+
+
+def _fill(n):
+    return bytes(range(256)) * (n // 256) + bytes(range(n % 256))
+
+
+@st.composite
+def _entries(draw):
+    """(k, max_streams, own offset, entry) over every header shape
+    ``make_header`` produces, junk entries, and payloads from empty to
+    the entry's capacity."""
+    k = draw(st.sampled_from((4, 8, 16)))
+    max_streams = draw(st.integers(min_value=1, max_value=16))
+    own = draw(st.integers(min_value=0, max_value=1 << 34))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        return k, max_streams, own, LogEntry.junk()
+    sids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=MAX_STREAM_ID),
+            max_size=max_streams,
+            unique=True,
+        )
+    )
+    headers = []
+    for sid in sids:
+        last, cursor = [], own
+        for gap in draw(st.lists(TestLogEntry._GAPS, max_size=k + 2)):
+            cursor -= gap
+            if cursor < 0:
+                break
+            last.append(cursor)
+        if draw(st.booleans()):
+            last += [NO_BACKPOINTER] * max(0, k - len(last))
+        header = make_header(sid, tuple(last), own, k)
+        assert header == dataclasses.astuple(
+            frozen.make_header(sid, tuple(last), own, k)
+        )
+        headers.append(header)
+    cap = max_payload_bytes(4096, max_streams, k)
+    payload = draw(
+        st.one_of(
+            st.binary(max_size=64),
+            st.integers(min_value=0, max_value=cap).map(_fill),
+        )
+    )
+    return k, max_streams, own, LogEntry(headers=tuple(headers), payload=payload)
+
+
+def _frozen_entry(entry):
+    return frozen.LogEntry(
+        tuple(frozen.StreamHeader(*h) for h in entry.headers),
+        entry.payload,
+        entry.is_junk,
+    )
+
+
+class TestFrozenCodecEquivalence:
+    """The tuple value types against a verbatim copy of the
+    frozen-dataclass codec they replaced (``tests/frozen_codec.py``)."""
+
+    @given(case=_entries(), buffer=_BUFFERS, bad_sid=st.integers(min_value=1))
+    def test_same_bytes_same_values(self, case, buffer, bad_sid):
+        k, max_streams, own, entry = case
+        raw = entry.encode(own, k, max_streams)
+        assert raw == _frozen_entry(entry).encode(own, k, max_streams)
+
+        decoded = LogEntry.decode(buffer(raw), own, k)
+        reference = frozen.LogEntry.decode(raw, own, k)
+        assert decoded == entry
+        assert decoded._fields == tuple(
+            f.name for f in dataclasses.fields(reference)
+        )
+        assert decoded == dataclasses.astuple(reference)
+        for header, ref in zip(decoded.headers, reference.headers):
+            assert type(header) is StreamHeader
+            assert header == dataclasses.astuple(ref)
+        assert hash(decoded) == hash(entry)
+        assert type(decoded.payload) is bytes
+
+        with pytest.raises(AttributeError):
+            decoded.payload = b""
+        for header in decoded.headers:
+            with pytest.raises(AttributeError):
+                header.stream_id = 0
+        with pytest.raises(ValueError):
+            StreamHeader(MAX_STREAM_ID + bad_sid, ())
+        with pytest.raises(ValueError):
+            StreamHeader(-bad_sid, ())
+
+    @given(
+        k=st.sampled_from((4, 8, 16)),
+        own=st.integers(min_value=0xFFFF, max_value=1 << 34),
+        is_absolute=st.booleans(),
+        data=st.data(),
+    )
+    def test_short_pointer_lists_pad_identically(self, k, own, is_absolute, data):
+        """Hand-built headers may carry fewer pointers than the format
+        holds; both codecs pad them with the "none" sentinel."""
+        if is_absolute:
+            pointer = st.integers(min_value=0, max_value=own)
+            size = max(1, k // 4)
+        else:
+            pointer = st.integers(min_value=own - 0xFFFF, max_value=own - 1)
+            size = k
+        ptrs = data.draw(
+            st.lists(pointer | st.just(NO_BACKPOINTER), max_size=size)
+        )
+        header = StreamHeader(1, tuple(ptrs), is_absolute)
+        buf, ref = bytearray(), bytearray()
+        header.encode(buf, own, k)
+        frozen.StreamHeader(1, tuple(ptrs), is_absolute).encode(ref, own, k)
+        assert buf == ref
+        decoded, off = StreamHeader.decode(bytes(buf), 0, own, k)
+        expected, ref_off = frozen.StreamHeader.decode(bytes(ref), 0, own, k)
+        assert decoded == dataclasses.astuple(expected)
+        assert off == ref_off == len(buf)
+
+    @given(case=_entries(), data=st.data())
+    def test_truncated_prefix_or_headers_still_raise(self, case, data):
+        k, max_streams, own, entry = case
+        raw = entry.encode(own, k, max_streams)
+        fixed = len(raw) - len(entry.payload)  # prefix, headers, length
+        cut = data.draw(st.integers(min_value=0, max_value=fixed - 1))
+        with pytest.raises(struct.error):
+            frozen.LogEntry.decode(raw[:cut], own, k)
+        with pytest.raises((struct.error, IndexError)):
+            LogEntry.decode(raw[:cut], own, k)
+
+
+class TestValueSemantics:
+    def test_equal_to_a_plain_tuple_of_its_fields(self):
+        header = StreamHeader(3, (9, NO_BACKPOINTER))
+        entry = LogEntry(headers=(header,), payload=b"p")
+        assert header == (3, (9, NO_BACKPOINTER), False)
+        assert entry == (((3, (9, NO_BACKPOINTER), False),), b"p", False)
+        assert hash(entry) == hash((((3, (9, NO_BACKPOINTER), False),), b"p", False))
+
+    def test_no_new_attributes(self):
+        entry = LogEntry.junk()
+        with pytest.raises(AttributeError):
+            entry.extra = 1
+        with pytest.raises(AttributeError):
+            StreamHeader(1, ()).extra = 1

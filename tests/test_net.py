@@ -9,10 +9,14 @@ chain writes bounce off the write-once check, lost responses are
 retried against the same offset).
 """
 
+import sys
+import threading
+
 import pytest
 
 import repro.corfu.client as client_mod
 from repro.corfu import CorfuCluster
+from repro.corfu.storage import FlashUnit
 from repro.errors import (
     CorfuError,
     RetriesExhaustedError,
@@ -94,6 +98,106 @@ class TestLoopbackTransport:
 
     def test_backoff_is_a_no_op(self):
         LoopbackTransport().backoff("client-1", attempt=3)
+
+
+class TestRpcStubs:
+    def test_a_stub_is_built_once_per_op(self):
+        net = LoopbackTransport()
+        unit = FlashUnit("flash-0")
+        proxy = net.proxy("client-1", "flash-0", lambda: unit)
+        assert proxy.read is proxy.read
+        assert proxy.read is not proxy.write
+        proxy.write(0, b"x", 0)
+        assert proxy.read(0, 0) == b"x"
+        assert net.endpoint_stats()["flash-0"]["rpcs"] == 2
+
+    def test_replacing_call_after_a_stub_is_cached_sees_every_call(self):
+        # A tracer swaps ``call`` on the transport instance, possibly
+        # after clients have already used (and cached) their stubs.
+        net = LoopbackTransport()
+        server = _Echo()
+        proxy = net.proxy("client-1", "node-a", lambda: server)
+        stub = proxy.ping
+        assert stub(1) == 1
+        seen = []
+        call = net.call
+
+        def traced(source, target, op, resolve, args, kwargs):
+            seen.append((source, target, op, args))
+            return call(source, target, op, resolve, args, kwargs)
+
+        net.call = traced
+        try:
+            assert stub(2) == 2
+            assert proxy.ping(3) == 3
+        finally:
+            del net.call
+        proxy.ping(4)
+        assert seen == [
+            ("client-1", "node-a", "ping", (2,)),
+            ("client-1", "node-a", "ping", (3,)),
+        ]
+        assert server.calls == [1, 2, 3, 4]
+        assert net.endpoint_stats()["node-a"]["rpcs"] == 4
+
+
+class TestCountersUnderThreads:
+    _THREADS = 8
+    _CALLS = 300
+
+    def _race(self, work):
+        """Run *work(i)* on 8 threads released together, with the
+        interpreter switching threads every 10 microseconds."""
+        barrier = threading.Barrier(self._THREADS)
+        results = [None] * self._THREADS
+
+        def run(i):
+            barrier.wait()
+            results[i] = work(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i,))
+                for i in range(self._THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    def test_no_lost_delivery_counts(self):
+        net = LoopbackTransport()
+        servers = {name: _Echo() for name in ("node-a", "node-b")}
+
+        def work(i):
+            name = "node-a" if i % 2 else "node-b"
+            proxy = net.proxy(f"client-{i}", name, lambda: servers[name])
+            for j in range(self._CALLS):
+                proxy.ping(j)
+
+        self._race(work)
+        per_node = self._CALLS * self._THREADS // 2
+        stats = net.endpoint_stats()
+        assert stats["node-a"]["rpcs"] == per_node
+        assert stats["node-b"]["rpcs"] == per_node
+        assert net.inflight_stats()["inflight"] == 0
+        assert 1 <= net.inflight_stats()["max_inflight"] <= self._THREADS
+
+    def test_first_contact_creates_one_endpoint(self):
+        # Enough endpoints that a thread switch inside the
+        # check-and-create window is all but certain to happen.
+        net = LoopbackTransport()
+        targets = [f"node-{t}" for t in range(2000)]
+        seen = self._race(lambda i: [net.stats_for(t) for t in targets])
+        for column in zip(*seen):
+            assert len({id(stats) for stats in column}) == 1
+        assert sorted(net.endpoint_stats()) == sorted(targets)
 
 
 # ---------------------------------------------------------------------------

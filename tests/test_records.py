@@ -1,5 +1,7 @@
 """Tests for Tango record serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,11 +12,13 @@ from repro.tango.records import (
     CheckpointRecord,
     CommitRecord,
     DecisionRecord,
+    DeltaCheckpointRecord,
     ReadSetEntry,
     UpdateRecord,
     decode_records,
     encode_records,
 )
+from tests import frozen_codec as frozen
 
 
 class TestUpdateRecord:
@@ -165,3 +169,113 @@ class TestProperties:
     @given(st.lists(_commits, max_size=4))
     def test_commit_batches_round_trip(self, batch):
         assert decode_records(encode_records(batch)) == batch
+
+
+# -- equivalence with the frozen codec -----------------------------------------
+
+_u32 = st.integers(min_value=0, max_value=2**32 - 1)
+_versions = st.one_of(st.just(NO_VERSION), st.integers(min_value=0, max_value=2**62))
+_key_versions = st.lists(
+    st.tuples(st.binary(max_size=8), _versions), max_size=4
+).map(tuple)
+
+_decisions = st.builds(
+    DecisionRecord,
+    tx_id=st.integers(min_value=0, max_value=2**64 - 1),
+    committed=st.booleans(),
+)
+
+_checkpoints = st.builds(
+    CheckpointRecord,
+    oid=_u32,
+    covers_offset=_versions,
+    object_version=_versions,
+    key_versions=_key_versions,
+    state=st.binary(max_size=64),
+    unkeyed_version=_versions,
+    version_floor=_versions,
+    evicted_filter=st.binary(max_size=32),
+)
+
+_deltas = st.builds(
+    DeltaCheckpointRecord,
+    oid=_u32,
+    base_offset=st.integers(min_value=0, max_value=2**62),
+    covers_offset=_versions,
+    object_version=_versions,
+    key_versions=_key_versions,
+    state=st.binary(max_size=64),
+    unkeyed_version=_versions,
+    version_floor=_versions,
+    evicted_filter=st.binary(min_size=1, max_size=32) | st.just(b""),
+    depth=st.integers(min_value=1, max_value=0xFFFF),
+)
+
+_records = st.one_of(_updates, _commits, _decisions, _checkpoints, _deltas)
+
+
+def _to_frozen(record):
+    """The same record as the frozen codec's dataclass."""
+    cls = getattr(frozen, type(record).__name__)
+    if isinstance(record, CommitRecord):
+        return cls(
+            record.tx_id,
+            tuple(_to_frozen(r) for r in record.read_set),
+            record.write_oids,
+            tuple(_to_frozen(u) for u in record.inline_updates),
+            record.decision_expected,
+            record.forced_abort,
+        )
+    return cls(*record)
+
+
+def _byte_fields(value):
+    """Every bytes-like leaf of a (nested) record value."""
+    for item in value:
+        if isinstance(item, tuple):
+            yield from _byte_fields(item)
+        elif isinstance(item, (bytes, bytearray, memoryview)):
+            yield item
+
+
+class TestFrozenCodecEquivalence:
+    """Records against a verbatim copy of the frozen-dataclass codec
+    they replaced (``tests/frozen_codec.py``)."""
+
+    @given(
+        batch=st.lists(_records, max_size=6),
+        buffer=st.sampled_from((bytes, bytearray, memoryview)),
+    )
+    def test_same_bytes_same_values(self, batch, buffer):
+        raw = encode_records(batch)
+        assert raw == frozen.encode_records([_to_frozen(r) for r in batch])
+
+        decoded = decode_records(buffer(raw))
+        reference = frozen.decode_records(raw)
+        assert decoded == batch
+        assert len(decoded) == len(reference)
+        for record, ref, built in zip(decoded, reference, batch):
+            assert type(record) is type(built)
+            assert record._fields == tuple(f.name for f in dataclasses.fields(ref))
+            assert record == dataclasses.astuple(ref)
+            assert hash(record) == hash(built)
+            assert all(type(b) is bytes for b in _byte_fields(record))
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], 0)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    def test_a_record_equals_a_plain_tuple_of_its_fields(self):
+        record = UpdateRecord(7, b"p", key=b"k", tx_id=3)
+        assert record == (7, b"p", b"k", 3)
+        assert hash(record) == hash((7, b"p", b"k", 3))
+        assert DecisionRecord(9, True) == (9, True)
+
+    def test_inline_updates_and_read_sets_keep_their_types(self):
+        record = CommitRecord(
+            1, (ReadSetEntry(2, None, 5),), (2,), (UpdateRecord(2, b"u", tx_id=1),)
+        )
+        (decoded,) = decode_records(encode_records([record]))
+        assert type(decoded.read_set[0]) is ReadSetEntry
+        assert type(decoded.inline_updates[0]) is UpdateRecord
+        assert decoded.inline_updates[0].is_speculative
