@@ -34,6 +34,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -77,15 +78,16 @@ class _Cached:
     """One cache slot: the raw entry and, once asked for, its decoded form.
 
     The decoded form is whatever a caller's ``parse`` made of the entry
-    (opaque here). Sharing the slot is what ties its lifetime to the raw
+    (opaque here), or what the appender handed over with the payload it
+    encoded. Sharing the slot is what ties its lifetime to the raw
     entry's: one LRU position, one byte charge, one trim eviction.
     """
 
     __slots__ = ("entry", "decoded")
 
-    def __init__(self, entry: LogEntry) -> None:
+    def __init__(self, entry: LogEntry, decoded: object = None) -> None:
         self.entry = entry
-        self.decoded: object = None
+        self.decoded = decoded
 
 
 class _InflightFetch:
@@ -93,18 +95,22 @@ class _InflightFetch:
 
     Exactly one thread (the owner) issues the read RPC and, for a lone
     fetch, runs the hole handler; every concurrent fetch of an offset
-    the flight covers waits on the event and shares the owner's entry
-    or exception. A batched round claims all its offsets with one
-    flight. An offset the flight resolved with neither (the owner
-    obtained nothing it could share, e.g. a best-effort batch skipping
-    a hole) tells its waiters to retry — the next one through becomes
-    the new owner.
+    the flight covers waits and shares the owner's entry or exception.
+    A batched round claims all its offsets with one flight. An offset
+    the flight resolved with neither (the owner obtained nothing it
+    could share, e.g. a best-effort batch skipping a hole) tells its
+    waiters to retry — the next one through becomes the new owner.
+
+    Almost every flight has no waiter, so the event is made on demand:
+    the first waiter creates it under ``_cache_lock``, and the owner
+    reads it in the same ``_cache_lock`` hold that resolves the flight
+    and sets it, if there is one, once the lock is released.
     """
 
     __slots__ = ("event", "entries", "exc")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.event: Optional[threading.Event] = None
         self.entries: Dict[int, LogEntry] = {}
         self.exc: Optional[BaseException] = None
 
@@ -202,6 +208,10 @@ class StreamClient:
         # covers direct uses like indexed-map reads. Reentrant because
         # readnext fetches (and caches) entries while holding it.
         self._lock = threading.RLock()
+        # Per appending thread: (payload, its decoded form) for the
+        # append in progress, which the append observer (running on
+        # the same thread) stores beside the entry.
+        self._appending = threading.local()
         # GC must actually free client memory: evict cached entries for
         # offsets the log reclaims, whoever drives the trim. Registered
         # last — the callbacks use both locks.
@@ -237,14 +247,30 @@ class StreamClient:
 
     # -- append path ------------------------------------------------------------
 
-    def append(self, payload: bytes, stream_ids: Sequence[int]) -> int:
+    def append(
+        self, payload: bytes, stream_ids: Sequence[int], decoded: object = None
+    ) -> int:
         """Multiappend *payload* to every stream in *stream_ids*.
 
         A client does not need to play (or even have opened) a stream to
         append to it — this is what makes remote-write transactions work
         (section 4.1, case A).
+
+        *decoded*, when given, is what :meth:`decoded`'s ``parse`` would
+        make of the written entry — typically the value *payload* was
+        encoded from. It is stored in the written-through cache slot
+        (charged like any decoded form), so the appender's own playback
+        takes it instead of decoding what it just encoded. An entry
+        none of whose streams is open here is not cached, form or not.
         """
-        return self._corfu.append(payload, stream_ids)
+        if decoded is None:
+            return self._corfu.append(payload, stream_ids)
+        appending = self._appending
+        appending.seed = (payload, decoded)
+        try:
+            return self._corfu.append(payload, stream_ids)
+        finally:
+            appending.seed = None
 
     def append_async(self, payload: bytes, stream_ids: Sequence[int]):
         """Queue a multiappend; return its completion handle.
@@ -298,13 +324,14 @@ class StreamClient:
                     return cached.entry
                 flight = self._inflight.get(offset)
                 if flight is None:
-                    flight = _InflightFetch()
-                    self._inflight[offset] = flight
-                    owner = True
+                    flight = self._inflight[offset] = _InflightFetch()
+                    event = None  # we own it
                 else:
-                    owner = False
-            if not owner:
-                flight.event.wait()
+                    event = flight.event
+                    if event is None:
+                        event = flight.event = threading.Event()
+            if event is not None:
+                event.wait()
                 if flight.exc is not None:
                     raise flight.exc
                 shared = flight.entries.get(offset)
@@ -319,13 +346,17 @@ class StreamClient:
                 with self._cache_lock:
                     self._inflight.pop(offset, None)
                     flight.exc = exc
-                flight.event.set()
+                    event = flight.event
+                if event is not None:
+                    event.set()
                 raise
             with self._cache_lock:
                 self._cache_insert_locked(offset, entry)
                 self._inflight.pop(offset, None)
                 flight.entries[offset] = entry
-            flight.event.set()
+                event = flight.event
+            if event is not None:
+                event.set()
             return entry
 
     def _fetch_uncached(self, offset: int) -> LogEntry:
@@ -348,15 +379,19 @@ class StreamClient:
         cost = len(slot.entry.payload) + CACHE_ENTRY_OVERHEAD
         return cost if slot.decoded is None else 2 * cost
 
-    def _cache_insert_locked(self, offset: int, entry: LogEntry) -> None:
+    def _cache_insert_locked(
+        self, offset: int, entry: LogEntry, decoded: object = None
+    ) -> None:
         """Insert into the LRU cache; caller holds ``_cache_lock``."""
         cache = self._cache
         old = cache.get(offset)
-        cache[offset] = _Cached(entry)  # a new key lands at the LRU's young end
+        # A new key lands at the LRU's young end.
+        cache[offset] = _Cached(entry, decoded)
         if old is not None:
             self._cache_bytes -= self._slot_bytes(old)
             cache.move_to_end(offset)
-        self._cache_bytes += len(entry.payload) + CACHE_ENTRY_OVERHEAD
+        cost = len(entry.payload) + CACHE_ENTRY_OVERHEAD
+        self._cache_bytes += cost if decoded is None else 2 * cost
         if len(cache) > self._cache_entries or self._cache_budget is not None:
             self._cache_shrink_locked()
 
@@ -371,72 +406,75 @@ class StreamClient:
             _off, victim = self._cache.popitem(last=False)
             self._cache_bytes -= self._slot_bytes(victim)
 
-    def _fetch_many_best_effort(self, offsets: Sequence[int]) -> int:
-        """Warm the cache for *offsets* in one batched read per chain.
+    def _claim_locked(
+        self, offsets: Iterable[int]
+    ) -> Optional[Tuple[_InflightFetch, List[int]]]:
+        """Claim the *offsets* neither cached nor in flight, if two or more.
 
-        Claims the offsets that are neither cached nor already in
-        flight under one shared single-flight slot, reads them all with
-        a single :meth:`CorfuClient.read_many` round, and caches the
-        written ones (trimmed offsets cache as junk, matching
-        ``fetch``). Unwritten offsets are *skipped* — no hole handling
-        here — and resolve empty, which sends any waiter (including our
-        caller's per-offset fallback) through ``fetch`` to own the hole.
-        Returns the number of offsets newly cached.
+        The claimed offsets share one new single-flight slot; the caller
+        holds ``_cache_lock`` and then reads the claim, outside it, with
+        :meth:`_fetch_many_best_effort`. A lone miss is left alone: it
+        costs the same round trip either way, and the ``fetch`` that
+        follows handles it with full hole semantics.
         """
-        claimed: List[int] = []
+        cache, inflight = self._cache, self._inflight
+        misses = [off for off in offsets if off not in cache and off not in inflight]
+        if len(misses) < 2:
+            return None
         flight = _InflightFetch()
-        with self._cache_lock:
-            for off in offsets:
-                if off in self._cache or off in self._inflight:
-                    continue
-                self._inflight[off] = flight
-                claimed.append(off)
-        if not claimed:
-            return 0
+        for off in misses:
+            inflight[off] = flight
+        return flight, misses
+
+    def _fetch_many_best_effort(
+        self, claim: Optional[Tuple[_InflightFetch, List[int]]]
+    ) -> None:
+        """Warm the cache for a claim in one batched read per chain.
+
+        Reads the claimed offsets with a single
+        :meth:`CorfuClient.read_many` round and caches the written ones
+        (trimmed offsets cache as junk, matching ``fetch``). Unwritten
+        offsets are *skipped* — no hole handling here — and resolve
+        empty, which sends any waiter (including our caller's own
+        ``fetch``) through ``fetch`` to own the hole; a round that fails
+        with a :class:`ReproError` resolves every offset that way and
+        does not raise.
+        """
+        if claim is None:
+            return
+        flight, claimed = claim
+        outcomes: Mapping[int, object] = {}
         try:
             outcomes = self._corfu.read_many(claimed)
-        except BaseException:
+        except ReproError:
+            pass  # the per-offset path retries with full discipline
+        finally:
             with self._cache_lock:
                 for off in claimed:
+                    outcome = outcomes.get(off)
+                    if isinstance(outcome, LogEntry):
+                        entry: Optional[LogEntry] = outcome
+                    elif isinstance(outcome, TrimmedError):
+                        entry = LogEntry.junk()
+                    else:
+                        entry = None  # hole: leave to per-offset fetch
+                    if entry is not None:
+                        self._cache_insert_locked(off, entry)
+                        flight.entries[off] = entry
                     self._inflight.pop(off, None)
-            flight.event.set()  # unresolved: waiters retry solo
-            raise
-        with self._cache_lock:
-            for off in claimed:
-                outcome = outcomes.get(off)
-                if isinstance(outcome, LogEntry):
-                    entry: Optional[LogEntry] = outcome
-                elif isinstance(outcome, TrimmedError):
-                    entry = LogEntry.junk()
-                else:
-                    entry = None  # hole: leave to per-offset fetch
-                if entry is not None:
-                    self._cache_insert_locked(off, entry)
-                    flight.entries[off] = entry
-                self._inflight.pop(off, None)
-        flight.event.set()
-        return len(flight.entries)
+                event = flight.event
+            if event is not None:
+                event.set()
 
-    def _prefetch(self, offsets: Sequence[int]) -> None:
+    def _prefetch(self, offsets: Iterable[int]) -> None:
         """Best-effort batched cache warm: never raises, never fills holes.
 
         Only spends an RPC when at least two of the offsets are actual
-        cache misses — a single miss costs the same round trip either
-        way, and the subsequent ``fetch`` handles it with full hole
-        semantics.
+        cache misses (see :meth:`_claim_locked`).
         """
         with self._cache_lock:
-            misses = [
-                off
-                for off in offsets
-                if off not in self._cache and off not in self._inflight
-            ]
-        if len(misses) < 2:
-            return
-        try:
-            self._fetch_many_best_effort(misses)
-        except ReproError:
-            pass  # the per-offset path retries with full discipline
+            claim = self._claim_locked(offsets)
+        self._fetch_many_best_effort(claim)
 
     def fetch_many(self, offsets: Sequence[int]) -> Dict[int, LogEntry]:
         """Fetch several offsets, batching the storage round trips.
@@ -448,11 +486,7 @@ class StreamClient:
         hole handler runs exactly once per hole.
         """
         wanted = sorted(set(offsets))
-        if len(wanted) > 1:
-            try:
-                self._fetch_many_best_effort(wanted)
-            except ReproError:
-                pass  # fall through to the per-offset retry discipline
+        self._prefetch(wanted)
         return {off: self.fetch(off) for off in wanted}
 
     def scan(self, offsets: Iterable[int]) -> Iterator[Tuple[int, LogEntry]]:
@@ -470,8 +504,10 @@ class StreamClient:
         offsets = list(offsets)
         done = 0
         while done < len(offsets):
-            chunk = offsets[done : done + self._warm_limit()]
-            self._prefetch(chunk)
+            with self._cache_lock:
+                chunk = offsets[done : done + self._warm_limit_locked()]
+                claim = self._claim_locked(chunk)
+            self._fetch_many_best_effort(claim)
             for offset in chunk:
                 yield offset, self.fetch(offset)
             done += len(chunk)
@@ -491,9 +527,10 @@ class StreamClient:
         later caller (a checkpoint hunt followed by playback, another
         stream visiting the same multiappended entry, a search ahead
         for a decision record) gets the remembered object back. What
-        *parse* returns is opaque here, must not be ``None``, and is
-        shared — treat it as immutable. An entry that is no longer
-        cached is parsed without being remembered.
+        *parse* returns is opaque here and shared — treat it as
+        immutable. It must not be ``None`` (a slot's "not decoded
+        yet"): that raises :class:`TypeError`. An entry that is no
+        longer cached is parsed without being remembered.
 
         ``keep=False`` is for the entry's last reader (playback, once
         every iterator is past it): a remembered form is handed over
@@ -511,6 +548,8 @@ class StreamClient:
                     self._cache_bytes -= self._slot_bytes(slot)
                 return form
         form = parse(entry)
+        if form is None:
+            raise TypeError(f"parse returned None for the entry at {offset}")
         if slot is None or not keep:
             return form
         with self._cache_lock:
@@ -523,24 +562,23 @@ class StreamClient:
                 return slot.decoded
         return form
 
-    def _warm_limit(self) -> int:
+    def _warm_limit_locked(self) -> int:
         """How many known offsets one batched round may warm.
 
         :data:`PLAYBACK_PREFETCH`, or fewer under a byte budget: a
         round must still be resident when its last entry is played
         (decoded, so charged twice), or the LRU evicts what was just
         warmed and every entry is read twice. Sized from the mean cost
-        of what the cache holds now.
+        of what the cache holds now. The caller holds ``_cache_lock``.
         """
-        with self._cache_lock:
-            budget = self._cache_budget
-            if budget is None:
-                return PLAYBACK_PREFETCH
-            if self._cache:
-                per_entry = self._cache_bytes // len(self._cache)
-            else:
-                per_entry = self._corfu.max_payload + CACHE_ENTRY_OVERHEAD
-            return max(1, min(PLAYBACK_PREFETCH, budget // (2 * per_entry)))
+        budget = self._cache_budget
+        if budget is None:
+            return PLAYBACK_PREFETCH
+        if self._cache:
+            per_entry = self._cache_bytes // len(self._cache)
+        else:
+            per_entry = self._corfu.max_payload + CACHE_ENTRY_OVERHEAD
+        return max(1, min(PLAYBACK_PREFETCH, budget // (2 * per_entry)))
 
     # -- cache maintenance -------------------------------------------------------
 
@@ -583,7 +621,9 @@ class StreamClient:
         entry cap, byte budget and trim eviction — and playing it costs
         no storage read and no decode. An entry none of whose streams
         is open here is not kept: a client that only writes to streams
-        it never plays (remote writes) caches nothing.
+        it never plays (remote writes) caches nothing. When this thread
+        is inside :meth:`append` with a decoded form for *entry*'s
+        payload, the form goes into the slot with it.
         """
         with self._lock:
             for header in entry.headers:
@@ -591,8 +631,10 @@ class StreamClient:
                     break
             else:
                 return
+        seed = getattr(self._appending, "seed", None)
+        decoded = seed[1] if seed is not None and seed[0] is entry.payload else None
         with self._cache_lock:
-            self._cache_insert_locked(offset, entry)
+            self._cache_insert_locked(offset, entry, decoded)
 
     def _on_trim(self, offset: int, is_prefix: bool) -> None:
         """Release client memory the log just reclaimed.
@@ -641,13 +683,19 @@ class StreamClient:
         Returns each stream's last known offset after the sync. The
         Tango runtime uses this before a merged playback pass so that
         multi-stream commit records find every involved hosted stream
-        up to date.
+        up to date. One hold of the iterator lock covers every stream,
+        and only a stream the sequencer says has moved is walked.
         """
         _tail, last_offsets = self._corfu.query_streams(tuple(stream_ids))
-        return {
-            sid: self._sync_from(sid, last_offsets.get(sid, ()))
-            for sid in stream_ids
-        }
+        markers: Dict[int, int] = {}
+        with self._lock:
+            for sid in stream_ids:
+                floor = self._state(sid).highest_known()
+                recent = last_offsets.get(sid)
+                if recent and max(recent) > floor:
+                    floor = self._sync_from_locked(sid, recent)
+                markers[sid] = floor
+        return markers
 
     def sync_after_append(
         self, offset: int, stream_ids: Sequence[int]
@@ -821,46 +869,64 @@ class StreamClient:
         whose iterator it advanced, in *stream_ids* order. With *upto*,
         offsets above it are held back (and never read early).
 
-        Works a window at a time: under one hold of the iterator lock
-        it merges each stream's next known offsets, warms the window's
-        cache misses with one batched read per replica chain, then
-        hands the entries out through :meth:`fetch` (so a hole
-        surfaces, and runs the hole handler, exactly as there). Each
-        iterator moves just before its entry is yielded: a consumer
-        that stops early, or a hole that raises, leaves everything not
-        yet yielded undelivered. *stream_ids* is read again for every
-        window, so a live collection picks up streams opened meanwhile.
+        Works a window of at most :meth:`_warm_limit_locked` offsets at
+        a time. Under one hold of the iterator lock it finds the
+        streams with something to play (none: it returns), merges only
+        their offsets that can fall in the window and, in one hold of
+        the cache lock, claims the window's cache misses; it warms
+        them with one batched read per replica chain, then hands the
+        entries out through :meth:`fetch` (so a hole surfaces, and runs
+        the hole handler, exactly as there). Each iterator moves just
+        before its entry is yielded: a consumer that stops early, or a
+        hole that raises, leaves everything not yet yielded
+        undelivered. *stream_ids* is read again for every window, so a
+        live collection picks up streams opened meanwhile.
         """
         while True:
-            holders: Dict[int, List[_StreamState]] = {}
             with self._lock:
+                # (state, lo, hi): offsets[lo:hi] are what is left to play.
+                heads: List[Tuple[_StreamState, int, int]] = []
                 for sid in stream_ids:
                     state = self._state(sid)
-                    offsets = state.offsets
-                    lo = state.read_ptr
-                    hi = min(lo + PLAYBACK_PREFETCH, len(offsets))
-                    if upto is not None:
-                        hi = bisect_right(offsets, upto, lo, hi)
-                    for offset in offsets[lo:hi]:
-                        holders.setdefault(offset, []).append(state)
-            if not holders:
-                return
-            window = sorted(holders)
-            if len(window) > 1:
-                window = window[: self._warm_limit()]
-                self._prefetch(window)
+                    offsets, lo = state.offsets, state.read_ptr
+                    if lo < len(offsets) and (upto is None or offsets[lo] <= upto):
+                        hi = len(offsets) if upto is None else bisect_right(offsets, upto, lo)
+                        heads.append((state, lo, hi))
+                if not heads:
+                    return
+                state, lo, hi = heads[0]
+                if len(heads) == 1 and hi - lo == 1:
+                    # One entry (a read that finds one new one): nothing
+                    # to merge or warm.
+                    window = [state.offsets[lo]]
+                    slices = [window]
+                    claim = None
+                else:
+                    with self._cache_lock:
+                        limit = self._warm_limit_locked()
+                        slices = [
+                            s.offsets[lo : min(hi, lo + limit)] for s, lo, hi in heads
+                        ]
+                        if len(slices) == 1:
+                            window = slices[0]
+                        else:
+                            window = sorted(set().union(*slices))[:limit]
+                        claim = self._claim_locked(window)
+                # A stream takes an offset only from its merged slice:
+                # one moved since the merge (seek, reset, a trim that
+                # forgot the offset) is left where it now stands.
+                claimants = [(h[0], s[0], s[-1]) for h, s in zip(heads, slices)]
+            self._fetch_many_best_effort(claim)
             for offset in window:
                 entry = self.fetch(offset)
                 delivering = []
                 with self._lock:
-                    # Claim against the live iterators: one that was
-                    # moved since the merge (seek, reset, a trim that
-                    # forgot the offset) is left where it now stands.
-                    for state in holders[offset]:
-                        ptr = state.read_ptr
-                        if ptr < len(state.offsets) and state.offsets[ptr] == offset:
-                            state.read_ptr = ptr + 1
-                            delivering.append(state.stream_id)
+                    for state, first, last in claimants:
+                        if first <= offset <= last:
+                            ptr, offsets = state.read_ptr, state.offsets
+                            if ptr < len(offsets) and offsets[ptr] == offset:
+                                state.read_ptr = ptr + 1
+                                delivering.append(state.stream_id)
                 if delivering:
                     yield offset, entry, tuple(delivering)
 
@@ -881,17 +947,19 @@ class StreamClient:
             offset = state.offsets[state.read_ptr]
             if upto is not None and offset > upto:
                 return None
+            claim = None
             with self._cache_lock:
-                miss = offset not in self._cache
-            if miss:
-                # About to go to the log anyway: warm this offset and
-                # the known ones behind it in the same round. Bounded
-                # by *upto* so a held-back suffix is never read early.
-                lo = state.read_ptr
-                hi = min(lo + self._warm_limit(), len(state.offsets))
-                if upto is not None:
-                    hi = bisect_right(state.offsets, upto, lo, hi)
-                self._prefetch(state.offsets[lo:hi])
+                if offset not in self._cache:
+                    # About to go to the log anyway: warm this offset
+                    # and the known ones behind it in the same round.
+                    # Bounded by *upto* so a held-back suffix is never
+                    # read early.
+                    lo = state.read_ptr
+                    hi = min(lo + self._warm_limit_locked(), len(state.offsets))
+                    if upto is not None:
+                        hi = bisect_right(state.offsets, upto, lo, hi)
+                    claim = self._claim_locked(state.offsets[lo:hi])
+            self._fetch_many_best_effort(claim)
             entry = self.fetch(offset)
             state.read_ptr += 1
             return offset, entry

@@ -20,8 +20,9 @@ Core mechanics implemented here:
   ``StreamClient.play`` merges the hosted streams a window at a time,
   and query playback, the speculative-batch reconcile and late-stream
   catch-up all consume it; each entry is decoded once (``_records``),
-  but versions are bumped entry by entry, so a commit record sees them
-  as of its own offset.
+  or never by the runtime that appended it (its records go into the
+  cache slot with the write), but versions are bumped entry by entry,
+  so a commit record sees them as of its own offset.
 - **transactions** (sections 3.2, 4.1): optimistic concurrency control
   with speculative updates, commit records carrying versioned read
   sets, deterministic commit/abort decisions at every consumer, and
@@ -428,16 +429,20 @@ class TangoRuntime:
         Writing to an object with no local view is allowed — this is a
         remote write (section 4.1, case A).
         """
-        ctx = self._current_tx()
+        tls = self._tls
+        ctx = getattr(tls, "tx", None)
         if ctx is not None:
             ctx.record_update(oid, payload, key)
             return None
-        record = UpdateRecord(oid, payload, key, tx_id=NO_TX)
-        batch = getattr(self._tls, "batch", None)
+        if type(payload) is not bytes:
+            payload = bytes(payload)  # what every reader decodes
+        record = UpdateRecord(oid, payload, key, NO_TX)
+        batch = getattr(tls, "batch", None)
         if batch is not None:
             batch.add(record)
             return None
-        return self._streams.append(encode_records([record]), (oid,))
+        # The record is what playing the entry decodes: hand it over.
+        return self._streams.append(encode_records([record]), (oid,), (record,))
 
     def batch(self, size: Optional[int] = None, speculative: bool = False):
         """Group-commit scope: coalesce updates into shared log entries.
@@ -479,11 +484,6 @@ class TangoRuntime:
         """
         return _BatchScope(self, size, speculative)
 
-    def _flush_batch(self) -> None:
-        batch = getattr(self._tls, "batch", None)
-        if batch is not None:
-            batch.flush()
-
     def query_helper(
         self, oid: int, key: Optional[bytes] = None, upto: Optional[int] = None
     ) -> None:
@@ -499,14 +499,15 @@ class TangoRuntime:
         object with no local view raises
         :class:`~repro.errors.RemoteReadError` (section 4.1, case D).
         """
-        ctx = self._current_tx()
+        tls = self._tls
+        ctx = getattr(tls, "tx", None)
         if ctx is not None:
             with self._play_lock:
                 if oid not in self._objects:
                     raise RemoteReadError(oid)
                 ctx.record_read(oid, key, self._versions.get(oid, key))
             return
-        batch = getattr(self._tls, "batch", None)
+        batch = getattr(tls, "batch", None)
         if batch is not None and batch.speculative:
             # Speculative scope: accessors read the locally applied
             # (speculative) view without flushing or syncing — that is
@@ -516,13 +517,15 @@ class TangoRuntime:
                 if oid not in self._objects:
                     raise UnknownObjectError(f"object {oid} has no local view")
             return
-        # Read-your-writes inside a batch scope: flush buffered updates
-        # before placing the read marker.
-        self._flush_batch()
+        if batch is not None:
+            # Read-your-writes inside a batch scope: flush buffered
+            # updates before placing the read marker.
+            batch.flush()
         with self._play_lock:
-            if oid not in self._objects:
+            objects = self._objects
+            if oid not in objects:
                 raise UnknownObjectError(f"object {oid} has no local view")
-            markers = self._streams.sync_many(self.hosted_oids())
+            markers = self._streams.sync_many(tuple(objects))
             marker = markers.get(oid, NO_VERSION)
             if upto is not None:
                 marker = min(marker, upto) if marker != NO_VERSION else upto
@@ -585,7 +588,7 @@ class TangoRuntime:
             return True  # empty transaction
         with self._play_lock:
             if not allow_stale:
-                markers = self._streams.sync_many(self.hosted_oids())
+                markers = self._streams.sync_many(tuple(self._objects))
                 live = [m for m in markers.values() if m != NO_VERSION]
                 if live:
                     self._play_until(max(live))
@@ -610,7 +613,7 @@ class TangoRuntime:
         # joined, so when those are all the streams we host, nobody is
         # asked; a hosted stream outside the transaction sends the
         # usual sequencer query (decided inside the stream layer).
-        self._streams.sync_after_append(commit_offset, self.hosted_oids())
+        self._streams.sync_after_append(commit_offset, tuple(self._objects))
         self._play_until(commit_offset)
         outcome = self._decided.get(ctx.tx_id)
         # Our commit record may sit behind an earlier transaction that is
@@ -620,7 +623,7 @@ class TangoRuntime:
         stuck_rounds = 0
         while outcome is None and stuck_rounds < _MAX_DECISION_WAIT_ROUNDS:
             watermark = self._watermark
-            markers = self._streams.sync_many(self.hosted_oids())
+            markers = self._streams.sync_many(tuple(self._objects))
             live = [m for m in markers.values() if m != NO_VERSION]
             if live:
                 self._play_until(max(live))
@@ -667,9 +670,9 @@ class TangoRuntime:
         )
         registry = getattr(self, "_hosting_registry", None)
         if registry is not None and not decision_expected:
-            decision_expected = registry.needs_decision(
+            decision_expected = bool(registry.needs_decision(
                 [e.oid for e in ctx.read_set], ctx.write_oids, self.name
-            )
+            ))
         streams = ctx.involved_oids()
         inline = CommitRecord(
             ctx.tx_id,
@@ -680,7 +683,7 @@ class TangoRuntime:
         )
         payload = encode_records([inline])
         if len(payload) <= self._streams.corfu.max_payload:
-            offset = self._streams.append(payload, streams)
+            offset = self._streams.append(payload, streams, (inline,))
             return offset, inline
         # Oversized: speculative flush, one entry per update.
         for update in ctx.updates:
@@ -756,7 +759,7 @@ class TangoRuntime:
         if not ctx.read_set:
             return False
         with self._play_lock:
-            markers = self._streams.sync_many(self.hosted_oids())
+            markers = self._streams.sync_many(tuple(self._objects))
             live = [m for m in markers.values() if m != NO_VERSION]
             if live:
                 self._play_until(max(live))
@@ -1004,8 +1007,9 @@ class TangoRuntime:
         decision arrives. The iterator reads ``_objects`` itself, window
         by window, so a stream registered mid-playback joins the merge.
         """
+        process = self._process_entry
         for offset, entry, delivering in self._streams.play(self._objects, upto):
-            self._process_entry(offset, entry, delivering)
+            process(offset, entry, delivering)
             if offset > self._watermark:
                 self._watermark = offset
 
@@ -1038,7 +1042,7 @@ class TangoRuntime:
             spec_oids = set(batch._snapshots)
             our = {offset for offset, _ in flushed}
             last = max(our)
-            self._streams.sync_many(self.hosted_oids())
+            self._streams.sync_many(tuple(self._objects))
             conflict = False
             for offset, entry, delivering in self._streams.play(
                 self._objects, last
@@ -1104,15 +1108,16 @@ class TangoRuntime:
     ) -> Tuple[Record, ...]:
         """The records of the entry fetched from *offset* (junk has none).
 
-        Every consumer of entry payloads — checkpoint hunt, playback,
-        catch-up, reconstruction, decision hunts — decodes through
-        here, and the stream cache keeps the result beside the raw
-        entry, so an entry is decoded once however many of them (or
-        however many hosted streams) visit it. The two that play an
-        entry into the views are its last readers and pass
-        ``keep=False``: they take what an earlier visitor left and
-        leave nothing, so history already played costs no more memory
-        than its raw entries.
+        Every consumer of entry payloads — checkpoint hunt, catch-up,
+        reconstruction, decision hunts, and playback through the same
+        :func:`_decode_payload` — decodes here, and the stream cache
+        keeps the result beside the raw entry, so an entry is decoded
+        once however many of them (or however many hosted streams)
+        visit it, and never when this runtime appended it with its
+        records. The two that play an entry into the views are its last
+        readers and pass ``keep=False``: they take what an earlier
+        visitor (or the append) left and leave nothing, so history
+        already played costs no more memory than its raw entries.
         """
         if entry.is_junk:
             return ()
@@ -1121,17 +1126,33 @@ class TangoRuntime:
     def _process_entry(
         self, offset: int, entry, scope: Tuple[int, ...]
     ) -> None:
-        """Dispatch one log entry's records for the objects in *scope*."""
-        if not entry.is_junk:
-            self._process_records(
-                offset, self._records(offset, entry, keep=False), scope
-            )
+        """Play one log entry into the objects in *scope*, in one call.
+
+        Playback is the entry's last reader (``keep=False``). With no
+        transaction parked, a plain update is applied straight away;
+        every other record goes through :meth:`_dispatch`, and while a
+        transaction awaits its decision the whole entry goes through
+        :meth:`_process_records`, which defers what is blocked.
+        """
+        if entry.is_junk:
+            return
+        records = self._streams.decoded(offset, entry, _decode_payload, False)
+        if self._awaiting or self._blocked_streams:
+            self._process_records(offset, records, scope)
+            return
+        for record in records:
+            if type(record) is UpdateRecord and record.tx_id == NO_TX:
+                if record.oid in scope:
+                    self._apply_update(offset, record)
+            else:
+                self._dispatch(offset, record, scope)
 
     def _process_records(
         self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
     ) -> None:
-        """What :meth:`_process_entry` does with the decoded records; a
-        deferred entry comes back through here when its stream unblocks."""
+        """What :meth:`_process_entry` does with the decoded records while
+        a transaction is parked; a deferred entry comes back through here
+        when its stream unblocks."""
         # Decision records for awaited transactions bypass stream
         # blocking — they are the unblocking events.
         if self._awaiting:
@@ -1194,10 +1215,13 @@ class TangoRuntime:
             offset if version_offset is None else version_offset,
             record.key,
         )
-        if record.key is None:
-            self._dirty_full.add(record.oid)
-        else:
-            self._dirty_keys.setdefault(record.oid, set()).add(record.key)
+        if record.oid in self._checkpoint_chains:
+            # What the next delta checkpoint must carry; an object with
+            # no chain yet can only take a full one, which reads neither.
+            if record.key is None:
+                self._dirty_full.add(record.oid)
+            else:
+                self._dirty_keys.setdefault(record.oid, set()).add(record.key)
         self.stats["applied_updates"] += 1
         if self._subscribers:
             self._emit(

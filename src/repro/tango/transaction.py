@@ -44,6 +44,8 @@ class TxContext:
 
     def record_update(self, oid: int, payload: bytes, key: Optional[bytes]) -> None:
         """Buffer one mutator invocation (applied only if the TX commits)."""
+        if type(payload) is not bytes:
+            payload = bytes(payload)  # what every reader decodes
         self.updates.append(UpdateRecord(oid, payload, key, tx_id=self.tx_id))
         if oid not in self.write_oids:
             self.write_oids.append(oid)

@@ -320,3 +320,28 @@ class TestWriterUnderABudgetSmallerThanItsBurst:
         assert rt.end_tx()
         assert m.get("k00") == "committed"
         assert streams.cache_size == 1
+
+    def test_seeded_forms_are_charged_and_played_away(self, cluster):
+        """A write-through slot also holds the records the entry was
+        encoded from, charged as a decoded form: a writer that never
+        reads stays inside its budget, and one read plays the forms
+        away, leaving the raw entries' charge."""
+        budget = 16 * 1024
+        rt = TangoRuntime(cluster, client_id=914, memory_budget=budget)
+        m = TangoMap(rt, oid=1)
+        streams = rt.streams
+
+        def raw_bytes():
+            return sum(
+                len(streams.fetch(off).payload) + CACHE_ENTRY_OVERHEAD
+                for off in streams.cached_offsets()
+            )
+
+        burst = 60
+        for i in range(burst):
+            m.put(f"k{i:02d}", "x" * 100)
+            assert streams.resident_bytes() <= budget
+        assert 0 < streams.cache_size < burst
+        assert streams.resident_bytes() == 2 * raw_bytes()
+        assert m.get(f"k{burst - 1:02d}") == "x" * 100
+        assert 0 < streams.resident_bytes() == raw_bytes() <= budget

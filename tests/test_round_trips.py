@@ -9,16 +9,21 @@ sequencer query when it names every hosted stream.
 
 A lone append is 3 RPCs here: ``increment``, head ``write``, tail
 ``write``. A linearizable read adds the ``query``; playing a foreign
-entry adds one storage ``read``.
+entry adds one storage ``read``. Nor does a client decode what it
+encoded: its records go into the cache slot with the write.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.corfu import CorfuCluster
 from repro.objects import TangoMap
 from repro.streams import StreamClient
+from repro.tango import runtime as runtime_module
+from repro.tango.records import CommitRecord, UpdateRecord, decode_records
 from repro.tango.runtime import TangoRuntime
 
 
@@ -229,3 +234,79 @@ class TestWriteThrough:
         writer_only = StreamClient(cluster.client())
         writer_only.append_batch([b"p", b"q"], (5, 6))
         assert writer_only.cache_size == 0
+
+
+def _assert_same(seeded, decoded) -> None:
+    """Equal field by field, down to the type of every field."""
+    assert type(seeded) is type(decoded)
+    if isinstance(seeded, tuple):
+        assert len(seeded) == len(decoded)
+        for mine, theirs in zip(seeded, decoded):
+            _assert_same(mine, theirs)
+    else:
+        assert seeded == decoded
+
+
+class TestNeverDecodeWhatYouEncoded:
+    """Exact decode counts: ``_decode_payload`` is the runtime's one decode."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+        decode = runtime_module._decode_payload
+
+        def counting(entry):
+            counts[entry.payload] += 1
+            return decode(entry)
+
+        monkeypatch.setattr(runtime_module, "_decode_payload", counting)
+        return counts
+
+    def test_own_put_then_get_decodes_nothing(self, cluster, decodes):
+        _rt, maps, _meter = _hosted_map(cluster)
+        maps[1].put("k", "v")
+        assert maps[1].get("k") == "v"
+        assert sum(decodes.values()) == 0
+
+    def test_commit_decodes_nothing_not_even_its_own_record(self, cluster, decodes):
+        rt, maps, _meter = _hosted_map(cluster)
+        # end_tx plays its own commit record to decide it.
+        assert _three_plus_three(rt, maps[1])
+        assert maps[1].get("k2") == 2
+        assert sum(decodes.values()) == 0
+
+    def test_foreign_put_is_decoded_exactly_once(self, cluster, decodes):
+        _rt, maps, _meter = _hosted_map(cluster)
+        other = TangoMap(TangoRuntime(cluster, client_id=2), 1)
+        other.put("theirs", 7)
+        decodes.clear()
+        assert maps[1].get("theirs") == 7
+        assert list(decodes.values()) == [1]
+        assert maps[1].get("theirs") == 7
+        assert list(decodes.values()) == [1]
+
+    def test_seeded_forms_equal_what_a_reader_decodes(
+        self, cluster, decodes, monkeypatch
+    ):
+        rt, maps, _meter = _hosted_map(cluster)
+        streams = rt.streams
+        handed = []
+        decoded = streams.decoded
+
+        def spy(offset, entry, parse, keep=True):
+            form = decoded(offset, entry, parse, keep)
+            handed.append((entry, form))
+            return form
+
+        monkeypatch.setattr(streams, "decoded", spy)
+        maps[1].put("k", "v")  # an update
+        assert maps[1].get("k") == "v"
+        assert _three_plus_three(rt, maps[1])  # an inline commit
+        assert sum(decodes.values()) == 0
+        kinds = set()
+        for entry, form in handed:
+            _assert_same(form, tuple(decode_records(entry.payload)))
+            kinds.update(type(record) for record in form)
+        assert kinds == {UpdateRecord, CommitRecord}
+        (commit,) = (form[0] for _e, form in handed if type(form[0]) is CommitRecord)
+        assert len(commit.read_set) == 3 and len(commit.inline_updates) == 3

@@ -1,6 +1,8 @@
 """Tests for the streaming layer: sync, readnext, multiappend, holes."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.corfu import CorfuCluster
 from repro.corfu.entry import NO_BACKPOINTER
@@ -514,3 +516,94 @@ class TestDecodedSlot:
         assert sclient.resident_bytes() == raw and calls == [b"abc"] * 2
         sclient.decoded(off, entry, parse)
         assert sclient.resident_bytes() == 2 * raw and calls == [b"abc"] * 3
+
+    def test_a_none_parse_is_refused_and_charges_nothing(self, cluster):
+        # None is a slot's "not decoded yet": remembering it would charge
+        # the slot again on every call, and a budget would then evict
+        # the whole cache.
+        sclient = StreamClient(cluster.client())
+        sclient.set_cache_budget(1 << 20)
+        off = cluster.client().append(b"abc", (1,))
+        entry = sclient.fetch(off)
+        raw = sclient.resident_bytes()
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                sclient.decoded(off, entry, lambda e: None)
+        assert sclient.resident_bytes() == raw
+        assert sclient.decoded(off, entry, lambda e: (e.payload,)) == (b"abc",)
+        assert sclient.resident_bytes() == 2 * raw
+
+
+_membership = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.frozensets(st.integers(min_value=1, max_value=n), min_size=1),
+            min_size=1,
+            max_size=120,
+        ),
+    )
+)
+
+
+class TestWindowBounds:
+    """play under a byte budget that holds fewer than 64 entries."""
+
+    @given(
+        layout=_membership,
+        budget=st.sampled_from((2048, 4096, 8192)),
+        upto_frac=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_windows_fit_the_warm_limit_and_read_each_entry_once(
+        self, layout, budget, upto_frac
+    ):
+        n_streams, members = layout
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer = cluster.client()
+        for i, sids in enumerate(members):
+            writer.append(b"e%d" % i, tuple(sorted(sids)))
+        sclient = StreamClient(cluster.client())
+        sclient.set_cache_budget(budget)
+        ids = tuple(range(n_streams, 0, -1))  # not ascending on purpose
+        for sid in ids:
+            sclient.open_stream(sid)
+        sclient.sync_many(ids)
+        upto = None if upto_frac is None else int(upto_frac * len(members))
+        # The one-at-a-time reference: every known offset up to *upto*,
+        # ascending, delivered to the streams holding it in *ids* order.
+        known = {sid: set(sclient.known_offsets(sid)) for sid in ids}
+        expected = [
+            (off, tuple(sid for sid in ids if off in known[sid]))
+            for off in sorted(set().union(*known.values()))
+            if upto is None or off <= upto
+        ]
+        corfu = sclient.corfu
+        read, read_many = corfu.read, corfu.read_many
+        rounds, reads = [], []
+
+        def counting_read(offset):
+            reads.append(offset)
+            return read(offset)
+
+        def counting_read_many(offsets):
+            with sclient._cache_lock:
+                rounds.append((len(offsets), sclient._warm_limit_locked()))
+            reads.extend(offsets)
+            return read_many(offsets)
+
+        corfu.read, corfu.read_many = counting_read, counting_read_many
+        cached = set(sclient.cached_offsets())
+        played = []
+        for off, entry, sids in sclient.play(ids, upto):
+            assert entry.payload == b"e%d" % off
+            played.append((off, sids))
+        assert played == expected
+        assert all(size <= limit < 64 for size, limit in rounds)
+        # Every storage read is of an offset played, none twice, and
+        # what was not already cached was read.
+        offsets = {off for off, _ in played}
+        assert len(reads) == len(set(reads))
+        assert offsets - cached <= set(reads) <= offsets

@@ -445,3 +445,182 @@ class TestStreamIteratorThreadSafety:
         assert sclient.resident_bytes() == sum(
             len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD for off in cached
         )
+
+
+_RealEvent = threading.Event
+
+
+class TestSingleFlightWithoutEagerEvents:
+    """A fetch's single flight makes its event only when someone waits.
+
+    ``threading.Event`` is swapped for a counting subclass *after* the
+    test's threads are built (a ``Thread`` makes an event of its own), so
+    every event counted is one the stream layer made.
+    """
+
+    N = 8
+
+    @staticmethod
+    def _counting_events(monkeypatch):
+        from repro.streams import stream as stream_module
+
+        made, waiting = [], []
+
+        class Counting(_RealEvent):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+            def wait(self, timeout=None):
+                waiting.append(self)
+                return super().wait(timeout)
+
+        monkeypatch.setattr(stream_module.threading, "Event", Counting)
+        return made, waiting
+
+    @staticmethod
+    def _until(condition, seconds=10.0):
+        import time
+
+        deadline = time.monotonic() + seconds
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    @staticmethod
+    def _race(threads):
+        """Run *threads* to the end at a 10 µs switch interval."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_one_read_one_entry_one_event(self, cluster, monkeypatch):
+        from repro.streams import StreamClient
+
+        offset = cluster.client().append(b"cold")
+        corfu = cluster.client()
+        sclient = StreamClient(corfu)
+        n, results, reads = self.N, [None] * self.N, []
+        barrier = threading.Barrier(n)
+        read = corfu.read
+
+        def held_read(off):
+            # The owner waits for everyone else to join its flight.
+            reads.append(off)
+            self._until(lambda: len(waiting) == n - 1)
+            return read(off)
+
+        monkeypatch.setattr(corfu, "read", held_read)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = sclient.fetch(offset)
+
+        def storage_rpcs():
+            nodes = set(cluster.projection.all_nodes())
+            stats = corfu.net_stats()
+            return sum(stats[node]["rpcs"] for node in nodes if node in stats)
+
+        before = storage_rpcs()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+        made, waiting = self._counting_events(monkeypatch)
+        self._race(threads)
+        assert reads == [offset] and storage_rpcs() - before == 1
+        assert all(r is results[0] for r in results)
+        assert results[0].payload == b"cold"
+        # One event, made by the first waiter; every waiter used it.
+        assert len(made) == 1 and len(waiting) == n - 1
+        assert all(event is made[0] for event in waiting)
+
+    def test_a_declined_hole_runs_the_handler_once(self, cluster, monkeypatch):
+        from repro.errors import UnwrittenError
+        from repro.streams import StreamClient
+
+        cluster.sequencer().increment()  # a hole at 0
+        n, calls, raised = self.N, [], []
+        barrier = threading.Barrier(n)
+
+        def declining(offset):
+            calls.append(offset)
+            self._until(lambda: len(waiting) == n - 1)
+
+        sclient = StreamClient(cluster.client(), hole_handler=declining)
+
+        def worker():
+            barrier.wait()
+            try:
+                sclient.fetch(0)
+            except UnwrittenError as exc:
+                raised.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(n)]
+        made, waiting = self._counting_events(monkeypatch)
+        self._race(threads)
+        assert calls == [0] and len(made) == 1
+        assert len(raised) == n and all(exc is raised[0] for exc in raised)
+
+    def test_a_batched_flight_wakes_its_waiters(self, cluster, monkeypatch):
+        """Waiters on a ``fetch_many`` round: one shares the round's entry,
+        one (on a hole the round skips) retries and owns the hole."""
+        from repro.streams import StreamClient
+
+        writer = cluster.client()
+        first = writer.append(b"a")
+        hole, _ = cluster.sequencer().increment()
+        last = writer.append(b"b")
+        corfu = cluster.client()
+        sclient = StreamClient(corfu)  # the default handler fills
+        release, results = _RealEvent(), {}
+        read_many = corfu.read_many
+
+        def held_read_many(offsets):
+            release.wait(10)
+            return read_many(offsets)
+
+        monkeypatch.setattr(corfu, "read_many", held_read_many)
+
+        def batch():
+            results["batch"] = sclient.fetch_many([first, hole, last])
+
+        def waiter(offset):
+            results[offset] = sclient.fetch(offset)
+
+        batcher = threading.Thread(target=batch)
+        waiters = [threading.Thread(target=waiter, args=(o,)) for o in (first, hole)]
+        made, waiting = self._counting_events(monkeypatch)
+        batcher.start()
+        self._until(lambda: hole in sclient._inflight)
+        for t in waiters:
+            t.start()
+        self._until(lambda: len(waiting) == 2)
+        assert len(waiting) == 2 and len(made) == 1  # both on the round's event
+        release.set()
+        for t in [batcher] + waiters:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in [batcher] + waiters)
+        assert results[first].payload == b"a"
+        assert results[hole].is_junk
+        assert results["batch"][last].payload == b"b"
+        assert results["batch"][hole].is_junk
+
+    def test_an_uncontended_miss_makes_no_event(self, cluster, monkeypatch):
+        from repro.streams import StreamClient
+
+        writer = cluster.client()
+        offsets = [writer.append(b"e%d" % i, (1,)) for i in range(12)]
+        sclient = StreamClient(cluster.client())
+        made, _waiting = self._counting_events(monkeypatch)
+        assert sclient.fetch(offsets[0]).payload == b"e0"  # a lone miss
+        sclient.fetch_many(offsets[1:6])  # a batched round
+        sclient.open_stream(1)
+        sclient.sync(1)  # the walk's misses
+        assert len(list(sclient.play((1,)))) == len(offsets)  # a window's
+        assert made == []
