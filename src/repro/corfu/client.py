@@ -37,10 +37,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, 
 
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.entry import (
+    MAX_STREAM_ID,
     NO_BACKPOINTER,
     LogEntry,
+    encode_append,
     encode_vector_marker,
-    make_header,
     max_payload_bytes,
 )
 from repro.corfu.layout import Projection
@@ -104,7 +105,7 @@ class AppendFuture:
     pipeline *leader* (see ``_AppendPipeline``).
     """
 
-    __slots__ = ("payload", "stream_ids", "_client", "_done", "_offset", "_exc")
+    __slots__ = ("payload", "stream_ids", "_client", "_done", "_offset", "_exc", "_event")
 
     def __init__(
         self, client: "CorfuClient", payload: bytes, stream_ids: Tuple[int, ...]
@@ -112,21 +113,14 @@ class AppendFuture:
         self._client = client
         self.payload = payload
         self.stream_ids = stream_ids
-        self._done = threading.Event()
+        self._done = False
         self._offset: Optional[int] = None
         self._exc: Optional[BaseException] = None
+        self._event: Optional[threading.Event] = None
 
     def done(self) -> bool:
         """True once the append completed (successfully or not)."""
-        return self._done.is_set()
-
-    def _resolve(self, offset: int) -> None:
-        self._offset = offset
-        self._done.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._exc = exc
-        self._done.set()
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> int:
         """Block until the append lands; return its log offset.
@@ -138,7 +132,7 @@ class AppendFuture:
         ack, like any timed-out RPC).
         """
         self._client._pipeline.drive(self, timeout)
-        if not self._done.is_set():
+        if not self._done:
             raise RpcTimeout("append-pipeline", "result")
         if self._exc is not None:
             raise self._exc
@@ -152,20 +146,23 @@ class _AppendPipeline:
     the queue non-empty and no leader active. The leader pops a chunk,
     hands each run of consecutive futures with identical stream sets to
     the client's append routine (one sequencer grant and one batched
-    chain write per replica chain for the whole run), resolves their
-    futures, and loops until the queue is empty. Followers wait on
-    their own completion events with a short timeout so a leader that
-    exits just before their enqueue is noticed and replaced — no lost
-    wakeups, no background thread.
+    chain write per replica chain for the whole run), settles their
+    futures, and loops until the queue is empty. Only a follower (a
+    waiter behind another leader) makes its future an event, and waits
+    on it with a short timeout so a leader that exits just before its
+    enqueue is noticed and replaced — no lost wakeups, no background
+    thread.
 
-    Lock discipline: ``_lock`` guards only the queue and the leader
-    flag; it is never held across an RPC (TL012) and takes no other
-    lock (a leaf in the documented hierarchy).
+    Lock discipline: ``_lock`` guards the queue, the leader flag and
+    each queued future's completion and event (a follower checks and
+    makes it in one hold; the leader settles a run in one hold and sets
+    the events after). It is never held across an RPC (TL012) and takes
+    no other lock (a leaf in the documented hierarchy).
     """
 
     def __init__(self, client: "CorfuClient") -> None:
         self._client = client
-        # Guards _queue and _leading.
+        # Guards _queue, _leading and the queued futures' completion.
         self._lock = threading.Lock()
         self._queue: Deque[AppendFuture] = deque()
         self._leading = False
@@ -177,12 +174,17 @@ class _AppendPipeline:
     def drive(self, fut: AppendFuture, timeout: Optional[float] = None) -> None:
         """Wait for *fut*, leading the pipeline whenever it is leaderless."""
         remaining = timeout
-        while not fut.done():
-            lead = False
+        while not fut._done:
             with self._lock:
-                if not self._leading and self._queue:
+                if fut._done:
+                    return
+                lead = not self._leading and bool(self._queue)
+                if lead:
                     self._leading = True
-                    lead = True
+                elif fut._event is None:
+                    # Made before the settling hold, so the leader sees it.
+                    fut._event = threading.Event()
+                event = fut._event
             if lead:
                 try:
                     self._drain()
@@ -190,17 +192,15 @@ class _AppendPipeline:
                     with self._lock:
                         self._leading = False
                 continue
-            if fut.done():
-                return
             wait = (
                 _FOLLOWER_WAIT_SLICE
                 if remaining is None
                 else min(_FOLLOWER_WAIT_SLICE, remaining)
             )
-            fut._done.wait(wait)
+            event.wait(wait)
             if remaining is not None:
                 remaining -= wait
-                if remaining <= 0 and not fut.done():
+                if remaining <= 0 and not fut._done:
                     return
 
     def _drain(self) -> None:
@@ -222,25 +222,29 @@ class _AppendPipeline:
             while j < len(chunk) and chunk[j].stream_ids == chunk[i].stream_ids:
                 j += 1
             run = chunk[i:j]
+            exc: Optional[BaseException] = None
             try:
-                offsets = client._append_entries(
+                offsets: Sequence[Optional[int]] = client._append_entries(
                     [f.payload for f in run], run[0].stream_ids
                 )
-                for fut, offset in zip(run, offsets):
-                    fut._resolve(offset)
-            except BaseException as exc:  # tangolint: disable=TL006
+            except BaseException as failure:  # tangolint: disable=TL006
                 # Not swallowed: the leader commits on behalf of other
                 # threads, so the failure is captured into each waiter's
                 # future and re-raised from result(). The protocol's
                 # retry discipline already ran inside _append_entries
                 # below this frame.
-                for fut in run:
-                    if not fut.done():
-                        fut._fail(exc)
-                if not isinstance(exc, Exception):
-                    # KeyboardInterrupt and friends: the waiters have
-                    # their answer; unwind the leader thread too.
-                    raise
+                offsets, exc = [None] * len(run), failure
+            # The whole run settles in one hold; its followers wake after.
+            with self._lock:
+                for fut, offset in zip(run, offsets):
+                    fut._offset, fut._exc, fut._done = offset, exc, True
+                events = [fut._event for fut in run if fut._event is not None]
+            for event in events:
+                event.set()
+            if exc is not None and not isinstance(exc, Exception):
+                # KeyboardInterrupt and friends: the waiters have their
+                # answer; unwind the leader thread too.
+                raise exc
             i = j
 
 
@@ -463,6 +467,9 @@ class CorfuClient:
         write. Concurrent callers do not coalesce; traffic that wants
         shared grants and batched chain writes asks for them with
         :meth:`append_async` or :meth:`append_batch`.
+
+        Stream ids must be distinct and within 31 bits. A bad id or count,
+        or an oversized payload, raises before any RPC: it takes no offset.
         """
         self._validate_append((payload,), stream_ids)
         return self._append_entries((payload,), stream_ids)[0]
@@ -472,12 +479,13 @@ class CorfuClient:
     ) -> AppendFuture:
         """Queue *payload* for append; return a completion handle.
 
-        Validation (stream count, payload capacity) happens here,
-        synchronously. The append itself is committed by the pipeline
-        leader — whichever thread next waits on a handle — so callers
-        may queue a flight of appends and then collect the offsets:
-        the flight shares one sequencer grant and one batched chain
-        write per replica chain.
+        Validation (stream count and ids, payload capacity) happens
+        here, synchronously, as in :meth:`append`: nothing is granted
+        for a rejected call. The append itself is committed by the
+        pipeline leader — whichever thread next waits on a handle — so
+        callers may queue a flight of appends and then collect the
+        offsets: the flight shares one sequencer grant and one batched
+        chain write per replica chain.
         """
         self._validate_append((payload,), stream_ids)
         fut = AppendFuture(self, payload, tuple(stream_ids))
@@ -510,8 +518,14 @@ class CorfuClient:
     def _validate_append(
         self, payloads: Sequence[bytes], stream_ids: Sequence[int]
     ) -> None:
+        # All before the grant: a bad entry found after it burns an offset.
         if len(stream_ids) > self._cluster.max_streams:
             raise TooManyStreamsError(len(stream_ids), self._cluster.max_streams)
+        for sid in stream_ids:
+            if not 0 <= sid <= MAX_STREAM_ID:
+                raise ValueError(f"stream id {sid} out of 31-bit range")
+        if len(stream_ids) > 1 and len(set(stream_ids)) < len(stream_ids):
+            raise ValueError(f"duplicate stream ids in {tuple(stream_ids)}")
         limit = self.max_payload
         for payload in payloads:
             if len(payload) > limit:
@@ -541,7 +555,7 @@ class CorfuClient:
         rounds that landed nothing, so a long batch is not charged for
         its own length.
         """
-        k, max_streams = self._cluster.k, self._cluster.max_streams
+        k = self._cluster.k
         watchers = self._append_watchers
         offsets = [-1] * len(payloads)
         pending = list(range(len(payloads)))  # payload indices, in order
@@ -568,17 +582,15 @@ class CorfuClient:
                 self._handle_timeout(exc, barren)
             else:
                 entries: List[Tuple[int, bytes]] = []
-                # The entries as encoded, kept only if someone observes.
-                built: Optional[List[LogEntry]] = [] if watchers else None
+                # The entries as encoded, built only if someone observes.
+                keep = bool(watchers)
+                built: List[Optional[LogEntry]] = []
                 for idx, (offset, backpointers) in zip(pending, grants):
-                    headers = tuple(
-                        make_header(sid, backpointers[sid], offset, k)
-                        for sid in stream_ids
+                    raw, entry = encode_append(
+                        offset, stream_ids, backpointers, payloads[idx], k, keep
                     )
-                    entry = LogEntry(headers=headers, payload=payloads[idx])
-                    entries.append((offset, entry.encode(offset, k, max_streams)))
-                    if built is not None:
-                        built.append(entry)
+                    entries.append((offset, raw))
+                    built.append(entry)
                 lost = self._write_entries(entries)
                 self._note_success()
                 retry = []
@@ -597,7 +609,7 @@ class CorfuClient:
                 # without reading it back. A lost offset holds someone
                 # else's junk; its payload is reported by the round
                 # that lands it.
-                if built:
+                if keep:
                     for (offset, _), entry in zip(entries, built):
                         if offset not in lost:
                             for callback in watchers:

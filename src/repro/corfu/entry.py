@@ -26,7 +26,7 @@ packs and unpacks in one call.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import TooManyStreamsError
 from repro.util.encoding import (
@@ -97,30 +97,7 @@ class StreamHeader(_StreamHeaderFields):
 
     def encode(self, buf: bytearray, own_offset: int, k: int) -> None:
         """Serialize this header into *buf* for an entry at *own_offset*."""
-        if self.is_absolute:
-            count = max(1, k // 4)
-            ptrs = [
-                _ABSOLUTE_NONE if ptr == NO_BACKPOINTER else ptr
-                for ptr in self.backpointers[:count]
-            ]
-            ptrs += [_ABSOLUTE_NONE] * (count - len(ptrs))
-            buf += absolute_header(k).pack((self.stream_id << 1) | 1, *ptrs)
-            return
-        deltas = []
-        for ptr in self.backpointers[:k]:
-            if ptr == NO_BACKPOINTER:
-                deltas.append(0)
-                continue
-            delta = own_offset - ptr
-            if not 0 < delta <= _MAX_RELATIVE_DELTA:
-                raise ValueError(
-                    f"relative delta {delta} out of range at offset "
-                    f"{own_offset}; caller should have used the "
-                    f"absolute format"
-                )
-            deltas.append(delta)
-        deltas += [0] * (k - len(deltas))
-        buf += relative_header(k).pack(self.stream_id << 1, *deltas)
+        buf += _pack_header(*self, own_offset, k)
 
     @staticmethod
     def decode(
@@ -129,6 +106,32 @@ class StreamHeader(_StreamHeaderFields):
         """Deserialize a header encoded at *off* for an entry at *own_offset*."""
         headers, off = _decode_headers(buf, off, 1, own_offset, k)
         return headers[0], off
+
+
+def _pack_header(
+    stream_id: int, ptrs: Sequence[int], is_absolute: bool, own_offset: int, k: int
+) -> bytes:
+    """One header's bytes; a short pointer list is padded with "none"."""
+    if is_absolute:
+        count = max(1, k // 4)
+        raw = [_ABSOLUTE_NONE if ptr == NO_BACKPOINTER else ptr for ptr in ptrs[:count]]
+        raw += [_ABSOLUTE_NONE] * (count - len(raw))
+        return absolute_header(k).pack((stream_id << 1) | 1, *raw)
+    deltas = []
+    for ptr in ptrs[:k]:
+        if ptr == NO_BACKPOINTER:
+            deltas.append(0)
+            continue
+        delta = own_offset - ptr
+        if not 0 < delta <= _MAX_RELATIVE_DELTA:
+            raise ValueError(
+                f"relative delta {delta} out of range at offset "
+                f"{own_offset}; caller should have used the "
+                f"absolute format"
+            )
+        deltas.append(delta)
+    deltas += [0] * (k - len(deltas))
+    return relative_header(k).pack(stream_id << 1, *deltas)
 
 
 def _decode_headers(
@@ -154,32 +157,36 @@ def _decode_headers(
     return tuple(headers), off
 
 
-def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k: int) -> StreamHeader:
-    """Build the header for an entry at *own_offset*, choosing the format.
+def _header_pointers(
+    last_offsets: Sequence[int], own_offset: int, k: int
+) -> Tuple[Tuple[int, ...], bool]:
+    """The header format rule: ``(pointers, is_absolute)`` at *own_offset*.
 
     *last_offsets* is the sequencer's record of the last K offsets issued
-    for this stream, newest first. The relative format is used unless
+    for the stream, newest first. The relative format is used unless
     **all** K deltas overflow 16 bits (paper section 5); in that case the
-    header falls back to K/4 absolute pointers.
+    header falls back to K/4 absolute pointers. Both are padded to the
+    length ``decode`` returns, so a writer may keep what it encoded.
     """
-    ptrs = [p for p in last_offsets[:k] if p != NO_BACKPOINTER]
-    if not ptrs:
-        return StreamHeader(stream_id, (NO_BACKPOINTER,) * k, is_absolute=False)
-    all_overflow = all(own_offset - p > _MAX_RELATIVE_DELTA for p in ptrs)
-    if all_overflow:
-        # Padded to K/4 like the relative list below is to K: the header
-        # built here is then the header ``decode`` returns, so a writer
-        # can keep the entry it encoded in place of reading it back.
+    window = tuple(last_offsets[:k])
+    live = [p for p in window if p != NO_BACKPOINTER] if NO_BACKPOINTER in window else window
+    if not live:
+        return (NO_BACKPOINTER,) * k, False
+    if own_offset - max(live) > _MAX_RELATIVE_DELTA:
         count = max(1, k // 4)
-        absolute = ptrs[:count] + [NO_BACKPOINTER] * (count - len(ptrs))
-        return StreamHeader(stream_id, tuple(absolute), is_absolute=True)
-    # Relative format: individually-overflowing pointers degrade to "none".
-    rel = [
-        p if own_offset - p <= _MAX_RELATIVE_DELTA else NO_BACKPOINTER
-        for p in last_offsets[:k]
-    ]
-    rel += [NO_BACKPOINTER] * (k - len(rel))
-    return StreamHeader(stream_id, tuple(rel), is_absolute=False)
+        return tuple(live[:count]) + (NO_BACKPOINTER,) * (count - len(live)), True
+    if own_offset - min(live) > _MAX_RELATIVE_DELTA:
+        # Individually-overflowing pointers degrade to "none".
+        window = tuple(
+            p if own_offset - p <= _MAX_RELATIVE_DELTA else NO_BACKPOINTER for p in window
+        )
+    return window + (NO_BACKPOINTER,) * (k - len(window)), False
+
+
+def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k: int) -> StreamHeader:
+    """Build the header for an entry at *own_offset*, choosing the format
+    by :func:`_header_pointers`."""
+    return StreamHeader(stream_id, *_header_pointers(last_offsets, own_offset, k))
 
 
 class LogEntry(NamedTuple):
@@ -241,6 +248,30 @@ class LogEntry(NamedTuple):
         off += 4
         payload = bytes(raw[off : off + length])  # decode_bytes, inlined
         return _new(LogEntry, (headers, payload, junk_flag != 0))
+
+
+def encode_append(
+    own_offset: int, stream_ids: Sequence[int], backpointers: Mapping[int, Sequence[int]],
+    payload: bytes, k: int, keep: bool = False,
+) -> Tuple[bytes, Optional[LogEntry]]:
+    """Encode a granted entry in one pass: ``(raw, entry or None)``.
+
+    The bytes are those of ``LogEntry(headers=(make_header(sid,
+    backpointers[sid], own_offset, k) for sid in stream_ids),
+    payload).encode(own_offset, k)``, packed straight from each stream's
+    pointer list. The :class:`LogEntry` is built only when *keep* is
+    set (someone observes the append), from the same pointer lists. The
+    caller has validated the stream ids and their count.
+    """
+    parts = [ENTRY_PREFIX.pack(0, len(stream_ids))]
+    headers = []
+    for sid in stream_ids:
+        ptrs, is_absolute = _header_pointers(backpointers[sid], own_offset, k)
+        parts.append(_pack_header(sid, ptrs, is_absolute, own_offset, k))
+        if keep:
+            headers.append(_new(StreamHeader, (sid, ptrs, is_absolute)))
+    parts += (U32.pack(len(payload)), payload)
+    return b"".join(parts), _new(LogEntry, (tuple(headers), payload, False)) if keep else None
 
 
 # -- vector-grant markers ----------------------------------------------------

@@ -348,7 +348,7 @@ def checkpoint_sequencer_state(cluster: CorfuCluster) -> int:
     """
     import json
 
-    from repro.corfu.entry import LogEntry, make_header
+    from repro.corfu.entry import encode_append
     from repro.corfu.replication import ChainReplicator
 
     proj = cluster.projection
@@ -370,14 +370,9 @@ def checkpoint_sequencer_state(cluster: CorfuCluster) -> int:
         for sid, offsets in seq._stream_tails.items()  # noqa: SLF001
     }
     payload = _SEQ_CKPT_MAGIC + json.dumps(snapshot).encode("utf-8")
-    header = make_header(
-        SEQUENCER_CHECKPOINT_STREAM,
-        backpointers[SEQUENCER_CHECKPOINT_STREAM],
-        offset,
-        cluster.k,
+    raw, _ = encode_append(
+        offset, (SEQUENCER_CHECKPOINT_STREAM,), backpointers, payload, cluster.k
     )
-    entry = LogEntry(headers=(header,), payload=payload)
-    raw = entry.encode(offset, cluster.k, cluster.max_streams)
     rset, address = proj.map_offset(offset)
     chain = ChainReplicator(
         lambda node: _storage_rpc(cluster, proj.sequencer, node)

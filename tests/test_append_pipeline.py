@@ -8,19 +8,31 @@ tests pin the completion-handle semantics, the exactly-once guarantee
 under concurrency and network faults, and the stream-layer passthrough.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.corfu import CorfuCluster
+from repro.corfu import client as client_module
 from repro.errors import TooManyStreamsError, UnwrittenError
 from repro.net import FaultyTransport
 from repro.streams import StreamClient
+
+_RealEvent = threading.Event
 
 
 @pytest.fixture
 def client(cluster):
     return cluster.client()
+
+
+def _until(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert condition()
 
 
 class TestAppendAsync:
@@ -126,6 +138,152 @@ class TestAppendAsync:
         assert sorted(acked) == list(range(4 * per_thread))
         for offset, payload in acked.items():
             assert client.read(offset).payload == payload
+
+
+class TestFuturesWithoutEagerEvents:
+    """A future's completion is a flag; only a follower that has to wait
+    makes an event, and the leader that settles its run sets it.
+
+    ``threading.Event`` is swapped for a counting subclass *after* any
+    thread is built (a ``Thread`` makes an event of its own), so every
+    event counted is one the pipeline made.
+    """
+
+    @staticmethod
+    def _counting_events(monkeypatch):
+        made = []
+
+        class Counting(_RealEvent):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(client_module.threading, "Event", Counting)
+        return made
+
+    @staticmethod
+    def _held(client, monkeypatch, outcome):
+        """Make the append routine wait for ``release``, then run *outcome*."""
+        inside, release = _RealEvent(), _RealEvent()
+        append_entries = client._append_entries
+
+        def held(payloads, stream_ids):
+            inside.set()
+            release.wait(10)
+            return outcome(append_entries, payloads, stream_ids)
+
+        monkeypatch.setattr(client, "_append_entries", held)
+        return inside, release
+
+    def test_an_uncontended_flight_makes_no_event(self, monkeypatch):
+        client = CorfuCluster(num_sets=2, replication_factor=2).client()
+        made = self._counting_events(monkeypatch)
+        futures = [client.append_async(b"f%d" % i, (1,)) for i in range(16)]
+        assert [fut.result() for fut in futures] == list(range(16))
+        assert all(fut.done() for fut in futures)
+        assert made == []
+
+    def test_a_follower_is_woken_by_its_leader(self, client, monkeypatch):
+        """With the wait slice at 30 s, only the leader's wake-up can
+        return the follower within 2 s."""
+        monkeypatch.setattr(client_module, "_FOLLOWER_WAIT_SLICE", 30.0)
+        inside, release = self._held(
+            client, monkeypatch, lambda routine, *args: routine(*args)
+        )
+        lead = client.append_async(b"lead", (1,))
+        follow = client.append_async(b"follow", (1,))
+        results = {}
+        leader = threading.Thread(target=lambda: results.update(lead=lead.result()))
+        follower = threading.Thread(
+            target=lambda: results.update(follow=follow.result())
+        )
+        made = self._counting_events(monkeypatch)
+        leader.start()
+        assert inside.wait(10)  # the leader holds the run [lead, follow]
+        follower.start()
+        _until(lambda: follow._event is not None)
+        release.set()
+        follower.join(timeout=2)
+        leader.join(timeout=10)
+        assert not follower.is_alive() and not leader.is_alive()
+        assert results == {"lead": 0, "follow": 1}
+        assert made == [follow._event] and lead._event is None
+
+    def test_a_failed_run_fails_every_future(self, client, monkeypatch):
+        boom = RuntimeError("injected")
+
+        def fail(*_args):
+            raise boom
+
+        inside, release = self._held(client, monkeypatch, fail)
+        futures = [client.append_async(b"x%d" % i, (1,)) for i in range(4)]
+        raised = {}
+
+        def collect(i):
+            try:
+                futures[i].result()
+            except RuntimeError as exc:
+                raised[i] = exc
+
+        threads = [threading.Thread(target=collect, args=(i,)) for i in range(4)]
+        threads[0].start()
+        assert inside.wait(10)  # thread 0 leads the whole run
+        for t in threads[1:]:
+            t.start()
+        _until(lambda: all(fut._event is not None for fut in futures[1:]))
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert set(raised) == {0, 1, 2, 3}
+        assert all(exc is boom for exc in raised.values())
+        assert all(fut.done() for fut in futures)
+
+    def test_lone_appends_and_flights_race(self, cluster):
+        """Eight threads at a 10 µs switch interval, each alternating a
+        lone append with a flight of four: every offset is handed out
+        once, and reads back its own payload."""
+        client = cluster.client()
+        acked, failures = {}, []
+        acked_lock = threading.Lock()
+
+        def worker(tid):
+            try:
+                for r in range(6):
+                    sids = (1 + (tid + r) % 2,)
+                    if (tid + r) % 3 == 0:
+                        payload = b"t%d-r%d" % (tid, r)
+                        got = [(client.append(payload, sids), payload)]
+                    else:
+                        futures = [
+                            client.append_async(b"t%d-r%d-%d" % (tid, r, i), sids)
+                            for i in range(4)
+                        ]
+                        got = [(fut.result(), fut.payload) for fut in futures]
+                    with acked_lock:
+                        for offset, payload in got:
+                            assert offset not in acked
+                            acked[offset] = payload
+            except BaseException as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        tail = client.check()
+        assert sorted(acked) == list(range(tail))  # dense: nothing burned
+        payloads = [client.read(offset).payload for offset in range(tail)]
+        assert len(set(payloads)) == tail
+        assert all(payloads[offset] == p for offset, p in acked.items())
 
 
 class TestAppendAsyncUnderFaults:

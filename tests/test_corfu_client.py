@@ -60,6 +60,32 @@ class TestAppendRead:
         with pytest.raises(ValueError):
             client.append(b"x" * (cluster.entry_size + 1))
 
+    @pytest.mark.parametrize("stream_ids", [(2**31,), (-1,), (5, 5), (1, 7, 1)])
+    @pytest.mark.parametrize("call", ["append", "append_batch", "append_async"])
+    def test_bad_stream_ids_take_no_offset(self, stream_ids, call):
+        """An id outside 31 bits or a repeated id is refused before any
+        RPC: no offset is granted, so none is burned into a hole that
+        readers must fill."""
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        client = cluster.client()
+        client.append(b"a", (5,))
+        tail = client.check()
+
+        def sequencer_rpcs():
+            return client.net_stats()[cluster.projection.sequencer]["rpcs"]
+
+        before = sequencer_rpcs()
+        with pytest.raises(ValueError):
+            if call == "append_batch":
+                client.append_batch([b"b", b"c"], stream_ids)
+            else:
+                getattr(client, call)(b"b", stream_ids)
+        assert sequencer_rpcs() == before
+        assert client.check() == tail
+        for offset in range(tail):
+            client.read(offset)  # no hole
+        assert client.append(b"next", (5,)) == tail
+
     def test_read_hole(self, cluster, client):
         # Reserve an offset without writing it (simulated crash).
         seq = cluster.sequencer()

@@ -13,6 +13,7 @@ from repro.corfu.entry import (
     NO_BACKPOINTER,
     LogEntry,
     StreamHeader,
+    encode_append,
     header_bytes,
     make_header,
     max_payload_bytes,
@@ -184,12 +185,7 @@ class TestLogEntry:
             # The sequencer's last-K answer for the stream: newest
             # first, NO_BACKPOINTER-padded, possibly longer than K
             # (a batch prepends its own predecessors).
-            last, cursor = [], own
-            for gap in data.draw(st.lists(self._GAPS, max_size=k + 2)):
-                cursor -= gap
-                if cursor < 0:
-                    break
-                last.append(cursor)
+            last = _walk(data.draw, own, k)
             if data.draw(st.booleans()):
                 last += [NO_BACKPOINTER] * max(0, k - len(last))
             headers.append(make_header(sid, tuple(last), own, k))
@@ -207,6 +203,18 @@ _BUFFERS = st.sampled_from((bytes, bytearray, memoryview))
 
 def _fill(n):
     return bytes(range(256)) * (n // 256) + bytes(range(n % 256))
+
+
+def _walk(draw, own, k):
+    """A stream's prior offsets below *own*, newest first, up to K + 2
+    of them, spaced by :attr:`TestLogEntry._GAPS`."""
+    last, cursor = [], own
+    for gap in draw(st.lists(TestLogEntry._GAPS, max_size=k + 2)):
+        cursor -= gap
+        if cursor < 0:
+            break
+        last.append(cursor)
+    return last
 
 
 @st.composite
@@ -228,12 +236,7 @@ def _entries(draw):
     )
     headers = []
     for sid in sids:
-        last, cursor = [], own
-        for gap in draw(st.lists(TestLogEntry._GAPS, max_size=k + 2)):
-            cursor -= gap
-            if cursor < 0:
-                break
-            last.append(cursor)
+        last = _walk(draw, own, k)
         if draw(st.booleans()):
             last += [NO_BACKPOINTER] * max(0, k - len(last))
         header = make_header(sid, tuple(last), own, k)
@@ -330,6 +333,73 @@ class TestFrozenCodecEquivalence:
             frozen.LogEntry.decode(raw[:cut], own, k)
         with pytest.raises((struct.error, IndexError)):
             LogEntry.decode(raw[:cut], own, k)
+
+
+@st.composite
+def _grants(draw):
+    """(k, max_streams, own offset, stream ids, backpointers): each
+    stream's pointer list newest first, shorter than K, padded with
+    ``NO_BACKPOINTER`` or holed by it, longer than K (a batch's own
+    predecessors come first), with deltas on both sides of 0xFFFF and
+    all of them past it (the absolute form)."""
+    k = draw(st.sampled_from((4, 8, 16)))
+    max_streams = draw(st.integers(min_value=1, max_value=16))
+    own = draw(st.integers(min_value=0, max_value=1 << 34))
+    sids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=MAX_STREAM_ID),
+            max_size=max_streams,
+            unique=True,
+        )
+    )
+    backpointers = {}
+    for sid in sids:
+        last = _walk(draw, own, k)
+        shape = draw(st.sampled_from(("as drawn", "padded", "holed")))
+        if shape == "padded":
+            last += [NO_BACKPOINTER] * max(0, k - len(last))
+        elif shape == "holed" and last:
+            for i in draw(st.sets(st.integers(0, len(last) - 1))):
+                last[i] = NO_BACKPOINTER
+        backpointers[sid] = tuple(last)
+    return k, max_streams, own, tuple(sids), backpointers
+
+
+class TestOnePassEncoder:
+    """``encode_append`` against the frozen codec's ``make_header`` +
+    ``LogEntry.encode``, and the entry it builds for an observer against
+    ``LogEntry.decode`` of its bytes."""
+
+    @given(grant=_grants(), payload=st.binary(max_size=256))
+    def test_same_bytes_as_the_frozen_codec(self, grant, payload):
+        k, max_streams, own, sids, backpointers = grant
+        raw, entry = encode_append(own, sids, backpointers, payload, k, keep=True)
+        reference = frozen.LogEntry(
+            headers=tuple(
+                frozen.make_header(sid, backpointers[sid], own, k) for sid in sids
+            ),
+            payload=payload,
+        ).encode(own, k, max_streams)
+        assert raw == reference
+        assert encode_append(own, sids, backpointers, payload, k) == (raw, None)
+
+        decoded = LogEntry.decode(raw, own, k)
+        assert type(entry) is LogEntry
+        assert entry.payload == decoded.payload and type(entry.payload) is bytes
+        assert entry.is_junk is decoded.is_junk is False
+        assert len(entry.headers) == len(decoded.headers) == len(sids)
+        for built, read in zip(entry.headers, decoded.headers):
+            assert type(built) is StreamHeader
+            assert built.stream_id == read.stream_id
+            assert built.backpointers == read.backpointers
+            assert type(built.backpointers) is tuple
+            assert built.is_absolute is read.is_absolute
+        assert entry == decoded
+
+    @pytest.mark.parametrize("pointer", [10, 11])
+    def test_a_pointer_not_before_its_entry_is_refused(self, pointer):
+        with pytest.raises(ValueError):
+            encode_append(10, (3,), {3: (pointer, 9)}, b"x", 4)
 
 
 class TestValueSemantics:
