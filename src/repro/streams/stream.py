@@ -28,6 +28,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
+    Any,
     Callable,
     Collection,
     Dict,
@@ -69,18 +70,21 @@ PLAYBACK_PREFETCH = 64
 #: on top of the payload: LogEntry + header objects + the cache's dict
 #: slot. A rough constant — the budget bounds growth, it is not an
 #: allocator. An entry whose decoded form is remembered beside it (see
-#: :meth:`StreamClient.decoded`) is charged twice: the decoded records
+#: :meth:`StreamClient.scan`) is charged twice: the decoded records
 #: hold copies of the payload's bytes.
 CACHE_ENTRY_OVERHEAD = 200
+
+#: What the iterators take to decode an entry (None: hand out entries).
+_Parse = Optional[Callable[[LogEntry], Any]]
 
 
 class _Cached:
     """One cache slot: the raw entry and, once asked for, its decoded form.
 
-    The decoded form is whatever a caller's ``parse`` made of the entry
-    (opaque here), or what the appender handed over with the payload it
-    encoded. Sharing the slot is what ties its lifetime to the raw
-    entry's: one LRU position, one byte charge, one trim eviction.
+    The decoded form is whatever an iterator's ``parse`` made of the
+    entry (opaque here), or what the appender handed over with the
+    payload it encoded. Sharing the slot is what ties its lifetime to the
+    raw entry's: one LRU position, one byte charge, one trim eviction.
     """
 
     __slots__ = ("entry", "decoded")
@@ -256,8 +260,8 @@ class StreamClient:
         append to it — this is what makes remote-write transactions work
         (section 4.1, case A).
 
-        *decoded*, when given, is what :meth:`decoded`'s ``parse`` would
-        make of the written entry — typically the value *payload* was
+        *decoded*, when given, is what a playback ``parse`` would make
+        of the written entry — typically the value *payload* was
         encoded from. It is stored in the written-through cache slot
         (charged like any decoded form), so the appender's own playback
         takes it instead of decoding what it just encoded. An entry
@@ -489,17 +493,27 @@ class StreamClient:
         self._prefetch(wanted)
         return {off: self.fetch(off) for off in wanted}
 
-    def scan(self, offsets: Iterable[int]) -> Iterator[Tuple[int, LogEntry]]:
+    def scan(self, offsets: Iterable[int], parse: _Parse = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(offset, entry)`` for each of *offsets*, in the order given.
 
         For offsets the caller already knows it will visit (a stream's
         linked list walked newest-first for a checkpoint, a suffix
         searched for a decision record): each round warms the next
         :data:`PLAYBACK_PREFETCH` of them with one batched read per
-        replica chain, then hands them out through :meth:`fetch`, so
-        holes and trimmed offsets behave exactly as they do there.
-        Lazy — a consumer that stops early reads at most one round
-        more than it used.
+        replica chain, then collects the round's cached entries in one
+        hold of the cache lock; an offset missing by then goes through
+        :meth:`fetch`, so holes and trimmed offsets behave exactly as
+        they do there. Lazy — a consumer that stops early reads at most
+        one round more than it used.
+
+        With *parse*, ``(offset, form)`` is yielded instead: the form
+        remembered in the entry's slot (by an earlier visitor or the
+        appender), else ``parse(entry)``, run with no lock held and
+        remembered in one more hold when the round ends or is abandoned
+        (unless the entry was evicted meanwhile). A remembered form is
+        charged as a second copy of the entry and leaves with it. It is
+        opaque here and shared — treat it as immutable — and must not be
+        ``None`` (a slot's "not decoded yet"): that raises ``TypeError``.
         """
         offsets = list(offsets)
         done = 0
@@ -508,59 +522,56 @@ class StreamClient:
                 chunk = offsets[done : done + self._warm_limit_locked()]
                 claim = self._claim_locked(chunk)
             self._fetch_many_best_effort(claim)
-            for offset in chunk:
-                yield offset, self.fetch(offset)
+            with self._cache_lock:
+                collected = self._collect_locked(chunk)
+            fresh: List[Tuple[int, LogEntry, Any]] = []
+            try:
+                for offset, slot, form in collected:
+                    entry = self.fetch(offset) if slot is None else slot.entry
+                    if parse is None:
+                        form = entry
+                    elif form is None:
+                        form = self._parsed(parse, offset, entry)
+                        fresh.append((offset, entry, form))
+                    yield offset, form
+            finally:
+                if fresh:
+                    self._remember(fresh)
             done += len(chunk)
 
-    def decoded(
-        self,
-        offset: int,
-        entry: LogEntry,
-        parse: Callable[[LogEntry], object],
-        keep: bool = True,
-    ) -> object:
-        """``parse(entry)``, computed once for as long as *entry* stays cached.
+    def _collect_locked(self, offsets: Sequence[int]) -> List[Tuple[int, Optional[_Cached], Any]]:
+        """Each offset with its slot (None: not cached) and remembered
+        form, touching the LRU as :meth:`fetch` does."""
+        cache = self._cache
+        collected: List[Tuple[int, Optional[_Cached], Any]] = []
+        for offset in offsets:
+            slot = cache.get(offset)
+            if slot is None:
+                collected.append((offset, None, None))
+            else:
+                cache.move_to_end(offset)
+                collected.append((offset, slot, slot.decoded))
+        return collected
 
-        *entry* is what :meth:`fetch` returned for *offset*. The result
-        is remembered in the entry's cache slot, so it is evicted by
-        the same LRU, byte budget and trim as the raw entry, and every
-        later caller (a checkpoint hunt followed by playback, another
-        stream visiting the same multiappended entry, a search ahead
-        for a decision record) gets the remembered object back. What
-        *parse* returns is opaque here and shared — treat it as
-        immutable. It must not be ``None`` (a slot's "not decoded
-        yet"): that raises :class:`TypeError`. An entry that is no
-        longer cached is parsed without being remembered.
-
-        ``keep=False`` is for the entry's last reader (playback, once
-        every iterator is past it): a remembered form is handed over
-        and forgotten, and a fresh parse is not remembered — played
-        history stays cached raw, at half the bytes.
-        """
-        with self._cache_lock:
-            slot = self._cache.get(offset)
-            if slot is None or slot.entry is not entry:
-                slot = None  # evicted (or re-read) since the caller's fetch
-            elif slot.decoded is not None:
-                form = slot.decoded
-                if not keep:
-                    slot.decoded = None
-                    self._cache_bytes -= self._slot_bytes(slot)
-                return form
+    @staticmethod
+    def _parsed(parse: Callable[[LogEntry], Any], offset: int, entry: LogEntry) -> Any:
+        """``parse(entry)``, refusing ``None`` (a slot's "not decoded yet")."""
         form = parse(entry)
         if form is None:
             raise TypeError(f"parse returned None for the entry at {offset}")
-        if slot is None or not keep:
-            return form
+        return form
+
+    def _remember(self, fresh: Sequence[Tuple[int, LogEntry, Any]]) -> None:
+        """Keep fresh ``(offset, entry, form)`` parses in the entries' slots."""
         with self._cache_lock:
-            if self._cache.get(offset) is slot:
-                if slot.decoded is None:
+            for offset, entry, form in fresh:
+                slot = self._cache.get(offset)
+                # Evicted (or re-read) since it was collected: parsed only.
+                if slot is not None and slot.entry is entry and slot.decoded is None:
                     self._cache_bytes += self._slot_bytes(slot)
                     slot.decoded = form
-                    if self._cache_budget is not None:
-                        self._cache_shrink_locked()
-                return slot.decoded
-        return form
+            if self._cache_budget is not None:
+                self._cache_shrink_locked()
 
     def _warm_limit_locked(self) -> int:
         """How many known offsets one batched round may warm.
@@ -858,8 +869,8 @@ class StreamClient:
     # -- playback ---------------------------------------------------------------
 
     def play(
-        self, stream_ids: Collection[int], upto: Optional[int] = None
-    ) -> Iterator[Tuple[int, LogEntry, Tuple[int, ...]]]:
+        self, stream_ids: Collection[int], upto: Optional[int] = None, parse: _Parse = None
+    ) -> Iterator[Tuple[int, Any, Tuple[int, ...]]]:
         """Merged playback: the next entries of *stream_ids*, in log order.
 
         Yields ``(offset, entry, delivering)`` for every undelivered
@@ -874,13 +885,21 @@ class StreamClient:
         streams with something to play (none: it returns), merges only
         their offsets that can fall in the window and, in one hold of
         the cache lock, claims the window's cache misses; it warms
-        them with one batched read per replica chain, then hands the
-        entries out through :meth:`fetch` (so a hole surfaces, and runs
-        the hole handler, exactly as there). Each iterator moves just
+        them with one batched read per replica chain and collects the
+        window's entries in one more hold. An offset missing by then
+        goes through :meth:`fetch` (so a hole surfaces, and runs the
+        hole handler, exactly as there). Each iterator moves just
         before its entry is yielded: a consumer that stops early, or a
         hole that raises, leaves everything not yet yielded
         undelivered. *stream_ids* is read again for every window, so a
         live collection picks up streams opened meanwhile.
+
+        With *parse*, ``(offset, form, delivering)`` is yielded instead,
+        the form as :meth:`scan` finds or makes it, but playback is an
+        entry's last reader: a fresh parse is not remembered, and the
+        forms of the *delivered* entries are given up in one hold when
+        the window ends or is abandoned (an undelivered entry keeps its
+        own), so played history stays cached raw.
         """
         while True:
             with self._lock:
@@ -917,18 +936,39 @@ class StreamClient:
                 # forgot the offset) is left where it now stands.
                 claimants = [(h[0], s[0], s[-1]) for h, s in zip(heads, slices)]
             self._fetch_many_best_effort(claim)
-            for offset in window:
-                entry = self.fetch(offset)
-                delivering = []
-                with self._lock:
-                    for state, first, last in claimants:
-                        if first <= offset <= last:
-                            ptr, offsets = state.read_ptr, state.offsets
-                            if ptr < len(offsets) and offsets[ptr] == offset:
-                                state.read_ptr = ptr + 1
-                                delivering.append(state.stream_id)
-                if delivering:
-                    yield offset, entry, tuple(delivering)
+            with self._cache_lock:
+                collected = self._collect_locked(window)
+            taken: List[Tuple[int, LogEntry]] = []
+            try:
+                for offset, slot, form in collected:
+                    entry = self.fetch(offset) if slot is None else slot.entry
+                    delivering = []
+                    with self._lock:
+                        for state, first, last in claimants:
+                            if first <= offset <= last:
+                                ptr, offsets = state.read_ptr, state.offsets
+                                if ptr < len(offsets) and offsets[ptr] == offset:
+                                    state.read_ptr = ptr + 1
+                                    delivering.append(state.stream_id)
+                    if not delivering:
+                        continue
+                    if parse is None:
+                        form = entry
+                    elif form is None:
+                        form = self._parsed(parse, offset, entry)
+                    else:
+                        taken.append((offset, entry))
+                    yield offset, form, tuple(delivering)
+            finally:
+                if taken:  # give up the delivered entries' forms
+                    with self._cache_lock:
+                        for offset, entry in taken:
+                            slot = self._cache.get(offset)
+                            # Evicted since collected: its charge left with it.
+                            if slot is None or slot.entry is not entry or slot.decoded is None:
+                                continue
+                            slot.decoded = None
+                            self._cache_bytes -= self._slot_bytes(slot)
 
     def readnext(
         self, stream_id: int, upto: Optional[int] = None
@@ -990,9 +1030,10 @@ class StreamClient:
         with self._lock:
             return tuple(self._state(stream_id).offsets)
 
-    def lookahead(self, stream_id: int, after_offset: int):
+    def lookahead(self, stream_id: int, after_offset: int, parse: _Parse = None):
         """Yield (offset, entry) pairs beyond *after_offset* without
-        moving the iterator.
+        moving the iterator — or, with *parse*, (offset, form) pairs as
+        :meth:`scan` makes them.
 
         Consuming clients use this to hunt for a decision record further
         down a stream while replaying history (the decision record of a
@@ -1004,7 +1045,7 @@ class StreamClient:
         with self._lock:
             offsets = self._state(stream_id).offsets
             offsets = offsets[bisect_right(offsets, after_offset) :]
-        yield from self.scan(offsets)
+        yield from self.scan(offsets, parse)
 
     def position(self, stream_id: int) -> int:
         """Offset of the last delivered entry (NO_BACKPOINTER before any).

@@ -343,8 +343,8 @@ class TangoRuntime:
         scan continues with older candidates.
         """
         newest_first = reversed(self._streams.known_offsets(oid))
-        for offset, entry in self._streams.scan(newest_first):
-            for record in self._records(offset, entry):
+        for offset, records in self._streams.scan(newest_first, _decode_payload):
+            for record in records:
                 if (
                     isinstance(record, (CheckpointRecord, DeltaCheckpointRecord))
                     and record.oid == oid
@@ -368,11 +368,11 @@ class TangoRuntime:
             if cursor.base_offset >= prev_offset:
                 return False
             try:
-                entry = self._streams.fetch(cursor.base_offset)
+                ((_off, records),) = self._streams.scan((cursor.base_offset,), _decode_payload)
             except ReproError:
                 return False
             base = None
-            for record in self._records(cursor.base_offset, entry):
+            for record in records:
                 if (
                     isinstance(record, (CheckpointRecord, DeltaCheckpointRecord))
                     and record.oid == oid
@@ -823,6 +823,11 @@ class TangoRuntime:
           :class:`~repro.errors.TangoError` otherwise);
         - ``"auto"``  — delta when all of the above hold and the chain
           is shorter than :data:`MAX_DELTA_CHAIN`, else full.
+
+        Refused with :class:`~repro.errors.TangoError` while *oid*'s
+        stream is held behind a transaction awaiting its decision
+        record: the iterator is past entries the view has deferred, so
+        a checkpoint would cover writes it does not hold.
         """
         if mode not in ("auto", "full", "delta"):
             raise ValueError(f"unknown checkpoint mode {mode!r}")
@@ -830,6 +835,12 @@ class TangoRuntime:
             obj = self._objects.get(oid)
             if obj is None:
                 raise UnknownObjectError(f"object {oid} has no local view")
+            if oid in self._blocked_streams:
+                raise TangoError(
+                    f"cannot checkpoint object {oid} while it is held behind "
+                    f"transaction(s) {sorted(self._awaiting)} awaiting decision "
+                    f"records; retry after playback drains"
+                )
             return self._checkpoint_locked(oid, obj, mode)
 
     @staticmethod
@@ -958,7 +969,8 @@ class TangoRuntime:
 
         Always takes a *full* checkpoint: a delta's base chain lives
         below the new checkpoint in the log, exactly where a later GC
-        pass is entitled to trim.
+        pass is entitled to trim. Refused like :meth:`checkpoint` (no
+        forget offset registered) while the object awaits a decision.
         """
         self.query_helper(oid)
         covers = self._streams.position(oid)
@@ -1008,8 +1020,8 @@ class TangoRuntime:
         by window, so a stream registered mid-playback joins the merge.
         """
         process = self._process_entry
-        for offset, entry, delivering in self._streams.play(self._objects, upto):
-            process(offset, entry, delivering)
+        for offset, records, delivering in self._streams.play(self._objects, upto, _decode_payload):
+            process(offset, records, delivering)
             if offset > self._watermark:
                 self._watermark = offset
 
@@ -1044,16 +1056,13 @@ class TangoRuntime:
             last = max(our)
             self._streams.sync_many(tuple(self._objects))
             conflict = False
-            for offset, entry, delivering in self._streams.play(
-                self._objects, last
-            ):
+            # Entries, not records: our own are consumed undecoded.
+            for offset, entry, delivering in self._streams.play(self._objects, last):
                 if offset in our:
                     # Our own entry: the speculative apply already
                     # mutated the views; it is consumed, nothing more.
                     pass
-                elif not entry.is_junk and any(
-                    sid in spec_oids for sid in delivering
-                ):
+                elif not entry.is_junk and any(sid in spec_oids for sid in delivering):
                     # A foreign entry interleaved below our flushed
                     # offsets on a speculated stream: the speculation
                     # applied out of log order. Put the iterators back
@@ -1063,7 +1072,7 @@ class TangoRuntime:
                     conflict = True
                     break
                 else:
-                    self._process_entry(offset, entry, delivering)
+                    self._process_entry(offset, _decode_payload(entry), delivering)
                 if offset > self._watermark:
                     self._watermark = offset
             if conflict:
@@ -1103,42 +1112,25 @@ class TangoRuntime:
             self.stats["speculative_commits"] += 1
             return flushed
 
-    def _records(
-        self, offset: int, entry, keep: bool = True
-    ) -> Tuple[Record, ...]:
-        """The records of the entry fetched from *offset* (junk has none).
-
-        Every consumer of entry payloads — checkpoint hunt, catch-up,
-        reconstruction, decision hunts, and playback through the same
-        :func:`_decode_payload` — decodes here, and the stream cache
-        keeps the result beside the raw entry, so an entry is decoded
-        once however many of them (or however many hosted streams)
-        visit it, and never when this runtime appended it with its
-        records. The two that play an entry into the views are its last
-        readers and pass ``keep=False``: they take what an earlier
-        visitor (or the append) left and leave nothing, so history
-        already played costs no more memory than its raw entries.
-        """
-        if entry.is_junk:
-            return ()
-        return self._streams.decoded(offset, entry, _decode_payload, keep)
-
     def _process_entry(
-        self, offset: int, entry, scope: Tuple[int, ...]
+        self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
     ) -> None:
-        """Play one log entry into the objects in *scope*, in one call.
+        """Play one log entry's records into the objects in *scope*.
 
-        Playback is the entry's last reader (``keep=False``). With no
-        transaction parked, a plain update is applied straight away;
-        every other record goes through :meth:`_dispatch`, and while a
-        transaction awaits its decision the whole entry goes through
-        :meth:`_process_records`, which defers what is blocked.
+        Every reader of payloads (checkpoint hunt, catch-up,
+        reconstruction, decision hunts, playback) decodes with
+        :func:`_decode_payload`, through the stream iterators, and the cache
+        keeps them beside the raw entry until playback, its last reader,
+        takes them: one decode per entry, none of what this runtime
+        appended. With no transaction parked, a plain update is applied
+        straight away; every other record goes through :meth:`_dispatch`,
+        and while a transaction awaits its decision the entry goes
+        through :meth:`_process_records`, which defers what is blocked
+        (junk, with no records, is not deferred).
         """
-        if entry.is_junk:
-            return
-        records = self._streams.decoded(offset, entry, _decode_payload, False)
         if self._awaiting or self._blocked_streams:
-            self._process_records(offset, records, scope)
+            if records:
+                self._process_records(offset, records, scope)
             return
         for record in records:
             if type(record) is UpdateRecord and record.tx_id == NO_TX:
@@ -1383,8 +1375,8 @@ class TangoRuntime:
         table = VersionTable()
         pending: Dict[int, List[Tuple[int, UpdateRecord]]] = {}
         below = [o for o in self._streams.known_offsets(oid) if o < upto]
-        for offset, entry in self._streams.scan(below):
-            for record in self._records(offset, entry):
+        for offset, records in self._streams.scan(below, _decode_payload):
+            for record in records:
                 if isinstance(record, UpdateRecord):
                     if record.oid != oid:
                         continue
@@ -1444,8 +1436,8 @@ class TangoRuntime:
                 table.is_stale(e.oid, e.key, e.version) for e in record.read_set
             )
         if record.decision_expected:
-            for off, entry in self._streams.lookahead(oid, offset):
-                for rec in self._records(off, entry):
+            for _off, records in self._streams.lookahead(oid, offset, _decode_payload):
+                for rec in records:
                     if (
                         isinstance(rec, DecisionRecord)
                         and rec.tx_id == record.tx_id
@@ -1465,8 +1457,8 @@ class TangoRuntime:
         (versions are reconstructed historically during the replay), or
         a decision record found further down the stream.
         """
-        for offset, entry, _ in self._streams.play((oid,), upto):
-            for record in self._records(offset, entry, keep=False):
+        for offset, records, _ in self._streams.play((oid,), upto, _decode_payload):
+            for record in records:
                 if isinstance(record, UpdateRecord):
                     if record.is_speculative:
                         pending = self._pending.setdefault(
@@ -1500,8 +1492,8 @@ class TangoRuntime:
 
     def _hunt_decision(self, oid: int, offset: int, tx_id: int) -> Optional[bool]:
         """Scan forward in the stream for the transaction's decision record."""
-        for off, entry in self._streams.lookahead(oid, offset):
-            for record in self._records(off, entry):
+        for _off, records in self._streams.lookahead(oid, offset, _decode_payload):
+            for record in records:
                 if isinstance(record, DecisionRecord) and record.tx_id == tx_id:
                     return record.committed
         return None

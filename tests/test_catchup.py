@@ -135,6 +135,95 @@ def test_one_new_entry_costs_one_storage_read(history):
     assert _storage(cluster, corfu) == reads
 
 
+#: ``_cache_lock`` holds per batched round of ``play`` or ``scan``: the
+#: claim of its misses, the insert of what the round's read returned,
+#: the collection of its entries and forms, and the hand-over (the hunt
+#: remembers fresh forms, playback releases delivered ones). A miss the
+#: round did not claim (a lone one) costs ``fetch``'s two more.
+HOLDS_PER_WINDOW = 4
+HOLDS_PER_MISS = 2
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self._lock = lock
+        self.holds = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.holds += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_a_window_takes_its_entries_and_records_in_a_few_holds(history, monkeypatch):
+    """A fresh four-map runtime: the checkpoint hunt and playback take a
+    round's entries and records from the cache in a few lock holds, not
+    in a few per entry, and leave nothing decoded behind."""
+    cluster, _writer, _maps = history
+    streams = StreamClient(cluster.client())
+    for oid in OIDS:  # the backpointer walk, outside the count
+        streams.open_stream(oid)
+        streams.sync(oid)
+    decodes = Counter()
+    decode = runtime_module.decode_records
+
+    def counting_decode(payload):
+        decodes[payload] += 1
+        return decode(payload)
+
+    monkeypatch.setattr(runtime_module, "decode_records", counting_decode)
+    fetch, scan, play = streams.fetch, streams.scan, streams.play
+    fetched, scanned, played = [], [], []
+
+    def spy_fetch(offset):
+        fetched.append((offset, offset in streams.cached_offsets()))
+        return fetch(offset)
+
+    def spy(iterate, seen):
+        def run(*args):
+            mine = []
+            seen.append(mine)
+            for item in iterate(*args):
+                mine.append(item[0])
+                yield item
+
+        return run
+
+    monkeypatch.setattr(streams, "fetch", spy_fetch)
+    monkeypatch.setattr(streams, "scan", spy(scan, scanned))
+    monkeypatch.setattr(streams, "play", spy(play, played))
+    lock = streams._cache_lock = _CountingLock(streams._cache_lock)
+
+    rt = TangoRuntime(streams, client_id=6, name="counted")
+    held = {oid: TangoMap(rt, oid) for oid in OIDS}  # syncs nothing new; hunts
+    hunt_holds, hunt_misses = lock.holds, len(fetched)
+    lock.holds = 0
+    for oid in OIDS:
+        held[oid].size()  # plays every hosted stream to its tail
+    play_holds, play_misses = lock.holds, len(fetched) - hunt_misses
+
+    def rounds(calls):
+        return sum(-(-len(offsets) // 64) for offsets in calls)
+
+    # The window never goes back to fetch for an entry it found cached.
+    assert not any(cached for _off, cached in fetched)
+    assert hunt_holds <= HOLDS_PER_WINDOW * rounds(scanned) + HOLDS_PER_MISS * hunt_misses
+    assert play_holds <= HOLDS_PER_WINDOW * rounds(played) + HOLDS_PER_MISS * play_misses
+    # Every entry visited is decoded exactly once, by the hunt or playback.
+    visited = {off for calls in (scanned, played) for offsets in calls for off in offsets}
+    assert sum(decodes.values()) == len(visited) and set(decodes.values()) == {1}
+    assert len({off for offsets in played for off in offsets}) > 0.8 * N_OPS
+    assert rt.stats["applied_updates"] > 0.8 * N_OPS
+    # Played history is cached raw: no form is left behind.
+    assert streams.resident_bytes() == sum(
+        len(fetch(off).payload) + stream_module.CACHE_ENTRY_OVERHEAD
+        for off in streams.cached_offsets()
+    )
+
+
 def test_views_and_versions_equal_the_writers(history):
     cluster, writer, maps = history
     for tmap in maps.values():
@@ -162,10 +251,11 @@ class _OneAtATime(StreamClient):
     """The reference player: no windows, no batches, public calls only.
 
     Delivers the smallest undelivered known offset of the streams, one
-    entry per step, through ``peek_offset`` / ``fetch`` / ``seek``.
+    entry per step, through ``peek_offset`` / ``fetch`` / ``seek``, and
+    with *parse* decodes every entry it delivers (no remembered forms).
     """
 
-    def play(self, stream_ids, upto=None):
+    def play(self, stream_ids, upto=None, parse=None):
         while True:
             heads = {sid: self.peek_offset(sid) for sid in stream_ids}
             live = [
@@ -180,7 +270,7 @@ class _OneAtATime(StreamClient):
             delivering = tuple(sid for sid in stream_ids if heads[sid] == best)
             for sid in delivering:
                 self.seek(sid, best)
-            yield best, entry, delivering
+            yield best, entry if parse is None else parse(entry), delivering
 
 
 class _Marked(TangoMap):
@@ -355,6 +445,43 @@ def _check_equivalence(steps):
         assert final["views"][oid] == dict(maps[oid].items())
         offsets = [off for o, off, _key in final["applied"] if o == oid]
         assert offsets == sorted(offsets)
+
+
+def test_checkpoint_refused_while_its_view_lags_a_parked_transaction():
+    """X's iterator on map 1 is past a parked commit and a put deferred
+    behind it, which its view has not applied: a checkpoint there would
+    hand every later loader a view without either write."""
+    cluster = CorfuCluster(num_sets=2, replication_factor=2)
+    w = TangoRuntime(cluster, client_id=1, name="W")
+    w_map, w_gate = TangoMap(w, 1), _Marked(w, 2)
+    w_gate.put("gate", 0)
+    x = TangoRuntime(cluster, client_id=3, name="X")
+    x_map = TangoMap(x, 1)
+
+    w_gate.get("gate")
+    w.begin_tx()
+    w_gate.get("gate")
+    w_map.put("t", 5)
+    ctx = w._current_tx()
+    w._tls.tx = None
+    _offset, record = w._append_commit(ctx)  # no decision record yet
+    w_map.put("b", 2)
+
+    assert x_map.get("b") is None  # parks the commit, defers the put
+    assert x.status()["awaiting_decisions"] == [ctx.tx_id]
+    with pytest.raises(TangoError, match=str(ctx.tx_id)):
+        x.checkpoint(1)
+    assert x.stats["full_checkpoints"] == 0
+
+    w_gate.get("gate")  # W plays past its commit: decided
+    w._append_decision(ctx.tx_id, w._decided[ctx.tx_id], record)
+    assert (x_map.get("t"), x_map.get("b")) == (5, 2)
+    x.checkpoint(1)
+    fresh = TangoRuntime(cluster, client_id=4, name="fresh")
+    loaded = TangoMap(fresh, 1)
+    assert fresh.status()["store"]["checkpoint_chains"] == {1: 0}
+    assert (loaded.get("t"), loaded.get("b")) == (5, 2)
+    assert (w_map.get("t"), w_map.get("b")) == (5, 2)
 
 
 def test_deferred_entry_holds_its_whole_scope():

@@ -291,14 +291,14 @@ class TestNeverDecodeWhatYouEncoded:
         rt, maps, _meter = _hosted_map(cluster)
         streams = rt.streams
         handed = []
-        decoded = streams.decoded
+        play = streams.play
 
-        def spy(offset, entry, parse, keep=True):
-            form = decoded(offset, entry, parse, keep)
-            handed.append((entry, form))
-            return form
+        def spy(stream_ids, upto=None, parse=None):
+            for offset, form, delivering in play(stream_ids, upto, parse):
+                handed.append((streams.fetch(offset), form))
+                yield offset, form, delivering
 
-        monkeypatch.setattr(streams, "decoded", spy)
+        monkeypatch.setattr(streams, "play", spy)
         maps[1].put("k", "v")  # an update
         assert maps[1].get("k") == "v"
         assert _three_plus_three(rt, maps[1])  # an inline commit

@@ -8,6 +8,7 @@ from repro.corfu import CorfuCluster
 from repro.corfu.entry import NO_BACKPOINTER
 from repro.errors import UnknownStreamError, UnwrittenError
 from repro.streams import StreamClient
+from repro.streams.stream import CACHE_ENTRY_OVERHEAD
 
 
 @pytest.fixture
@@ -442,79 +443,96 @@ class TestMergedPlay:
         assert sclient.corfu.reads - reads0 == 200  # each entry read once
 
 
+def _parser(calls):
+    def parse(entry):
+        calls.append(entry.payload)
+        return (entry.payload.upper(),)
+
+    return parse
+
+
+def _form(sclient, offset, parse):
+    """What a one-offset ``scan`` with *parse* hands out (and remembers)."""
+    ((_off, form),) = sclient.scan((offset,), parse)
+    return form
+
+
 class TestDecodedSlot:
-    """StreamClient.decoded: one parse per cached residency of an entry."""
+    """The slot's decoded form: one parse per cached residency of an entry.
 
-    @staticmethod
-    def _parser(calls):
-        def parse(entry):
-            calls.append(entry.payload)
-            return (entry.payload.upper(),)
-
-        return parse
+    ``scan``/``lookahead`` with a ``parse`` remember what they parse;
+    ``play`` with one is the entry's last reader and takes it.
+    """
 
     def test_parsed_once_while_cached(self, sclient):
         calls = []
-        parse = self._parser(calls)
+        parse = _parser(calls)
         off = sclient.append(b"abc", (1,))
-        entry = sclient.fetch(off)
-        first = sclient.decoded(off, entry, parse)
+        sclient.fetch(off)
+        first = _form(sclient, off, parse)
         assert first == (b"ABC",)
-        assert sclient.decoded(off, sclient.fetch(off), parse) is first
+        assert _form(sclient, off, parse) is first
         assert calls == [b"abc"]
 
     def test_decoded_form_is_charged_and_leaves_with_its_entry(self, cluster):
         sclient = StreamClient(cluster.client(), cache_entries=2)
         calls = []
-        parse = self._parser(calls)
+        parse = _parser(calls)
         a = sclient.append(b"a" * 50, (1,))
         assert sclient.resident_bytes() == 0
-        entry = sclient.fetch(a)
+        sclient.fetch(a)
         raw = sclient.resident_bytes()
-        sclient.decoded(a, entry, parse)
+        _form(sclient, a, parse)
         assert sclient.resident_bytes() == 2 * raw
         # LRU eviction takes both halves of the slot...
         for i in range(2):
             sclient.fetch(sclient.append(b"x%d" % i, (1,)))
         assert a not in sclient.cached_offsets()
         assert sclient.resident_bytes() < 2 * raw
-        sclient.decoded(a, sclient.fetch(a), parse)
+        _form(sclient, a, parse)
         assert calls == [b"a" * 50] * 2
         # ...and so does a trim: nothing of the offset stays resident.
         sclient.corfu.trim(a)
         assert a not in sclient.cached_offsets()
         junk = sclient.fetch(a)
-        assert junk.is_junk and sclient.decoded(a, junk, parse) == (b"",)
+        assert junk.is_junk and _form(sclient, a, parse) == (b"",)
 
     def test_uncached_entry_is_parsed_but_not_remembered(self, cluster):
         sclient = StreamClient(cluster.client(), cache_entries=1)
         calls = []
-        parse = self._parser(calls)
+        parse = _parser(calls)
         a = sclient.append(b"a", (1,))
         b = sclient.append(b"b", (1,))
-        entry = sclient.fetch(a)
-        sclient.fetch(b)  # evicts a
+        sclient.fetch(a)
+        scan = sclient.scan((a,), parse)
+        assert next(scan) == (a, (b"A",))
+        sclient.fetch(b)  # evicts a before the round remembers its parse
         before = sclient.resident_bytes()
-        assert sclient.decoded(a, entry, parse) == (b"A",)
-        assert sclient.decoded(a, entry, parse) == (b"A",)
-        assert calls == [b"a", b"a"]
+        assert list(scan) == []
         assert sclient.resident_bytes() == before
+        assert sclient.cached_offsets() == (b,)
+        assert _form(sclient, a, parse) == (b"A",)
+        assert calls == [b"a", b"a"]
 
     def test_last_reader_takes_the_form_and_leaves_nothing(self, sclient):
         calls = []
-        parse = self._parser(calls)
-        off = sclient.append(b"abc", (1,))
-        entry = sclient.fetch(off)
+        parse = _parser(calls)
+        sclient.open_stream(1)
+        off = sclient.append(b"abc", (1,))  # written through, raw
+        sclient.sync(1)
         raw = sclient.resident_bytes()
-        kept = sclient.decoded(off, entry, parse)
+        kept = _form(sclient, off, parse)
         assert sclient.resident_bytes() == 2 * raw
-        # keep=False hands the remembered object over and forgets it...
-        assert sclient.decoded(off, entry, parse, keep=False) is kept
+        # Playback hands the remembered object over and forgets it...
+        ((_off, form, _sids),) = sclient.play((1,), parse=parse)
+        assert form is kept
         assert sclient.resident_bytes() == raw and calls == [b"abc"]
         # ...and does not remember a parse of its own.
-        assert sclient.decoded(off, entry, parse, keep=False) == kept
+        sclient.reset(1)
+        ((_off, form, _sids),) = sclient.play((1,), parse=parse)
+        assert form == kept
         assert sclient.resident_bytes() == raw and calls == [b"abc"] * 2
-        sclient.decoded(off, entry, parse)
+        _form(sclient, off, parse)
         assert sclient.resident_bytes() == 2 * raw and calls == [b"abc"] * 3
 
     def test_a_none_parse_is_refused_and_charges_nothing(self, cluster):
@@ -524,14 +542,105 @@ class TestDecodedSlot:
         sclient = StreamClient(cluster.client())
         sclient.set_cache_budget(1 << 20)
         off = cluster.client().append(b"abc", (1,))
-        entry = sclient.fetch(off)
+        sclient.fetch(off)
         raw = sclient.resident_bytes()
         for _ in range(3):
             with pytest.raises(TypeError):
-                sclient.decoded(off, entry, lambda e: None)
+                _form(sclient, off, lambda e: None)
+        sclient.open_stream(1)
+        sclient.sync(1)
+        with pytest.raises(TypeError):
+            list(sclient.play((1,), parse=lambda e: None))
         assert sclient.resident_bytes() == raw
-        assert sclient.decoded(off, entry, lambda e: (e.payload,)) == (b"abc",)
+        assert _form(sclient, off, lambda e: (e.payload,)) == (b"abc",)
         assert sclient.resident_bytes() == 2 * raw
+
+
+class TestWindowHandOver:
+    """play(parse=...): forms leave with delivery, not with collection."""
+
+    @staticmethod
+    def _seeded(sclient, n):
+        """*n* entries on stream 1, each with a remembered form."""
+        sclient.open_stream(1)
+        offsets = [sclient.append(b"e%d" % i, (1,)) for i in range(n)]
+        sclient.sync(1)
+        seeding = []
+        forms = dict(sclient.scan(offsets, _parser(seeding)))
+        assert len(seeding) == n
+        return offsets, forms
+
+    @staticmethod
+    def _raw(sclient, offsets):
+        return sum(
+            len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD for off in offsets
+        )
+
+    def test_abandoned_window_keeps_undelivered_forms(self, sclient):
+        offsets, forms = self._seeded(sclient, 10)
+        raw = self._raw(sclient, offsets)
+        assert sclient.resident_bytes() == 2 * raw
+        calls = []
+        player = sclient.play((1,), parse=_parser(calls))
+        for _ in range(3):
+            off, form, _sids = next(player)
+            assert form is forms[off]
+        player.close()  # mid-window
+        assert sclient.position(1) == offsets[2]
+        delivered, rest = offsets[:3], offsets[3:]
+        assert sclient.resident_bytes() == self._raw(sclient, delivered) + 2 * self._raw(
+            sclient, rest
+        )
+        # The next play hands the kept forms over without parsing again.
+        played = list(sclient.play((1,), parse=_parser(calls)))
+        assert [off for off, _f, _s in played] == rest
+        assert all(form is forms[off] for off, form, _s in played)
+        assert calls == [] and sclient.resident_bytes() == raw
+
+    def test_entry_evicted_inside_a_window_is_delivered_in_order(self, cluster):
+        """Under a budget: evicted after the window collected it, an entry
+        is delivered with the form it was collected with; gone before
+        collection, it is read again (through ``fetch``) and parsed."""
+        sclient = StreamClient(cluster.client())
+        offsets, forms = self._seeded(sclient, 12)
+        calls = []
+        played = []
+        for off, form, _sids in sclient.play((1,), parse=_parser(calls)):
+            played.append(off)
+            assert form == forms[off]
+            if off == offsets[1]:
+                sclient.set_cache_budget(1)  # evicts all but the youngest
+            assert sclient.resident_bytes() >= 0
+        assert played == offsets and calls == []
+        # The window's hand-over skipped the evicted slots: no negative
+        # and no stale charge.
+        cached = sclient.cached_offsets()
+        assert sclient.resident_bytes() == self._raw(sclient, cached)
+        # Not cached when the window collects it (a lone miss, which no
+        # batched round claims): read through fetch, parsed once more.
+        sclient.set_cache_budget(None)
+        sclient.fetch_many(offsets[:10])
+        assert offsets[10] not in sclient.cached_offsets()
+        sclient.reset(1)
+        fetched = []
+        fetch = sclient.fetch
+        sclient.fetch = lambda off: fetched.append(off) or fetch(off)
+        replayed = [off for off, _f, _s in sclient.play((1,), parse=_parser(calls))]
+        assert replayed == offsets and fetched == [offsets[10]]
+        assert calls == [b"e%d" % i for i in range(12)]
+        assert sclient.resident_bytes() == self._raw(sclient, offsets)
+
+    def test_junk_goes_through_parse(self, cluster):
+        sclient = StreamClient(cluster.client())
+        sclient.open_stream(1)
+        sclient.append(b"a", (1,))
+        hole, _ = cluster.sequencer().increment(stream_ids=(1,))
+        cluster.client().fill(hole)
+        sclient.sync(1)
+        calls = []
+        played = [(off, form) for off, form, _s in sclient.play((1,), parse=_parser(calls))]
+        assert played == [(0, (b"A",)), (hole, (b"",))]
+        assert calls == [b"a", b""]
 
 
 _membership = st.integers(min_value=1, max_value=4).flatmap(

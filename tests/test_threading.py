@@ -8,6 +8,7 @@ several Python threads at once.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -292,7 +293,9 @@ class TestStreamIteratorThreadSafety:
         against the live iterators hands every entry to exactly one of
         them (a lost or doubled ``read_ptr`` move would show as a
         duplicate or a gap), batched rounds share their single-flight
-        slot, and the byte accounting of the decoded slots adds up."""
+        slot, and each entry's remembered form is handed over with its
+        delivery and released once, so the byte accounting of the
+        decoded slots adds up to raw entries alone."""
         import sys
 
         from repro.streams import StreamClient
@@ -307,17 +310,22 @@ class TestStreamIteratorThreadSafety:
         for sid in (1, 2):
             sclient.open_stream(sid)
         sclient.sync_many((1, 2))
+        known = set(sclient.known_offsets(1)) | set(sclient.known_offsets(2))
+        seeded = dict(sclient.scan(sorted(known), lambda e: (e.payload,)))
         delivered = [[] for _ in range(6)]
+        parses = []
         errors = []
+
+        def parse(entry):
+            parses.append(entry.payload)
+            return (entry.payload,)
 
         def player(mine):
             def run():
                 try:
-                    for off, entry, sids in sclient.play((1, 2)):
-                        assert entry.payload == b"e%d" % off
-                        form = sclient.decoded(off, entry, lambda e: (e.payload,))
-                        assert form == (entry.payload,)
-                        mine.append((off, sids))
+                    for off, form, sids in sclient.play((1, 2), parse=parse):
+                        assert form == (b"e%d" % off,)
+                        mine.append((off, sids, form))
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -338,15 +346,29 @@ class TestStreamIteratorThreadSafety:
         # A two-stream entry may be claimed one stream at a time by two
         # players racing for it; every (offset, stream) pair goes once.
         pairs = sorted(
-            (off, sid) for mine in delivered for off, sids in mine for sid in sids
+            (off, sid) for mine in delivered for off, sids, _f in mine for sid in sids
         )
         expected = sorted(
             (off, sid) for sid in (1, 2) for off in sclient.known_offsets(sid)
         )
         assert pairs == expected
         assert sclient.corfu.reads <= n  # no offset was read twice
+        # An entry claimed whole goes to one player with the seeded form;
+        # only a split two-stream entry can reach a second player, who
+        # may find its form already released and parse it afresh.
+        handed = Counter(off for mine in delivered for off, _s, _f in mine)
+        split = {off for off, count in handed.items() if count > 1}
+        assert all(count <= 2 for count in handed.values())
+        assert split <= set(sclient.known_offsets(1)) & set(sclient.known_offsets(2))
+        assert len(parses) <= len(split)
+        assert all(
+            form is seeded[off]
+            for mine in delivered
+            for off, _s, form in mine
+            if off not in split
+        )
         assert sclient.resident_bytes() == sum(
-            2 * (len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD)
+            len(sclient.fetch(off).payload) + CACHE_ENTRY_OVERHEAD
             for off in sclient.cached_offsets()
         )
 
