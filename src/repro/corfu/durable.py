@@ -81,7 +81,8 @@ class DurableFlashUnit(FlashUnit):
                 self._pages[address] = data  # tangolint: disable=TL005
             elif op == _OP_TRIM:
                 self._pages.pop(address, None)
-                self._trimmed_sparse.add(address)
+                if not self._is_trimmed(address):  # as FlashUnit.trim
+                    self._trimmed_sparse.add(address)
                 self._compact_trims()
             elif op == _OP_TRIM_PREFIX:
                 for addr in [a for a in self._pages if a < address]:
@@ -120,12 +121,16 @@ class DurableFlashUnit(FlashUnit):
     # Each override holds the unit lock (an RLock, so the inherited
     # mutation can re-enter it) across apply *and* persist: otherwise two
     # threads' frames can interleave mid-record in the file, or land in
-    # an order that disagrees with the in-memory apply order.
+    # an order that disagrees with the in-memory apply order. A page is
+    # applied only once its frame is on file, so a failed write serves
+    # nothing a reopen would lose.
 
     def write(self, address: int, data: bytes, epoch: int) -> None:
         with self._lock:
-            super().write(address, data, epoch)
+            self._check_write_locked(address, epoch)
             self._append_frame(_OP_WRITE, epoch, address, data)
+            self._pages[address] = data
+            self.writes += 1
 
     def trim(self, address: int, epoch: int) -> None:
         with self._lock:
@@ -154,7 +159,9 @@ def open_durable_cluster(data_dir: str, **kwargs):
     ``segmented=False`` for the original single-flat-file layout.
 
     Extra storage knobs (all optional): ``segment_bytes`` (roll size),
-    ``sync`` (fsync per frame, default True), ``compaction_policy`` (a
+    ``sync`` (fsync before each write call returns — one per page, or
+    per segment a ``write_many`` batch touches — default True),
+    ``compaction_policy`` (a
     :class:`~repro.store.compactor.CompactionPolicy`).
 
     Reopening the same directory reconstructs the whole log — Tango

@@ -100,6 +100,7 @@ class FlashUnit:
         :class:`TrimmedError` if it was reclaimed, and
         :class:`SealedError` if *epoch* is stale.
         """
+        # _check_write_locked, inlined: this is the in-memory hot path.
         if address < 0:
             raise ValueError(f"negative address {address}")
         with self._lock:
@@ -112,6 +113,22 @@ class FlashUnit:
             self._pages[address] = data
             self.writes += 1
 
+    def _check_write_locked(self, address: int, epoch: int) -> None:
+        """Raise whatever :meth:`write` would refuse *address* with.
+
+        Changes nothing: a persistent subclass's :meth:`write` checks,
+        persists the page's frame, and only then installs the page, so a
+        page is never served unless it is on file.
+        """
+        if address < 0:
+            raise ValueError(f"negative address {address}")
+        self._check_up()
+        self._check_epoch(epoch)
+        if self._is_trimmed(address):
+            raise TrimmedError(address)
+        if address in self._pages:
+            raise WrittenError(address)
+
     def write_many(self, writes, epoch: int) -> Dict[int, str]:
         """Batched write: one RPC applying ``(address, data)`` pairs in order.
 
@@ -120,11 +137,11 @@ class FlashUnit:
         :meth:`read_many`, per-address outcomes are *data* — a batch
         must not stop because one offset lost its write-once race —
         while node-level conditions (down node, stale epoch) raise for
-        the whole call before anything is applied. Each page goes
-        through :meth:`write`, so a persistent subclass makes every
-        accepted page durable exactly as a single write would; the
-        whole batch holds the unit lock, so a delivery repeated by the
-        network bounces off write-once and reports ``"written"``.
+        the whole call before anything is applied. Here each page goes
+        through :meth:`write`; the segmented store's unit overrides this
+        to persist the batch's accepted pages in one append. The whole
+        batch holds the unit lock, so a delivery repeated by the network
+        bounces off write-once and reports ``"written"``.
         """
         with self._lock:
             self._check_up()

@@ -2,8 +2,9 @@
 
 :class:`SegmentedFlashUnit` mirrors
 :class:`~repro.corfu.durable.DurableFlashUnit` — every mutation applies
-in memory and then persists one intention frame, atomically under the
-unit lock — but frames land in a :class:`~repro.store.segment.SegmentStore`
+in memory and persists one intention frame, atomically under the unit
+lock, and a ``write_many`` batch persists its accepted pages in one
+append — but frames land in a :class:`~repro.store.segment.SegmentStore`
 directory, so trimmed history can be reclaimed by the
 :class:`~repro.store.compactor.Compactor` instead of accreting forever.
 
@@ -15,7 +16,7 @@ streamed into the store unchanged and the file is renamed to
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.corfu.storage import FlashUnit
 from repro.store.compactor import CompactionPolicy, Compactor
@@ -25,6 +26,7 @@ from repro.store.segment import (
     OP_TRIM,
     OP_TRIM_PREFIX,
     OP_WRITE,
+    Frame,
     SegmentStore,
     read_flat_log,
 )
@@ -70,7 +72,8 @@ class SegmentedFlashUnit(FlashUnit):
             self._pages[address] = data  # tangolint: disable=TL004,TL005
         elif op == OP_TRIM:
             self._pages.pop(address, None)
-            self._trimmed_sparse.add(address)
+            if not self._is_trimmed(address):  # as FlashUnit.trim
+                self._trimmed_sparse.add(address)
             self._compact_trims()
         elif op == OP_TRIM_PREFIX:
             for addr in [a for a in self._pages if a < address]:
@@ -84,21 +87,65 @@ class SegmentedFlashUnit(FlashUnit):
 
     def _migrate_flat(self, path: str) -> None:
         """Import a legacy flat intention log, then retire the file."""
-        for op, epoch, address, data in read_flat_log(path):
-            self.store.append_frame(op, epoch, address, data)
+        frames = read_flat_log(path)
+        self.store.append_frames(frames)
+        for op, epoch, address, data in frames:
             self._apply_frame(op, epoch, address, data)
         os.replace(path, path + ".migrated")
 
-    # -- overridden mutations (apply, then persist; atomically) ---------------
+    # -- overridden mutations (apply and persist; atomically) -----------------
 
     # As in DurableFlashUnit, each override holds the unit lock (an
     # RLock, so the inherited mutation can re-enter it) across apply
-    # *and* persist, keeping file frame order equal to apply order.
+    # *and* persist, keeping file frame order equal to apply order. A
+    # page is applied only once its frame is on file.
 
     def write(self, address: int, data: bytes, epoch: int) -> None:
         with self._lock:
-            super().write(address, data, epoch)
+            self._check_write_locked(address, epoch)
             self.store.append_frame(OP_WRITE, epoch, address, data)
+            self._pages[address] = data
+            self.writes += 1
+
+    def write_many(self, writes, epoch: int) -> Dict[int, str]:
+        """:meth:`FlashUnit.write_many`, persisted as one frame append.
+
+        The accepted pages' frames go to the store together, in batch
+        order — one file write per segment they touch. Pages are applied
+        only once their frames are on file; if a later segment's write
+        fails, exactly the pages written before it are applied and the
+        error propagates.
+        """
+        with self._lock:
+            self._check_up()
+            self._check_epoch(epoch)
+            results: Dict[int, str] = {}
+            frames: List[Frame] = []
+            # _is_trimmed, inlined: this loop runs once per page. An
+            # address already in *results* was accepted earlier in the
+            # batch (a trimmed one would be trimmed again).
+            prefix, sparse, pages = (
+                self._trimmed_prefix, self._trimmed_sparse, self._pages,
+            )
+            for address, data in writes:
+                if address < 0:
+                    raise ValueError(f"negative address {address}")
+                if address < prefix or address in sparse:
+                    results[address] = "trimmed"
+                elif address in pages or address in results:
+                    results[address] = "written"
+                else:
+                    results[address] = "ok"
+                    frames.append((OP_WRITE, epoch, address, data))
+            if frames:
+                before = self.store.frames_appended
+                try:
+                    self.store.append_frames(frames)
+                finally:
+                    written = self.store.frames_appended - before
+                    for _op, _epoch, address, data in frames[:written]:
+                        super().write(address, data, epoch)
+            return results
 
     def trim(self, address: int, epoch: int) -> None:
         with self._lock:

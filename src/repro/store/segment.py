@@ -41,7 +41,16 @@ import os
 import struct
 import threading
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +146,8 @@ class SegmentInfo:
     so the map doubles as the per-segment index. ``control_bytes``
     counts T/P/S frames — always reclaimable by a rewrite, because the
     compactor re-records the trim/epoch snapshot in its preamble.
+    ``crc`` is the running crc32 of the frame region, so sealing a
+    segment never reads its file back.
     """
 
     __slots__ = (
@@ -149,6 +160,7 @@ class SegmentInfo:
         "data_bytes",
         "control_bytes",
         "w_frames",
+        "crc",
     )
 
     def __init__(
@@ -163,6 +175,7 @@ class SegmentInfo:
         self.data_bytes = 0  # frame-region bytes (header/footer excluded)
         self.control_bytes = 0
         self.w_frames: Dict[int, int] = {}
+        self.crc = 0
 
     def note_frame(self, op: int, address: int, frame_len: int) -> None:
         self.frame_count += 1
@@ -196,6 +209,29 @@ def _segment_filename(base: int, gen: int) -> str:
     return f"seg-{base:016d}-{gen:08d}.seg"
 
 
+def _footer(info: SegmentInfo) -> bytes:
+    """The footer sealing *info*, built from its accounting alone."""
+    index = sorted(info.w_frames)
+    return struct.pack(
+        f"<4sIII{len(index)}QI",
+        FOOTER_MAGIC,
+        info.frame_count,
+        info.crc,
+        len(index),
+        *index,
+        _FOOTER_FIXED.size + 8 * len(index),
+    )
+
+
+def _seal(info: SegmentInfo, f: BinaryIO) -> None:
+    """Append *info*'s footer through *f*, fsync it, and close *f*."""
+    with f:
+        f.write(_footer(info))
+        f.flush()
+        os.fsync(f.fileno())
+    info.sealed = True
+
+
 class SegmentStore:
     """A directory of sealed segment files plus one active append segment.
 
@@ -205,6 +241,11 @@ class SegmentStore:
     contract as the flat durable format). :meth:`rewrite_segments` reads
     and writes *sealed* files outside the lock — they are immutable —
     and takes it only to splice the segment list.
+
+    ``frames_appended`` counts the frames handed to the file since open.
+    The owning unit, whose lock serializes all of its appends, reads it
+    around an :meth:`append_frames` call to learn how many of the
+    call's frames reached the file if the call raises.
     """
 
     def __init__(
@@ -222,8 +263,11 @@ class SegmentStore:
         self._segments: List[SegmentInfo] = []
         self._active: Optional[SegmentInfo] = None
         self._active_file = None
+        # A new segment's header, written with its first run of frames.
+        self._active_header = b""
         self._next_seq = 0
         self._closed = False
+        self.frames_appended = 0
         os.makedirs(directory, exist_ok=True)
         self._replay_frames: List[Frame] = self._load()
 
@@ -266,11 +310,11 @@ class SegmentStore:
         # segment at crash time); seal any earlier stragglers.
         for info in self._segments[:-1]:
             if not info.sealed:
-                self._write_footer(info)
+                _seal(info, open(info.path, "ab"))
         if self._segments and not self._segments[-1].sealed:
             tail = self._segments[-1]
             if tail.data_bytes >= self.segment_bytes:
-                self._write_footer(tail)
+                _seal(tail, open(tail.path, "ab"))
             else:
                 self._active = tail
                 self._active_file = open(tail.path, "ab")
@@ -315,6 +359,11 @@ class SegmentStore:
         info.sealed = sealed
         for op, _epoch, address, data in frames:
             info.note_frame(op, address, FRAME.size + len(data))
+        # An unsealed segment keeps only its parsed frames (the tear was
+        # truncated above); a sealed one is checked against its footer.
+        info.crc = zlib.crc32(
+            memoryview(raw)[_HEADER.size : frames_end if sealed else consumed]
+        )
         if sealed:
             self._verify_footer(raw, frames_end, info, name)
         return info, frames
@@ -337,8 +386,7 @@ class SegmentStore:
         _magic, frame_count, crc, index_count = _FOOTER_FIXED.unpack_from(
             raw, footer_start
         )
-        actual_crc = zlib.crc32(raw[_HEADER.size : footer_start]) & 0xFFFFFFFF
-        if crc != actual_crc or frame_count != info.frame_count:
+        if crc != info.crc or frame_count != info.frame_count:
             logger.warning(
                 "segment store %s: %s footer mismatch "
                 "(crc %08x vs %08x, frames %d vs %d); "
@@ -346,7 +394,7 @@ class SegmentStore:
                 self.directory,
                 name,
                 crc,
-                actual_crc,
+                info.crc,
                 frame_count,
                 info.frame_count,
                 info.frame_count,
@@ -385,63 +433,87 @@ class SegmentStore:
         with self._lock:
             if self._closed:
                 raise ValueError("segment store is closed")
-            if self._active is None:
-                self._open_active_locked()
-            assert self._active is not None and self._active_file is not None
-            # Holding the lock across the file write is deliberate: the
-            # frame order must match the caller's apply order, and each
-            # critical section covers one small frame (same contract as
-            # the flat durable format).
-            self._active_file.write(blob)  # tangolint: disable=TL012
-            self._active_file.flush()
-            if self.sync:
-                os.fsync(self._active_file.fileno())
-            self._active.note_frame(op, address, len(blob))
-            if self._active.data_bytes >= self.segment_bytes:
-                self._seal_active_locked()
+            self._write_run_locked(blob, ((op, address, len(blob)),))
+
+    def append_frames(self, frames: Sequence[Frame]) -> None:
+        """Append *frames* in order, with one file write per segment run.
+
+        The frames split only where one fills the active segment (the
+        segment rolls after the frame that reaches ``segment_bytes``), so
+        segment boundaries fall exactly where one-by-one appends would
+        put them. Each run costs one ``write``, one ``flush`` and, under
+        ``sync``, one ``fsync``. A run's frames are accounted, and counted
+        in ``frames_appended``, only once the run is written; if a later
+        run fails, the earlier runs stay on file and the error propagates.
+        """
+        with self._lock:
+            if self._closed:
+                raise ValueError("segment store is closed")
+            active = self._active
+            room = self.segment_bytes - (active.data_bytes if active else 0)
+            parts: List[bytes] = []
+            notes: List[Tuple[int, int, int]] = []
+            pack, header = FRAME.pack, FRAME.size
+            for op, epoch, address, data in frames:
+                size = len(data)
+                parts += (pack(op, epoch, address, size), data)
+                size += header
+                notes.append((op, address, size))
+                room -= size
+                if room <= 0:  # this frame fills the segment: write, roll
+                    self._write_run_locked(b"".join(parts), notes)
+                    room, parts, notes = self.segment_bytes, [], []
+            if notes:
+                self._write_run_locked(b"".join(parts), notes)
+
+    def _write_run_locked(
+        self, run: bytes, notes: Sequence[Tuple[int, int, int]]
+    ) -> None:
+        """Write *run* — the packed frames described by *notes*, each
+        ``(op, address, frame size)`` — to the active segment in one
+        write, then account the frames and roll if the segment is full."""
+        if self._active is None:
+            self._open_active_locked()
+        info, f, head = self._active, self._active_file, self._active_header
+        assert info is not None and f is not None
+        # Holding the lock across the file write is deliberate: the frame
+        # order must match the caller's apply order, and each critical
+        # section covers one caller's batch (same contract as the flat
+        # durable format).
+        f.write(head + run if head else run)  # tangolint: disable=TL012
+        f.flush()
+        if self.sync:
+            os.fsync(f.fileno())
+        self._active_header = b""
+        info.crc = zlib.crc32(run, info.crc)
+        for op, address, size in notes:
+            info.note_frame(op, address, size)
+        self.frames_appended += len(notes)
+        if info.data_bytes >= self.segment_bytes:
+            self._seal_active_locked()
 
     def _open_active_locked(self) -> None:
+        """Create the next append segment; its header goes out with the
+        first run (a file left without a whole header is removed at
+        open)."""
         seq = self._next_seq
         self._next_seq += 1
         path = os.path.join(self.directory, _segment_filename(seq, 0))
         info = SegmentInfo(path, seq, 0, seq, sealed=False)
-        f = open(path, "wb")
-        f.write(  # tangolint: disable=TL012
-            _HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, 0, seq, 0, seq)
-        )
-        f.flush()
-        if self.sync:
-            os.fsync(f.fileno())
+        self._active_file = open(path, "wb")
         self._segments.append(info)
         self._active = info
-        self._active_file = f
+        self._active_header = _HEADER.pack(
+            SEGMENT_MAGIC, SEGMENT_VERSION, 0, seq, 0, seq
+        )
 
     def _seal_active_locked(self) -> None:
         info, f = self._active, self._active_file
         if info is None or f is None:
             return
-        f.close()
         self._active = None
         self._active_file = None
-        self._write_footer(info)
-
-    def _write_footer(self, info: SegmentInfo) -> None:
-        with open(info.path, "rb") as f:
-            raw = f.read()
-        frames_crc = zlib.crc32(raw[_HEADER.size :]) & 0xFFFFFFFF
-        footer = bytearray(
-            _FOOTER_FIXED.pack(
-                FOOTER_MAGIC, info.frame_count, frames_crc, len(info.w_frames)
-            )
-        )
-        for addr in sorted(info.w_frames):
-            footer += struct.pack("<Q", addr)
-        footer += struct.pack("<I", len(footer))
-        with open(info.path, "ab") as f:
-            f.write(bytes(footer))
-            f.flush()
-            os.fsync(f.fileno())
-        info.sealed = True
+        _seal(info, f)
 
     def seal_active(self) -> None:
         """Seal the active segment now (tests/shutdown); idempotent."""
@@ -498,8 +570,9 @@ class SegmentStore:
         The output carries *preamble* (the caller's trim/epoch snapshot)
         followed by every W frame whose address satisfies *keep*, covers
         the union of the targets' sequence ranges, and takes a higher
-        gen. Crash-safe: temp write, fsync, rename, then delete inputs —
-        a crash at any point leaves a state :meth:`_load` repairs.
+        gen. Crash-safe: temp write (body and footer, one fsync), rename,
+        directory fsync, then delete inputs — a crash at any point leaves
+        a state :meth:`_load` repairs.
         """
         if not targets:
             raise ValueError("rewrite_segments needs at least one target")
@@ -537,14 +610,15 @@ class SegmentStore:
                     new_info.note_frame(op, address, len(blob))
                 else:
                     frames_dropped += 1
+        new_info.crc = zlib.crc32(memoryview(out)[_HEADER.size :])
+        out += _footer(new_info)
+        new_info.sealed = True
         final_path = os.path.join(self.directory, _segment_filename(base, gen))
         tmp_path = final_path + ".tmp"
         with open(tmp_path, "wb") as f:
-            f.write(bytes(out))
+            f.write(out)
             f.flush()
             os.fsync(f.fileno())
-        new_info.path = tmp_path
-        self._write_footer(new_info)
         os.replace(tmp_path, final_path)
         new_info.path = final_path
         self._fsync_directory()
