@@ -1,10 +1,12 @@
 """Benchmark: the batched read path vs the per-offset path.
 
-Demonstrates the tentpole win of read batching: a cold sync over a
-1,000-entry stream with a speculative prefetch window issues a small
-fraction of the storage round trips of the per-offset backpointer walk,
-over byte-identical stream contents. The RPC counts come from the
-transport's per-endpoint delivery counters, so what is asserted is
+Demonstrates the win of read batching: after a cold sync over a
+1,000-entry stream (the backpointer walk reads ~N/K entries), merged
+playback fetches the rest in exact batches — the offsets the walk
+discovered, one ``read_many`` per replica chain per window — and issues
+a small fraction of the storage round trips of fetching each entry on
+its own, over byte-identical stream contents. The RPC counts come from
+the transport's per-endpoint delivery counters, so what is asserted is
 exactly what a network would carry.
 """
 
@@ -14,7 +16,6 @@ from repro.corfu import CorfuCluster
 from repro.streams import StreamClient
 
 N_ENTRIES = 1000
-WINDOW = 64
 
 
 def _build_cluster() -> CorfuCluster:
@@ -34,76 +35,76 @@ def _storage_rpcs(client, cluster) -> int:
     )
 
 
-def _cold_sync_rpcs(prefetch_window):
+def _synced():
+    """A fresh client synced cold over the stream: (client, cluster)."""
     cluster = _build_cluster()
-    reader = cluster.client()
-    sclient = StreamClient(reader, prefetch_window=prefetch_window)
+    sclient = StreamClient(cluster.client())
     sclient.open_stream(1)
-    before = _storage_rpcs(reader, cluster)
     sclient.sync(1)
-    rpcs = _storage_rpcs(reader, cluster) - before
-    return rpcs, sclient
+    return sclient, cluster
+
+
+def _playback_rpcs(batched: bool):
+    """Storage RPCs to play (or fetch one offset at a time) the synced
+    stream, and the offsets delivered."""
+    sclient, cluster = _synced()
+    before = _storage_rpcs(sclient.corfu, cluster)
+    if batched:
+        delivered = [off for off, _entry, _ids in sclient.play((1,))]
+    else:
+        delivered = list(sclient.known_offsets(1))
+        for off in delivered:
+            sclient.fetch(off)
+    return _storage_rpcs(sclient.corfu, cluster) - before, delivered, sclient
 
 
 @pytest.mark.benchmark(group="batched-reads")
 def test_batched_cold_sync_rpc_reduction(benchmark):
-    """Cold sync of 1,000 entries: windowed read_many vs per-offset."""
-    per_offset_rpcs, plain = _cold_sync_rpcs(None)
-    batched_rpcs, batched = _cold_sync_rpcs(WINDOW)
+    """Playback after a cold sync: exact read_many batches vs per-offset."""
+    per_offset_rpcs, plain, _ = _playback_rpcs(batched=False)
+    batched_rpcs, delivered, batched = _playback_rpcs(batched=True)
 
     # Identical answers over identical contents...
-    assert batched.known_offsets(1) == plain.known_offsets(1)
-    assert len(plain.known_offsets(1)) == N_ENTRIES
-    # ...with >=4x fewer storage round trips (acceptance criterion;
-    # the expected ratio here is ~250 : ~33).
+    assert delivered == list(range(N_ENTRIES))
+    assert len(plain) == N_ENTRIES
+    # ...with >=4x fewer storage round trips (the expected ratio here
+    # is ~750 : ~32: the walk already read one entry in K).
     assert per_offset_rpcs >= 4 * batched_rpcs
 
-    # The savings are visible in the client's own counters too.
+    # The savings are visible in the client's own counters too: every
+    # entry the walk did not read travels in a batch.
     corfu = batched.corfu
     assert corfu.batched_reads > 0
-    # Nearly every offset travels in a batch; the sequencer's last-K
-    # seed offsets may be fetched individually at the walk's start.
-    assert corfu.batched_read_offsets >= N_ENTRIES * 0.95
+    assert corfu.batched_read_offsets >= N_ENTRIES * 0.7
 
-    print("\n=== Batched reads: cold sync over "
+    print("\n=== Batched reads: playback of a cold-synced "
           f"{N_ENTRIES}-entry stream ===")
     print(f"{'path':>24} | {'storage RPCs':>12}")
     print("-" * 41)
-    print(f"{'per-offset walk':>24} | {per_offset_rpcs:>12}")
-    print(f"{'read_many (W=%d)' % WINDOW:>24} | {batched_rpcs:>12}")
+    print(f"{'per-offset fetch':>24} | {per_offset_rpcs:>12}")
+    print(f"{'play (read_many)':>24} | {batched_rpcs:>12}")
     print(f"{'reduction':>24} | {per_offset_rpcs / batched_rpcs:>11.1f}x")
 
-    # Time the batched cold sync end to end.
-    def cold_sync():
-        cluster = _build_cluster()
-        sclient = StreamClient(cluster.client(), prefetch_window=WINDOW)
-        sclient.open_stream(1)
-        return sclient.sync(1)
+    # Time the cold sync plus batched playback end to end.
+    def cold_catchup():
+        sclient, _cluster = _synced()
+        return sum(1 for _ in sclient.play((1,)))
 
-    result = benchmark.pedantic(cold_sync, rounds=3, iterations=1)
-    assert result == N_ENTRIES - 1
+    result = benchmark.pedantic(cold_catchup, rounds=3, iterations=1)
+    assert result == N_ENTRIES
 
 
 @pytest.mark.benchmark(group="batched-reads")
 def test_batched_playback_rpc_reduction(benchmark):
-    """Full playback after sync: prefetch batches the known offsets."""
-    cluster = _build_cluster()
-    reader = cluster.client()
-    sclient = StreamClient(reader, prefetch_window=WINDOW)
-    sclient.open_stream(1)
-    sclient.sync(1)
-    before = _storage_rpcs(reader, cluster)
-    delivered = 0
-    while sclient.readnext(1) is not None:
-        delivered += 1
-    playback_rpcs = _storage_rpcs(reader, cluster) - before
-    assert delivered == N_ENTRIES
-    # Everything was prefetched during the windowed sync: playback
-    # itself is almost RPC-free (cache hits).
+    """Full playback after sync: exact batches of the known offsets."""
+    playback_rpcs, delivered, sclient = _playback_rpcs(batched=True)
+    assert len(delivered) == N_ENTRIES
+    # Playback batched everything the walk had not read: it is almost
+    # RPC-free.
     assert playback_rpcs < N_ENTRIES / 4
 
-    print(f"\nplayback of {delivered} entries issued "
-          f"{playback_rpcs} storage RPCs (cache-warm)")
+    print(f"\nplayback of {len(delivered)} entries issued "
+          f"{playback_rpcs} storage RPCs")
 
     def playback_pass():
         sclient.reset(1)

@@ -91,6 +91,7 @@ class DurableFlashUnit(FlashUnit):
                 self._trimmed_sparse = {
                     a for a in self._trimmed_sparse if a >= address
                 }
+                self._compact_trims()
             elif op == _OP_SEAL:
                 self._epoch = max(self._epoch, epoch)
             else:

@@ -241,6 +241,7 @@ class FlashUnit:
             self._trimmed_sparse = {
                 a for a in self._trimmed_sparse if a >= address
             }
+            self._compact_trims()
             self.trims += 1
 
     def _compact_trims(self) -> None:

@@ -6,9 +6,11 @@ STL" (paper section 3). Every class here is persistent, strongly
 consistent, and highly available purely by virtue of being layered over
 the shared log; none contains any distributed protocol code.
 
-Values stored in these objects must be JSON-serializable (the update
-records are JSON-encoded for debuggability); :class:`TangoBK` ledger
-entries and :class:`TangoZK` znode data are raw bytes.
+Values stored in these objects must be JSON-serializable: an update is
+one binary op (:class:`~repro.util.encoding.OpTable`) whose scalar
+fields are packed and whose other fields are JSON text, so a value reads
+back as a JSON round trip gives it. :class:`TangoBK` ledger entries and
+:class:`TangoZK` znode data are raw bytes.
 """
 
 from repro.objects.register import TangoRegister

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import LedgerClosedError, LedgerFencedError
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 from repro.util.ident import default_source
 
 _STATE_OPEN = "open"
@@ -35,6 +36,9 @@ _STATE_CLOSED = "closed"
 
 class Ledger(TangoObject):
     """A single-writer, append-only sequence of byte entries."""
+
+    # An add's data is base64 text, so legacy JSON adds decode to the same.
+    OPS = OpTable("claim writer", "add writer seq data", "fence writer", "close writer last")
 
     def __init__(
         self,
@@ -60,37 +64,34 @@ class Ledger(TangoObject):
     # apply upcall — the deterministic single-writer gate
     # ------------------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "claim":
-            # First claim wins; later claims by other writers are
-            # rejected unless they are fences.
-            if self._writer is None:
-                self._writer = op["writer"]
-        elif kind == "add":
-            if (
-                self._state == _STATE_OPEN
-                and op["writer"] == self._writer
-                and op["seq"] == len(self._entries)
-            ):
-                self._entries.append(base64.b64decode(op["data"]))
-                self._entry_offsets.append(offset)
-        elif kind == "fence":
-            # Recovery-open: depose the writer. The ledger stays open
-            # for the fencer (who becomes the writer) to close it.
-            self._writer = op["writer"]
-        elif kind == "close":
-            if op["writer"] == self._writer and self._state == _STATE_OPEN:
-                self._state = _STATE_CLOSED
-                # A close may truncate to the writer's chosen last entry
-                # (BookKeeper semantics: recovery decides LAC).
-                last = op.get("last")
-                if last is not None and last + 1 < len(self._entries):
-                    del self._entries[last + 1 :]
-                    del self._entry_offsets[last + 1 :]
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown ledger op {kind!r}")
+    def _apply_claim(self, writer: str, offset: int) -> None:
+        # First claim wins; later claims by other writers are
+        # rejected unless they are fences.
+        if self._writer is None:
+            self._writer = writer
+
+    def _apply_add(self, writer: str, seq: int, data: str, offset: int) -> None:
+        if (
+            self._state == _STATE_OPEN
+            and writer == self._writer
+            and seq == len(self._entries)
+        ):
+            self._entries.append(base64.b64decode(data))
+            self._entry_offsets.append(offset)
+
+    def _apply_fence(self, writer: str, offset: int) -> None:
+        # Recovery-open: depose the writer. The ledger stays open
+        # for the fencer (who becomes the writer) to close it.
+        self._writer = writer
+
+    def _apply_close(self, writer: str, last: Optional[int], offset: int) -> None:
+        if writer == self._writer and self._state == _STATE_OPEN:
+            self._state = _STATE_CLOSED
+            # A close may truncate to the writer's chosen last entry
+            # (BookKeeper semantics: recovery decides LAC).
+            if last is not None and last + 1 < len(self._entries):
+                del self._entries[last + 1 :]
+                del self._entry_offsets[last + 1 :]
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(
@@ -115,8 +116,7 @@ class Ledger(TangoObject):
 
     def claim(self) -> None:
         """Become the ledger's writer (first claimer wins)."""
-        op = json.dumps({"op": "claim", "writer": self.writer_token})
-        self._update(op.encode("utf-8"))
+        self._op("claim", self.writer_token)
         self._query()
         if self._writer != self.writer_token:
             raise LedgerFencedError(
@@ -132,21 +132,11 @@ class Ledger(TangoObject):
         journaling pattern ("write these N edits, then fsync") pays one
         playback sync instead of N.
         """
-        import base64 as _b64
-
         if not batch:
             return self.last_entry_id()
         first_seq = self._next_seq
         for index, data in enumerate(batch):
-            op = json.dumps(
-                {
-                    "op": "add",
-                    "writer": self.writer_token,
-                    "seq": first_seq + index,
-                    "data": _b64.b64encode(data).decode("ascii"),
-                }
-            )
-            self._update(op.encode("utf-8"))
+            self._add(first_seq + index, data)
         self._query()
         last_seq = first_seq + len(batch) - 1
         if len(self._entries) <= last_seq or self._entries[last_seq] != batch[-1]:
@@ -180,15 +170,7 @@ class Ledger(TangoObject):
         closed).
         """
         seq = self._next_seq
-        op = json.dumps(
-            {
-                "op": "add",
-                "writer": self.writer_token,
-                "seq": seq,
-                "data": base64.b64encode(data).decode("ascii"),
-            }
-        )
-        self._update(op.encode("utf-8"))
+        self._add(seq, data)
         self._query()
         if len(self._entries) <= seq or self._entries[seq] != data:
             if self._state == _STATE_CLOSED:
@@ -200,12 +182,12 @@ class Ledger(TangoObject):
         self._next_seq = seq + 1
         return seq
 
+    def _add(self, seq: int, data: bytes) -> None:
+        self._op("add", self.writer_token, seq, base64.b64encode(data).decode("ascii"))
+
     def close(self) -> None:
         """Close the ledger; subsequent adds fail everywhere."""
-        op = json.dumps(
-            {"op": "close", "writer": self.writer_token, "last": None}
-        )
-        self._update(op.encode("utf-8"))
+        self._op("close", self.writer_token, None)
         self._query()
 
     # ------------------------------------------------------------------
@@ -219,14 +201,10 @@ class Ledger(TangoObject):
         this call the caller may read a stable prefix and the old writer
         can no longer extend it.
         """
-        fence = json.dumps({"op": "fence", "writer": self.writer_token})
-        self._update(fence.encode("utf-8"))
+        self._op("fence", self.writer_token)
         self._query()
         last = len(self._entries) - 1
-        close = json.dumps(
-            {"op": "close", "writer": self.writer_token, "last": last}
-        )
-        self._update(close.encode("utf-8"))
+        self._op("close", self.writer_token, last)
         self._query()
         return last
 

@@ -10,21 +10,23 @@ from __future__ import annotations
 import json
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class TangoCounter(TangoObject):
     """A persistent, highly available counter."""
 
+    OPS = OpTable("add n", "set n")
+
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._value = 0
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        if op["op"] == "add":
-            self._value += op["n"]
-        else:  # "set"
-            self._value = op["n"]
+    def _apply_add(self, n: int, offset: int) -> None:
+        self._value += n
+
+    def _apply_set(self, n: int, offset: int) -> None:
+        self._value = n
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._value).encode("utf-8")
@@ -36,14 +38,14 @@ class TangoCounter(TangoObject):
 
     def increment(self, n: int = 1) -> None:
         """Add *n* (commutative; safe without a transaction)."""
-        self._update(json.dumps({"op": "add", "n": n}).encode("utf-8"))
+        self._op("add", n)
 
     def decrement(self, n: int = 1) -> None:
         self.increment(-n)
 
     def set(self, n: int) -> None:
         """Overwrite the counter."""
-        self._update(json.dumps({"op": "set", "n": n}).encode("utf-8"))
+        self._op("set", n)
 
     # -- accessors --------------------------------------------------------------
 
@@ -64,7 +66,7 @@ class TangoCounter(TangoObject):
         def attempt() -> int:
             self._query()
             current = self._value
-            self._update(json.dumps({"op": "set", "n": current + 1}).encode("utf-8"))
+            self._op("set", current + 1)
             return current
 
         return self._runtime.run_transaction(attempt)

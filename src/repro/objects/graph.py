@@ -18,10 +18,16 @@ from collections import deque
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class TangoGraph(TangoObject):
     """A persistent, transactional directed graph."""
+
+    OPS = OpTable(
+        "add_node n attrs", "remove_node n", "add_edge src dst label",
+        "remove_edge src dst",
+    )
 
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._nodes: Dict[str, Any] = {}  # node -> attribute value
@@ -30,32 +36,28 @@ class TangoGraph(TangoObject):
 
     # -- upcalls ------------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "add_node":
-            self._nodes[op["n"]] = op.get("attrs")
-            self._edges.setdefault(op["n"], {})
-        elif kind == "remove_node":
-            node = op["n"]
-            self._nodes.pop(node, None)
-            self._edges.pop(node, None)
-            for targets in self._edges.values():
-                targets.pop(node, None)
-        elif kind == "add_edge":
-            src, dst = op["src"], op["dst"]
-            # Implicit node creation keeps apply total under any
-            # interleaving of concurrent mutators.
-            self._nodes.setdefault(src, None)
-            self._nodes.setdefault(dst, None)
-            self._edges.setdefault(src, {})[dst] = op.get("label")
-            self._edges.setdefault(dst, {})
-        elif kind == "remove_edge":
-            targets = self._edges.get(op["src"])
-            if targets is not None:
-                targets.pop(op["dst"], None)
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown graph op {kind!r}")
+    def _apply_add_node(self, n: str, attrs: Any, offset: int) -> None:
+        self._nodes[n] = attrs
+        self._edges.setdefault(n, {})
+
+    def _apply_remove_node(self, n: str, offset: int) -> None:
+        self._nodes.pop(n, None)
+        self._edges.pop(n, None)
+        for targets in self._edges.values():
+            targets.pop(n, None)
+
+    def _apply_add_edge(self, src: str, dst: str, label: Any, offset: int) -> None:
+        # Implicit node creation keeps apply total under any
+        # interleaving of concurrent mutators.
+        self._nodes.setdefault(src, None)
+        self._nodes.setdefault(dst, None)
+        self._edges.setdefault(src, {})[dst] = label
+        self._edges.setdefault(dst, {})
+
+    def _apply_remove_edge(self, src: str, dst: str, offset: int) -> None:
+        targets = self._edges.get(src)
+        if targets is not None:
+            targets.pop(dst, None)
 
     def get_checkpoint(self) -> bytes:
         return json.dumps({"nodes": self._nodes, "edges": self._edges}).encode()
@@ -68,22 +70,18 @@ class TangoGraph(TangoObject):
     # -- mutators --------------------------------------------------------------
 
     def add_node(self, node: str, attrs: Any = None) -> None:
-        op = json.dumps({"op": "add_node", "n": node, "attrs": attrs})
-        self._update(op.encode("utf-8"), key=node.encode("utf-8"))
+        self._op("add_node", node, attrs, key=node.encode("utf-8"))
 
     def remove_node(self, node: str) -> None:
         """Remove a node and every edge touching it (whole-object
         version bump: incident edges may live anywhere)."""
-        op = json.dumps({"op": "remove_node", "n": node})
-        self._update(op.encode("utf-8"))
+        self._op("remove_node", node)
 
     def add_edge(self, src: str, dst: str, label: Any = None) -> None:
-        op = json.dumps({"op": "add_edge", "src": src, "dst": dst, "label": label})
-        self._update(op.encode("utf-8"), key=src.encode("utf-8"))
+        self._op("add_edge", src, dst, label, key=src.encode("utf-8"))
 
     def remove_edge(self, src: str, dst: str) -> None:
-        op = json.dumps({"op": "remove_edge", "src": src, "dst": dst})
-        self._update(op.encode("utf-8"), key=src.encode("utf-8"))
+        self._op("remove_edge", src, dst, key=src.encode("utf-8"))
 
     # -- accessors --------------------------------------------------------------
 

@@ -17,35 +17,36 @@ import json
 from typing import Any, List, Optional, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class TangoList(TangoObject):
     """A persistent, highly available list of JSON values."""
 
+    OPS = OpTable("append v", "insert i v", "remove_value v", "pop_head", "clear")
+
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._items: List[Any] = []
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "append":
-            self._items.append(op["v"])
-        elif kind == "insert":
-            index = max(0, min(op["i"], len(self._items)))
-            self._items.insert(index, op["v"])
-        elif kind == "remove_value":
-            try:
-                self._items.remove(op["v"])
-            except ValueError:
-                pass  # already gone; removal is idempotent by value
-        elif kind == "pop_head":
-            if self._items:
-                self._items.pop(0)
-        elif kind == "clear":
-            self._items.clear()
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown list op {kind!r}")
+    def _apply_append(self, v: Any, offset: int) -> None:
+        self._items.append(v)
+
+    def _apply_insert(self, i: int, v: Any, offset: int) -> None:
+        self._items.insert(max(0, min(i, len(self._items))), v)
+
+    def _apply_remove_value(self, v: Any, offset: int) -> None:
+        try:
+            self._items.remove(v)
+        except ValueError:
+            pass  # already gone; removal is idempotent by value
+
+    def _apply_pop_head(self, offset: int) -> None:
+        if self._items:
+            self._items.pop(0)
+
+    def _apply_clear(self, offset: int) -> None:
+        self._items.clear()
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._items).encode("utf-8")
@@ -56,19 +57,17 @@ class TangoList(TangoObject):
     # -- mutators ---------------------------------------------------------------
 
     def append(self, value: Any) -> None:
-        self._update(json.dumps({"op": "append", "v": value}).encode("utf-8"))
+        self._op("append", value)
 
     def insert(self, index: int, value: Any) -> None:
-        op = json.dumps({"op": "insert", "i": index, "v": value})
-        self._update(op.encode("utf-8"))
+        self._op("insert", index, value)
 
     def remove_value(self, value: Any) -> None:
         """Remove the first occurrence of *value* (no-op if absent)."""
-        op = json.dumps({"op": "remove_value", "v": value})
-        self._update(op.encode("utf-8"))
+        self._op("remove_value", value)
 
     def clear(self) -> None:
-        self._update(json.dumps({"op": "clear"}).encode("utf-8"))
+        self._op("clear")
 
     # -- accessors ---------------------------------------------------------------
 
@@ -106,7 +105,7 @@ class TangoList(TangoObject):
             if not self._items:
                 return None
             head = self._items[0]
-            self._update(json.dumps({"op": "pop_head"}).encode("utf-8"))
+            self._op("pop_head")
             return head
 
         return self._runtime.run_transaction(attempt)

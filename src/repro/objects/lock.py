@@ -23,10 +23,13 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class TangoLock(TangoObject):
     """A named-lock table over the shared log."""
+
+    OPS = OpTable("acquire name holder", "release name holder", "break name")
 
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         # name -> {"holder": str, "token": int}
@@ -35,21 +38,18 @@ class TangoLock(TangoObject):
 
     # -- upcalls ------------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        name = op["name"]
-        if op["op"] == "acquire":
-            # Unconditional at apply time: the acquiring transaction
-            # validated vacancy; the token is the acquire's log offset.
-            self._locks[name] = {"holder": op["holder"], "token": offset}
-        elif op["op"] == "release":
-            held = self._locks.get(name)
-            if held is not None and held["holder"] == op["holder"]:
-                del self._locks[name]
-        elif op["op"] == "break":
-            self._locks.pop(name, None)
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown lock op {op['op']!r}")
+    def _apply_acquire(self, name: str, holder: str, offset: int) -> None:
+        # Unconditional at apply time: the acquiring transaction
+        # validated vacancy; the token is the acquire's log offset.
+        self._locks[name] = {"holder": holder, "token": offset}
+
+    def _apply_release(self, name: str, holder: str, offset: int) -> None:
+        held = self._locks.get(name)
+        if held is not None and held["holder"] == holder:
+            del self._locks[name]
+
+    def _apply_break(self, name: str, offset: int) -> None:
+        self._locks.pop(name, None)
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._locks).encode("utf-8")
@@ -72,8 +72,7 @@ class TangoLock(TangoObject):
             held = self._locks.get(name)
             if held is not None:
                 return False if held["holder"] != holder else None
-            op = json.dumps({"op": "acquire", "name": name, "holder": holder})
-            self._update(op.encode("utf-8"), key=name.encode("utf-8"))
+            self._op("acquire", name, holder, key=name.encode("utf-8"))
             return True
 
         outcome = self._runtime.run_transaction(body)
@@ -87,8 +86,7 @@ class TangoLock(TangoObject):
 
     def release(self, name: str, holder: str) -> None:
         """Release *name* if held by *holder* (otherwise a no-op)."""
-        op = json.dumps({"op": "release", "name": name, "holder": holder})
-        self._update(op.encode("utf-8"), key=name.encode("utf-8"))
+        self._op("release", name, holder, key=name.encode("utf-8"))
 
     def break_lock(self, name: str) -> None:
         """Forcibly clear a lock (crashed-holder recovery).
@@ -97,8 +95,7 @@ class TangoLock(TangoObject):
         token exceeds the dead holder's, so fenced resources reject the
         old holder regardless.
         """
-        op = json.dumps({"op": "break", "name": name})
-        self._update(op.encode("utf-8"), key=name.encode("utf-8"))
+        self._op("break", name, key=name.encode("utf-8"))
 
     def holder_of(self, name: str) -> Optional[Tuple[str, int]]:
         """(holder, fencing token) for *name*, or None if free."""

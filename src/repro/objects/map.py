@@ -1,9 +1,10 @@
 """TangoMap: a replicated hash map with fine-grained versioning.
 
 The workhorse of the paper's evaluation (Figures 9 and 10). Keys are
-strings; values any JSON-serializable object. Every operation passes the
-key to the runtime's helper calls, so transactions touching disjoint
-keys do not conflict (section 3.2, "Versioning").
+strings; values any JSON-serializable object (scalars travel packed, the
+rest as JSON text; see :class:`~repro.util.encoding.OpTable`). Every
+operation passes the key to the runtime's helper calls, so transactions
+touching disjoint keys do not conflict (section 3.2, "Versioning").
 
 :class:`TangoIndexedMap` is the log-structured variant from section 3.1
 ("Durability"): its view maps keys to *log offsets* instead of values,
@@ -19,23 +20,30 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.tango.object import TangoObject
 from repro.tango.records import UpdateRecord, decode_records
+from repro.util.encoding import OpTable
 
 
 class TangoMap(TangoObject):
     """A persistent, transactional string-keyed map."""
 
+    OPS = OpTable("put k v", "remove k", "clear")
+
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._map: Dict[str, Any] = {}
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        if op["op"] == "put":
-            self._map[op["k"]] = op["v"]
-        elif op["op"] == "remove":
-            self._map.pop(op["k"], None)
-        else:  # "clear"
-            self._map.clear()
+    # Bound here too, so the map's apply is an attribute of its own class
+    # (tangobench times ``TangoMap.apply`` by name).
+    apply = TangoObject.apply
+
+    def _apply_put(self, k: str, v: Any, offset: int) -> None:
+        self._map[k] = v
+
+    def _apply_remove(self, k: str, offset: int) -> None:
+        self._map.pop(k, None)
+
+    def _apply_clear(self, offset: int) -> None:
+        self._map.clear()
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._map).encode("utf-8")
@@ -70,16 +78,14 @@ class TangoMap(TangoObject):
     # -- mutators ---------------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
-        op = json.dumps({"op": "put", "k": key, "v": value})
-        self._update(op.encode("utf-8"), key=key.encode("utf-8"))
+        self._op("put", key, value, key=key.encode("utf-8"))
 
     def remove(self, key: str) -> None:
-        op = json.dumps({"op": "remove", "k": key})
-        self._update(op.encode("utf-8"), key=key.encode("utf-8"))
+        self._op("remove", key, key=key.encode("utf-8"))
 
     def clear(self) -> None:
         """Drop every key (bumps the whole-object version)."""
-        self._update(json.dumps({"op": "clear"}).encode("utf-8"))
+        self._op("clear")
 
     # -- accessors ---------------------------------------------------------------
 
@@ -110,19 +116,24 @@ class TangoIndexedMap(TangoObject):
 
     The apply upcall stores the update's log offset; ``get`` dereferences
     the offset with a random read. Values therefore live exactly once,
-    in the log, regardless of how many clients host views.
+    in the log, regardless of how many clients host views. It reads and
+    writes :class:`TangoMap`'s ops, so both views can share one stream.
     """
+
+    OPS = TangoMap.OPS
 
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._index: Dict[str, int] = {}
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        if op["op"] == "put":
-            self._index[op["k"]] = offset
-        else:  # "remove"
-            self._index.pop(op["k"], None)
+    def _apply_put(self, k: str, v: Any, offset: int) -> None:
+        self._index[k] = offset
+
+    def _apply_remove(self, k: str, offset: int) -> None:
+        self._index.pop(k, None)
+
+    def _apply_clear(self, offset: int) -> None:
+        self._index.clear()
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._index).encode("utf-8")
@@ -131,12 +142,10 @@ class TangoIndexedMap(TangoObject):
         self._index = json.loads(state.decode("utf-8"))
 
     def put(self, key: str, value: Any) -> None:
-        op = json.dumps({"op": "put", "k": key, "v": value})
-        self._update(op.encode("utf-8"), key=key.encode("utf-8"))
+        self._op("put", key, value, key=key.encode("utf-8"))
 
     def remove(self, key: str) -> None:
-        op = json.dumps({"op": "remove", "k": key})
-        self._update(op.encode("utf-8"), key=key.encode("utf-8"))
+        self._op("remove", key, key=key.encode("utf-8"))
 
     def get(self, key: str, default: Any = None) -> Any:
         """Index lookup followed by a random read of the log."""
@@ -157,9 +166,9 @@ class TangoIndexedMap(TangoObject):
         # A transaction may put the same key twice; the last write wins.
         for record in reversed(candidates):
             if record.oid == self.oid:
-                op = json.loads(record.payload.decode("utf-8"))
-                if op.get("op") == "put" and op.get("k") == key:
-                    return op["v"]
+                name, fields = self.decode_op(record.payload)
+                if name == "put" and fields[0] == key:
+                    return fields[1]
         return default
 
     def offset_of(self, key: str) -> Optional[int]:

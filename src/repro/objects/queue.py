@@ -15,24 +15,24 @@ import json
 from typing import Any, List, Optional, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class TangoQueue(TangoObject):
     """A persistent, highly available FIFO queue."""
 
+    OPS = OpTable("enqueue v", "dequeue")
+
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._items: List[Any] = []
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        if op["op"] == "enqueue":
-            self._items.append(op["v"])
-        elif op["op"] == "dequeue":
-            if self._items:
-                self._items.pop(0)
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown queue op {op['op']!r}")
+    def _apply_enqueue(self, v: Any, offset: int) -> None:
+        self._items.append(v)
+
+    def _apply_dequeue(self, offset: int) -> None:
+        if self._items:
+            self._items.pop(0)
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._items).encode("utf-8")
@@ -44,7 +44,7 @@ class TangoQueue(TangoObject):
 
     def enqueue(self, value: Any) -> None:
         """Append to the tail (works without a local view: remote write)."""
-        self._update(json.dumps({"op": "enqueue", "v": value}).encode("utf-8"))
+        self._op("enqueue", value)
 
     # -- accessors ---------------------------------------------------------------
 
@@ -70,7 +70,7 @@ class TangoQueue(TangoObject):
             if not self._items:
                 return None
             head = self._items[0]
-            self._update(json.dumps({"op": "dequeue"}).encode("utf-8"))
+            self._op("dequeue")
             return head
 
         return self._runtime.run_transaction(attempt)

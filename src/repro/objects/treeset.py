@@ -18,32 +18,36 @@ import json
 from typing import Any, List, Optional, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 def _version_key(value: Any) -> bytes:
+    # The element's JSON text: version keys are in the log, so they keep
+    # the format every earlier writer used.
     return json.dumps(value, sort_keys=True).encode("utf-8")
 
 
 class TangoTreeSet(TangoObject):
     """A persistent, highly available sorted set."""
 
+    OPS = OpTable("add v", "discard v", "clear")
+
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._items: List[Any] = []  # kept sorted
         super().__init__(runtime, oid, host_view=host_view)
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        value = op.get("v")
-        if op["op"] == "add":
-            index = bisect.bisect_left(self._items, value)
-            if index == len(self._items) or self._items[index] != value:
-                self._items.insert(index, value)
-        elif op["op"] == "discard":
-            index = bisect.bisect_left(self._items, value)
-            if index < len(self._items) and self._items[index] == value:
-                self._items.pop(index)
-        else:  # "clear"
-            self._items.clear()
+    def _apply_add(self, v: Any, offset: int) -> None:
+        index = bisect.bisect_left(self._items, v)
+        if index == len(self._items) or self._items[index] != v:
+            self._items.insert(index, v)
+
+    def _apply_discard(self, v: Any, offset: int) -> None:
+        index = bisect.bisect_left(self._items, v)
+        if index < len(self._items) and self._items[index] == v:
+            self._items.pop(index)
+
+    def _apply_clear(self, offset: int) -> None:
+        self._items.clear()
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(self._items).encode("utf-8")
@@ -54,15 +58,13 @@ class TangoTreeSet(TangoObject):
     # -- mutators ---------------------------------------------------------------
 
     def add(self, value: Any) -> None:
-        op = json.dumps({"op": "add", "v": value})
-        self._update(op.encode("utf-8"), key=_version_key(value))
+        self._op("add", value, key=_version_key(value))
 
     def discard(self, value: Any) -> None:
-        op = json.dumps({"op": "discard", "v": value})
-        self._update(op.encode("utf-8"), key=_version_key(value))
+        self._op("discard", value, key=_version_key(value))
 
     def clear(self) -> None:
-        self._update(json.dumps({"op": "clear"}).encode("utf-8"))
+        self._op("clear")
 
     # -- accessors ---------------------------------------------------------------
 

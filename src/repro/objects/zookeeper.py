@@ -35,6 +35,7 @@ from repro.errors import (
     ZKError,
 )
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,12 @@ class TangoZK(TangoObject):
     #: namespaces hosted by different clients) need decision records.
     needs_decision_record = True
 
+    # Znode data is base64 text, so legacy JSON ops decode to the same.
+    OPS = OpTable(
+        "create path data owner", "delete path", "set_data path data",
+        "child_add path child sequential", "child_remove path child",
+    )
+
     def __init__(
         self,
         runtime,
@@ -138,51 +145,47 @@ class TangoZK(TangoObject):
     # apply upcall
     # ------------------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "create":
-            path = op["path"]
-            if path in self._nodes:
-                return  # apply must stay total; transactional
-                # validation makes this unreachable in practice
-            node = _Znode(
-                base64.b64decode(op["data"]),
-                offset,
-                op.get("owner"),
-            )
-            self._nodes[path] = node
-            self._fire_watches(path, "created")
-        elif kind == "delete":
-            node = self._nodes.pop(op["path"], None)
-            if node is not None:
-                self._fire_watches(op["path"], "deleted")
-        elif kind == "set_data":
-            node = self._nodes.get(op["path"])
-            if node is None:
-                return
-            node.data = base64.b64decode(op["data"])
-            node.version += 1
-            node.mzxid = offset
-            self._fire_watches(op["path"], "changed")
-        elif kind == "child_add":
-            node = self._nodes.get(op["path"])
-            if node is None:
-                return
-            node.children.add(op["child"])
-            node.cversion += 1
-            if op.get("sequential"):
-                node.seq_counter += 1
-            self._fire_watches(op["path"], "children")
-        elif kind == "child_remove":
-            node = self._nodes.get(op["path"])
-            if node is None:
-                return
-            node.children.discard(op["child"])
-            node.cversion += 1
-            self._fire_watches(op["path"], "children")
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown zk op {kind!r}")
+    def _apply_create(
+        self, path: str, data: str, owner: Optional[str], offset: int
+    ) -> None:
+        if path in self._nodes:
+            return  # apply must stay total; transactional
+            # validation makes this unreachable in practice
+        self._nodes[path] = _Znode(base64.b64decode(data), offset, owner)
+        self._fire_watches(path, "created")
+
+    def _apply_delete(self, path: str, offset: int) -> None:
+        if self._nodes.pop(path, None) is not None:
+            self._fire_watches(path, "deleted")
+
+    def _apply_set_data(self, path: str, data: str, offset: int) -> None:
+        node = self._nodes.get(path)
+        if node is None:
+            return
+        node.data = base64.b64decode(data)
+        node.version += 1
+        node.mzxid = offset
+        self._fire_watches(path, "changed")
+
+    def _apply_child_add(
+        self, path: str, child: str, sequential: bool, offset: int
+    ) -> None:
+        node = self._nodes.get(path)
+        if node is None:
+            return
+        node.children.add(child)
+        node.cversion += 1
+        if sequential:
+            node.seq_counter += 1
+        self._fire_watches(path, "children")
+
+    def _apply_child_remove(self, path: str, child: str, offset: int) -> None:
+        node = self._nodes.get(path)
+        if node is None:
+            return
+        node.children.discard(child)
+        node.cversion += 1
+        self._fire_watches(path, "children")
 
     def get_checkpoint(self) -> bytes:
         nodes = {}
@@ -390,26 +393,13 @@ class TangoZK(TangoObject):
             if self._lookup(actual) is not None:
                 raise NodeExistsError(actual)
             child = actual.rsplit("/", 1)[1]
-            self._update(
-                json.dumps(
-                    {
-                        "op": "create",
-                        "path": actual,
-                        "data": base64.b64encode(data).decode("ascii"),
-                        "owner": self.session_id if ephemeral else None,
-                    }
-                ).encode("utf-8"),
+            self._op(
+                "create", actual, base64.b64encode(data).decode("ascii"),
+                self.session_id if ephemeral else None,
                 key=actual.encode("utf-8"),
             )
-            self._update(
-                json.dumps(
-                    {
-                        "op": "child_add",
-                        "path": parent_path,
-                        "child": child,
-                        "sequential": sequential,
-                    }
-                ).encode("utf-8"),
+            self._op(
+                "child_add", parent_path, child, sequential,
                 key=parent_path.encode("utf-8"),
             )
             # Mirror the (deferred) updates into the TX overlay so later
@@ -445,15 +435,9 @@ class TangoZK(TangoObject):
             parent_path = _parent_of(path)
             self._query(key=parent_path.encode("utf-8"))
             child = path.rsplit("/", 1)[1]
-            self._update(
-                json.dumps({"op": "delete", "path": path}).encode("utf-8"),
-                key=path.encode("utf-8"),
-            )
-            self._update(
-                json.dumps(
-                    {"op": "child_remove", "path": parent_path, "child": child}
-                ).encode("utf-8"),
-                key=parent_path.encode("utf-8"),
+            self._op("delete", path, key=path.encode("utf-8"))
+            self._op(
+                "child_remove", parent_path, child, key=parent_path.encode("utf-8")
             )
             overlay = self._overlay()
             shadow_parent = self._shadow(parent_path)
@@ -474,14 +458,8 @@ class TangoZK(TangoObject):
                 raise BadVersionError(
                     f"{path}: expected version {version}, is {node.version}"
                 )
-            self._update(
-                json.dumps(
-                    {
-                        "op": "set_data",
-                        "path": path,
-                        "data": base64.b64encode(data).decode("ascii"),
-                    }
-                ).encode("utf-8"),
+            self._op(
+                "set_data", path, base64.b64encode(data).decode("ascii"),
                 key=path.encode("utf-8"),
             )
             shadow = self._shadow(path)

@@ -82,6 +82,7 @@ class SegmentedFlashUnit(FlashUnit):
             self._trimmed_sparse = {
                 a for a in self._trimmed_sparse if a >= address
             }
+            self._compact_trims()
         elif op == OP_SEAL:
             self._epoch = max(self._epoch, epoch)
 

@@ -170,16 +170,6 @@ class StreamClient:
             their own handlers to exercise races between slow writers
             and fillers.
         cache_entries: capacity of the shared entry cache.
-        prefetch_window: with a window W set, a cold backpointer walk
-            over a *dense* stream region speculatively batch-reads W
-            contiguous offsets per storage round trip
-            (``CorfuClient.read_many``) instead of fetching one cursor
-            at a time, collapsing the walk's RPC count by roughly
-            W / (K * num_chains). Sparse regions (detected from the
-            backpointer stride) fall back to the exact per-offset walk,
-            so a thin stream over a huge log never over-reads. ``None``
-            (the default) disables speculation entirely and preserves
-            the paper's ~N/K read accounting.
     """
 
     def __init__(
@@ -187,7 +177,6 @@ class StreamClient:
         corfu: CorfuClient,
         hole_handler: Optional[Callable[[int], None]] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        prefetch_window: Optional[int] = None,
     ) -> None:
         self._corfu = corfu
         self._streams: Dict[int, _StreamState] = {}
@@ -197,7 +186,6 @@ class StreamClient:
         # the entry-count cap alone.
         self._cache_budget: Optional[int] = None
         self._cache_bytes = 0
-        self._prefetch_window = prefetch_window
         # Guards _cache and _inflight. Separate from the iterator lock
         # so a thread waiting on another's in-flight fetch never blocks
         # cache inserts (which would deadlock single-flight waiters).
@@ -762,19 +750,7 @@ class StreamClient:
         cursor = min(recents)
         if cursor <= floor:
             cursor = None
-        window = self._prefetch_window
-        # Stride estimate: mean gap between consecutive entries of this
-        # stream, seeded from the sequencer's last-K offsets and refined
-        # from each entry's backpointers as the walk descends. The
-        # speculative window prefetch below only pays when a W-offset
-        # window is expected to hold several entries of the stream.
-        if len(recents) >= 2:
-            stride = max(1.0, (max(recents) - min(recents)) / (len(recents) - 1))
-        else:
-            stride = 1.0
         while cursor is not None and cursor > floor:
-            if window:
-                self._maybe_prefetch_window(cursor, floor, window, stride)
             entry = self._try_fetch(cursor)
             header = entry.header_for(stream_id) if entry is not None else None
             if entry is None or entry.is_junk or header is None:
@@ -803,31 +779,9 @@ class StreamClient:
                     cursor = None
                 continue
             discovered.update(ptrs)
-            stride = max(1.0, (cursor - min(ptrs)) / len(ptrs))
             cursor = min(ptrs)
         state.extend(discovered)
         return state.highest_known()
-
-    def _maybe_prefetch_window(
-        self, cursor: int, floor: int, window: int, stride: float
-    ) -> None:
-        """Speculatively batch-read the window below *cursor* if dense.
-
-        The walk will examine roughly ``window / stride`` offsets inside
-        the window, so speculation only pays when the stream is dense
-        there; a sparse region (stride > window / 8) keeps the exact
-        per-offset walk and never over-reads. Skipped when *cursor* is
-        already cached or in flight — the walk is inside warm ground.
-        """
-        if stride > window / 8:
-            return
-        with self._cache_lock:
-            if cursor in self._cache or cursor in self._inflight:
-                return
-        lo = max(floor + 1, cursor - window + 1)
-        if cursor - lo < 1:
-            return
-        self._prefetch(range(lo, cursor + 1))
 
     def _try_fetch(self, offset: int) -> Optional[LogEntry]:
         """Fetch, mapping unresolvable holes to None."""

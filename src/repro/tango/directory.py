@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple, Type
 from repro.errors import UnknownObjectError
 from repro.tango.object import TangoObject
 from repro.tango.runtime import TangoRuntime
+from repro.util.encoding import OpTable
 
 #: The directory's hard-coded object id.
 DIRECTORY_OID = 0
@@ -36,6 +37,10 @@ _NEXT_OID_KEY = b"__next_oid"
 class TangoDirectory(TangoObject):
     """Name -> OID map plus per-object forget offsets."""
 
+    #: ``forget``'s ``offset`` is the forget offset (its handler calls it
+    #: ``forget_at``: every handler's last argument is the op's own offset).
+    OPS = OpTable("create name oid", "forget oid offset", "remove name")
+
     def __init__(self, runtime: TangoRuntime, host_view: bool = True) -> None:
         self._names: Dict[str, int] = {}
         self._forget_offsets: Dict[int, int] = {}
@@ -44,24 +49,19 @@ class TangoDirectory(TangoObject):
 
     # -- upcalls ---------------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "create":
-            name, oid = op["name"], op["oid"]
-            # First creator wins; a lost race is a no-op (the loser's
-            # transaction aborted anyway under __next_oid versioning).
-            if name not in self._names:
-                self._names[name] = oid
-            self._next_oid = max(self._next_oid, oid + 1)
-        elif kind == "forget":
-            oid, fo = op["oid"], op["offset"]
-            if fo > self._forget_offsets.get(oid, -1):
-                self._forget_offsets[oid] = fo
-        elif kind == "remove":
-            self._names.pop(op["name"], None)
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown directory op {kind!r}")
+    def _apply_create(self, name: str, oid: int, offset: int) -> None:
+        # First creator wins; a lost race is a no-op (the loser's
+        # transaction aborted anyway under __next_oid versioning).
+        if name not in self._names:
+            self._names[name] = oid
+        self._next_oid = max(self._next_oid, oid + 1)
+
+    def _apply_forget(self, oid: int, forget_at: int, offset: int) -> None:
+        if forget_at > self._forget_offsets.get(oid, -1):
+            self._forget_offsets[oid] = forget_at
+
+    def _apply_remove(self, name: str, offset: int) -> None:
+        self._names.pop(name, None)
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(
@@ -102,16 +102,14 @@ class TangoDirectory(TangoObject):
                 return found
             self._query(key=_NEXT_OID_KEY)
             oid = self._next_oid
-            op = json.dumps({"op": "create", "name": name, "oid": oid})
-            self._update(op.encode("utf-8"), key=_NEXT_OID_KEY)
+            self._op("create", name, oid, key=_NEXT_OID_KEY)
             return oid
 
         return self._runtime.run_transaction(attempt)
 
     def remove(self, name: str) -> None:
         """Unbind a name (the OID and its stream remain in the log)."""
-        op = json.dumps({"op": "remove", "name": name})
-        self._update(op.encode("utf-8"), key=name.encode("utf-8"))
+        self._op("remove", name, key=name.encode("utf-8"))
 
     def names(self) -> Tuple[str, ...]:
         """All currently bound names (linearizable)."""
@@ -145,8 +143,7 @@ class TangoDirectory(TangoObject):
         object just took: history below the checkpoint becomes
         unreachable for rollback and reclaimable by :meth:`gc`.
         """
-        op = json.dumps({"op": "forget", "oid": oid, "offset": offset})
-        self._update(op.encode("utf-8"), key=f"__forget_{oid}".encode("utf-8"))
+        self._op("forget", oid, offset, key=f"__forget_{oid}".encode("utf-8"))
 
     def forget_offset(self, oid: int) -> int:
         """The registered forget offset for *oid* (-1 if none)."""

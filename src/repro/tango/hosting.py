@@ -23,13 +23,16 @@ with :meth:`TangoRuntime.use_hosting_registry
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.tango.object import TangoObject
+from repro.util.encoding import OpTable
 
 
 class HostingRegistry(TangoObject):
     """client name -> set of hosted object ids."""
+
+    OPS = OpTable("announce client oids", "retract client oids", "leave client")
 
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self._hosts: Dict[str, Set[int]] = {}
@@ -37,22 +40,18 @@ class HostingRegistry(TangoObject):
 
     # -- upcalls -----------------------------------------------------------
 
-    def apply(self, payload: bytes, offset: int) -> None:
-        op = json.loads(payload.decode("utf-8"))
-        kind = op["op"]
-        client = op["client"]
-        if kind == "announce":
-            self._hosts.setdefault(client, set()).update(op["oids"])
-        elif kind == "retract":
-            hosted = self._hosts.get(client)
-            if hosted is not None:
-                hosted.difference_update(op["oids"])
-                if not hosted:
-                    del self._hosts[client]
-        elif kind == "leave":
-            self._hosts.pop(client, None)
-        else:  # pragma: no cover - corrupt log entries
-            raise ValueError(f"unknown hosting op {kind!r}")
+    def _apply_announce(self, client: str, oids: List[int], offset: int) -> None:
+        self._hosts.setdefault(client, set()).update(oids)
+
+    def _apply_retract(self, client: str, oids: List[int], offset: int) -> None:
+        hosted = self._hosts.get(client)
+        if hosted is not None:
+            hosted.difference_update(oids)
+            if not hosted:
+                del self._hosts[client]
+
+    def _apply_leave(self, client: str, offset: int) -> None:
+        self._hosts.pop(client, None)
 
     def get_checkpoint(self) -> bytes:
         return json.dumps(
@@ -67,18 +66,15 @@ class HostingRegistry(TangoObject):
 
     def announce(self, client: str, oids: Iterable[int]) -> None:
         """Record that *client* hosts views of *oids*."""
-        op = json.dumps({"op": "announce", "client": client, "oids": sorted(oids)})
-        self._update(op.encode("utf-8"), key=client.encode("utf-8"))
+        self._op("announce", client, sorted(oids), key=client.encode("utf-8"))
 
     def retract(self, client: str, oids: Iterable[int]) -> None:
         """Record that *client* dropped views of *oids*."""
-        op = json.dumps({"op": "retract", "client": client, "oids": sorted(oids)})
-        self._update(op.encode("utf-8"), key=client.encode("utf-8"))
+        self._op("retract", client, sorted(oids), key=client.encode("utf-8"))
 
     def leave(self, client: str) -> None:
         """Remove a departed client entirely."""
-        op = json.dumps({"op": "leave", "client": client})
-        self._update(op.encode("utf-8"), key=client.encode("utf-8"))
+        self._op("leave", client, key=client.encode("utf-8"))
 
     # -- accessors -------------------------------------------------------------
 

@@ -7,7 +7,11 @@ that delegate to the runtime's ``update_helper`` and ``query_helper``.
 
 Subclasses implement:
 
-- :meth:`apply` (mandatory) — change the view from one update record;
+- :meth:`apply` (mandatory) — change the view from one update record.
+  The library's objects inherit it: they declare their ops once in an
+  :class:`~repro.util.encoding.OpTable` (``OPS``), mutators send one with
+  :meth:`_op`, and ``apply`` calls the op's handler ``_apply_<name>``
+  with the op's fields and the offset;
 - :meth:`get_checkpoint` / :meth:`load_checkpoint` (optional) — opaque
   snapshot support for the ``checkpoint``/``forget`` machinery;
 - class attribute :attr:`needs_decision_record` — the paper's static
@@ -22,9 +26,11 @@ accessors raise, since there is no view to read.
 
 from __future__ import annotations
 
-from typing import Optional
+import json
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import TangoError
+from repro.util.encoding import OP_TAG_BASE, OpTable, decode_values
 
 
 class TangoObject:
@@ -34,6 +40,20 @@ class TangoObject:
     #: records because some client hosts a write-set object but not this
     #: (read-set) object.
     needs_decision_record = False
+
+    #: The type's update ops, for a type that inherits ``apply``; an
+    #: object whose ``apply`` parses its payloads itself declares none.
+    OPS: ClassVar[OpTable]
+    #: Op tag -> handler (``_apply_<name>``), built from ``OPS``.
+    _handlers: ClassVar[Dict[int, Callable[..., None]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        ops = getattr(cls, "OPS", None)
+        if ops is not None:
+            cls._handlers = {
+                ops.tag(name): getattr(cls, "_apply_" + name) for name, _fields in ops.ops
+            }
 
     def __init__(self, runtime, oid: int, host_view: bool = True) -> None:
         self.oid = oid
@@ -55,8 +75,38 @@ class TangoObject:
         became visible; objects may store it instead of the value to act
         as indices over log-structured storage (section 3.1,
         "Durability").
+
+        The default decodes one op of ``OPS`` and calls its handler as
+        ``self._apply_<name>(*fields, offset)``.
         """
-        raise NotImplementedError
+        handler = self._handlers.get(payload[0])
+        if handler is None:
+            name, values = self.decode_op(payload)  # a legacy JSON op
+            handler = self._handlers[self.OPS.tag(name)]
+        else:
+            values = decode_values(payload, 1)
+        handler(self, *values, offset)
+
+    @classmethod
+    def decode_op(cls, payload: bytes) -> Tuple[str, List[Any]]:
+        """``(name, fields)`` of one update payload of this type.
+
+        For any reader of the type's stream: fields come in the order
+        ``OPS`` declares. Payloads written before ops were binary are
+        JSON objects naming their op and fields; they decode the same
+        way, a field they lack as None.
+        """
+        if getattr(cls, "OPS", None) is None:
+            raise NotImplementedError(f"{cls.__name__} declares no OPS")
+        if payload and payload[0] >= OP_TAG_BASE:
+            return cls.OPS.decode(payload)
+        return cls._legacy_op(json.loads(payload.decode("utf-8")))
+
+    @classmethod
+    def _legacy_op(cls, op: Any) -> Tuple[str, List[Any]]:
+        """``(name, fields)`` of one decoded legacy JSON op."""
+        name = op["op"]
+        return name, [op.get(field) for field in cls.OPS.fields(name)]
 
     def get_checkpoint(self) -> bytes:
         """Optional upcall: serialize the view for a checkpoint record."""
@@ -103,6 +153,10 @@ class TangoObject:
     def _update(self, payload: bytes, key: Optional[bytes] = None) -> None:
         """Mutator plumbing: send an opaque update record to the runtime."""
         self._runtime.update_helper(self.oid, payload, key=key)
+
+    def _op(self, name: str, *fields: Any, key: Optional[bytes] = None) -> None:
+        """Mutator plumbing: send op *name* of ``OPS`` as an update."""
+        self._runtime.update_helper(self.oid, self.OPS.encode(name, fields), key=key)
 
     def sync_to(self, offset: int) -> None:
         """Play this view forward only up to log position *offset*.

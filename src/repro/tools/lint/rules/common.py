@@ -19,10 +19,18 @@ TANGO_BASE_NAMES = frozenset({"TangoObject"})
 
 #: The only methods allowed to write view attributes (section 3.1: the
 #: apply upcall, checkpoint restoration, and construction of the empty
-#: view).
+#: view), besides the op handlers the default apply calls.
 VIEW_WRITERS = frozenset(
     {"__init__", "apply", "load_checkpoint", "load_checkpoint_delta"}
 )
+
+#: Name prefix of an op handler (``_apply_<op>``): part of the apply upcall.
+OP_HANDLER_PREFIX = "_apply_"
+
+
+def is_view_writer(name: str) -> bool:
+    """True for the apply upcall, its op handlers and checkpoint loads."""
+    return name in VIEW_WRITERS or name.startswith(OP_HANDLER_PREFIX)
 
 #: Methods that may read the view without a preceding sync: the runtime
 #: invokes them at controlled points (upcalls run under playback; the
@@ -164,14 +172,11 @@ def view_attributes(cls: ast.ClassDef) -> Set[str]:
     on ``self`` is client-local soft state (writer tokens, cursors)
     that replay never touches.
     """
-    methods = class_methods(cls)
     attrs: Set[str] = set()
-    for name in ("apply", "load_checkpoint"):
-        fn = methods.get(name)
-        if fn is None:
-            continue
-        for _node, attr, _kind in iter_self_writes(fn):
-            attrs.add(attr)
+    for name, fn in class_methods(cls).items():
+        if name in ("apply", "load_checkpoint") or name.startswith(OP_HANDLER_PREFIX):
+            for _node, attr, _kind in iter_self_writes(fn):
+                attrs.add(attr)
     return attrs
 
 

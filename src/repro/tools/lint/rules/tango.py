@@ -14,9 +14,9 @@ from typing import Iterable, Set
 from repro.tools.lint.engine import Diagnostic, ParsedModule, Rule, Severity
 from repro.tools.lint.rules.common import (
     VIEW_READERS_EXEMPT,
-    VIEW_WRITERS,
     class_methods,
     dotted_name,
+    is_view_writer,
     iter_self_writes,
     iter_tango_classes,
     ordered_nodes,
@@ -55,7 +55,7 @@ class ApplyOnlyMutation(Rule):
         "apply upcall, never by application threads running mutators or "
         "accessors — otherwise replicas diverge from the log. View "
         "attributes are inferred as exactly the state written by "
-        "apply/load_checkpoint; writes to them from any other method "
+        "apply (and its _apply_<op> handlers)/load_checkpoint; writes to them from any other method "
         "(except __init__, which builds the empty view) are flagged, "
         "including in-place container mutations."
     )
@@ -66,7 +66,7 @@ class ApplyOnlyMutation(Rule):
             if not view:
                 continue
             for name, fn in class_methods(cls).items():
-                if name in VIEW_WRITERS:
+                if is_view_writer(name):
                     continue
                 for node, attr, kind in iter_self_writes(fn):
                     if attr not in view:

@@ -291,14 +291,14 @@ class TestBatchedReadChaos:
         rt = TangoRuntime(cluster, client_id=1)
         m = TangoMap(rt, oid=1)
         expected = self._drive_no_calm(transport, cluster, rt, m, actions)
-        # Cold batched sync UNDER the surviving fault mix (partitions
-        # target the writer's endpoint, so the fresh reader only feels
-        # the rate-based faults — drops, duplicates, reordering).
-        batched = StreamClient(cluster.client(), prefetch_window=16)
+        # Cold sync UNDER the surviving fault mix (partitions target
+        # the writer's endpoint, so the fresh reader only feels the
+        # rate-based faults — drops, duplicates, reordering).
+        batched = StreamClient(cluster.client())
         batched.open_stream(1)
         batched.sync(1)
-        # Checks below compare against a per-offset reader over a quiet
-        # network; the batched client's answer was produced under fire.
+        # Checks below compare against a second reader over a quiet
+        # network; the first client's answer was produced under fire.
         transport.calm()
         plain = StreamClient(cluster.client())
         plain.open_stream(1)

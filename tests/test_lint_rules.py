@@ -73,6 +73,33 @@ def test_expected_finding_counts():
 # ---------------------------------------------------------------------------
 
 
+def test_op_handlers_count_as_the_apply_upcall(tmp_path):
+    # An object whose apply is inherited: its _apply_<op> handlers write
+    # the view, and a mutator writing that state still fires TL001.
+    path = tmp_path / "op_counter.py"
+    path.write_text(
+        "class TangoObject:\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "class OpCounter(TangoObject):\n"
+        "    def __init__(self, runtime, oid):\n"
+        "        self._value = 0\n"
+        "\n"
+        "    def _apply_add(self, n, offset):\n"
+        "        self._value += n\n"
+        "\n"
+        "    def increment(self, n=1):\n"
+        "        self._op('add', n)\n"
+        "\n"
+        "    def reset(self):\n"
+        "        self._value = 0\n",
+        encoding="utf-8",
+    )
+    findings = lint_paths([str(path)])
+    assert [(d.rule_id, d.line) for d in findings] == [("TL001", 16)]
+
+
 def test_unparsable_file_reports_tl000():
     findings = lint_paths([fixture("tl000_bad.py")])
     assert [d.rule_id for d in findings] == [PARSE_ERROR_ID]

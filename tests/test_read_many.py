@@ -11,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.corfu import CorfuCluster
 from repro.corfu.entry import LogEntry
 from repro.errors import TrimmedError, UnwrittenError
 from repro.streams import StreamClient
@@ -326,65 +325,30 @@ class TestCacheTrimEviction:
 
 
 class TestBatchedSync:
-    def test_windowed_cold_sync_slashes_rpcs(self):
-        """Cold sync with a prefetch window issues >=4x fewer storage
-        RPCs than the per-offset walk over identical contents."""
-        n = 256
-        window = 64
-
-        def build(cluster):
-            writer = cluster.client()
-            for i in range(n):
-                writer.append(b"e%d" % i, (1,))
-
-        plain_cluster = CorfuCluster(num_sets=2, replication_factor=2)
-        build(plain_cluster)
-        plain_reader = plain_cluster.client()
-        plain = StreamClient(plain_reader)
-        plain.open_stream(1)
-        before = _storage_rpcs(plain_reader, plain_cluster)
-        plain.sync(1)
-        plain_rpcs = _storage_rpcs(plain_reader, plain_cluster) - before
-
-        batch_cluster = CorfuCluster(num_sets=2, replication_factor=2)
-        build(batch_cluster)
-        batch_reader = batch_cluster.client()
-        batched = StreamClient(batch_reader, prefetch_window=window)
-        batched.open_stream(1)
-        before = _storage_rpcs(batch_reader, batch_cluster)
-        batched.sync(1)
-        batch_rpcs = _storage_rpcs(batch_reader, batch_cluster) - before
-
-        assert batched.known_offsets(1) == plain.known_offsets(1)
-        assert plain_rpcs >= 4 * batch_rpcs
-
-    def test_windowed_sync_delivers_identical_entries(self, cluster):
+    def test_sync_delivers_each_streams_entries(self, cluster):
         writer = cluster.client()
         for i in range(40):
             writer.append(b"e%d" % i, (1,) if i % 3 else (2,))
-        batched = StreamClient(cluster.client(), prefetch_window=16)
-        batched.open_stream(1)
-        batched.sync(1)
-        plain = StreamClient(cluster.client())
-        plain.open_stream(1)
-        plain.sync(1)
-        assert batched.known_offsets(1) == plain.known_offsets(1)
-        for off in plain.known_offsets(1):
-            assert batched.fetch(off).payload == plain.fetch(off).payload
+        sclient = StreamClient(cluster.client())
+        sclient.open_stream(1)
+        sclient.sync(1)
+        assert sclient.known_offsets(1) == tuple(i for i in range(40) if i % 3)
+        for off in sclient.known_offsets(1):
+            assert sclient.fetch(off).payload == b"e%d" % off
 
-    def test_windowed_sync_with_holes(self, cluster):
-        """Holes inside a speculative window are skipped by the batch
-        and resolved per-offset with the hole handler."""
+    def test_sync_with_holes(self, cluster):
+        """A hole the backpointer walk meets is resolved per-offset with
+        the hole handler and left out of the stream."""
         writer = cluster.client()
         for i in range(10):
             writer.append(b"e%d" % i, (1,))
         cluster.sequencer().increment()  # hole at 10
         for i in range(10, 20):
             writer.append(b"e%d" % i, (1,))
-        batched = StreamClient(cluster.client(), prefetch_window=16)
-        batched.open_stream(1)
-        batched.sync(1)
-        assert batched.known_offsets(1) == tuple(
+        sclient = StreamClient(cluster.client())
+        sclient.open_stream(1)
+        sclient.sync(1)
+        assert sclient.known_offsets(1) == tuple(
             o for o in range(21) if o != 10
         )
 

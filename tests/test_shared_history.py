@@ -32,14 +32,15 @@ class SortedKeyIndex(TangoObject):
         super().__init__(runtime, oid, host_view=host_view)
 
     def apply(self, payload, offset):
-        op = json.loads(payload.decode("utf-8"))
-        if op["op"] == "put":
-            index = bisect.bisect_left(self._keys, op["k"])
-            if index == len(self._keys) or self._keys[index] != op["k"]:
-                self._keys.insert(index, op["k"])
-        elif op["op"] == "remove":
-            index = bisect.bisect_left(self._keys, op["k"])
-            if index < len(self._keys) and self._keys[index] == op["k"]:
+        # A foreign view of the map's stream reads the map's ops.
+        op, fields = TangoMap.decode_op(payload)
+        if op == "put":
+            index = bisect.bisect_left(self._keys, fields[0])
+            if index == len(self._keys) or self._keys[index] != fields[0]:
+                self._keys.insert(index, fields[0])
+        elif op == "remove":
+            index = bisect.bisect_left(self._keys, fields[0])
+            if index < len(self._keys) and self._keys[index] == fields[0]:
                 self._keys.pop(index)
         else:  # clear
             self._keys.clear()
