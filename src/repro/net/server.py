@@ -295,14 +295,9 @@ def _build_node(
     if kind == "storage":
         if data_dir is None:
             return FlashUnit(name)
-        from repro.store import DEFAULT_SEGMENT_BYTES, SegmentedFlashUnit
+        from repro.store import open_node_unit
 
-        unit = SegmentedFlashUnit(
-            name,
-            os.path.join(data_dir, f"{name}.store"),
-            segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,
-            migrate_flat=os.path.join(data_dir, f"{name}.flash"),
-        )
+        unit = open_node_unit(data_dir, name, segment_bytes=segment_bytes)
         if compact_interval > 0:
             unit.start_compaction(compact_interval)
         return unit

@@ -7,14 +7,15 @@ Layout:
 - :mod:`repro.store.compactor` — garbage-ratio policy plus an inline or
   threaded compactor that rewrites still-live entries past the trim
   point into fresh segments;
-- :mod:`repro.store.flash` — :class:`SegmentedFlashUnit`, the
-  drop-in durable unit built on the above.
+- :mod:`repro.store.flash` — :class:`SegmentedFlashUnit`, the durable
+  unit built on the above, and :func:`open_node_unit`, which decides a
+  storage node's on-disk layout.
 
 See ``docs/STORAGE.md`` for the on-disk formats and knobs.
 """
 
 from repro.store.compactor import CompactionPolicy, Compactor
-from repro.store.flash import SegmentedFlashUnit
+from repro.store.flash import SegmentedFlashUnit, open_node_unit
 from repro.store.segment import (
     DEFAULT_SEGMENT_BYTES,
     FRAME,
@@ -41,6 +42,7 @@ __all__ = [
     "SegmentInfo",
     "SegmentStore",
     "SegmentedFlashUnit",
+    "open_node_unit",
     "pack_frame",
     "parse_frames",
     "read_flat_log",

@@ -1,11 +1,10 @@
-"""A flash unit persisted to a segment store instead of one flat file.
+"""The durable flash unit: write-once storage persisted to a segment store.
 
-:class:`SegmentedFlashUnit` mirrors
-:class:`~repro.corfu.durable.DurableFlashUnit` — every mutation applies
-in memory and persists one intention frame, atomically under the unit
-lock, and a ``write_many`` batch persists its accepted pages in one
-append — but frames land in a :class:`~repro.store.segment.SegmentStore`
-directory, so trimmed history can be reclaimed by the
+In :class:`SegmentedFlashUnit` every mutation applies in memory and
+persists one intention frame, atomically under the unit lock, and a
+``write_many`` batch persists its accepted pages in one append. Frames
+land in a :class:`~repro.store.segment.SegmentStore` directory, so
+trimmed history can be reclaimed by the
 :class:`~repro.store.compactor.Compactor` instead of accreting forever.
 
 A legacy flat-format file can be migrated in place: its frames are
@@ -58,7 +57,7 @@ class SegmentedFlashUnit(FlashUnit):
     # -- recovery -------------------------------------------------------------
 
     def _apply_frame(self, op: int, epoch: int, address: int, data: bytes) -> None:
-        """Apply one replayed frame (mirrors the flat-format replay)."""
+        """Apply one replayed frame to the in-memory unit."""
         if op == OP_WRITE:
             if self._is_trimmed(address):
                 # A compacted segment's trim preamble can precede a W
@@ -96,10 +95,10 @@ class SegmentedFlashUnit(FlashUnit):
 
     # -- overridden mutations (apply and persist; atomically) -----------------
 
-    # As in DurableFlashUnit, each override holds the unit lock (an
-    # RLock, so the inherited mutation can re-enter it) across apply
-    # *and* persist, keeping file frame order equal to apply order. A
-    # page is applied only once its frame is on file.
+    # Each override holds the unit lock (an RLock, so the inherited
+    # mutation can re-enter it) across apply *and* persist, keeping file
+    # frame order equal to apply order. A page is applied only once its
+    # frame is on file.
 
     def write(self, address: int, data: bytes, epoch: int) -> None:
         with self._lock:
@@ -210,3 +209,27 @@ class SegmentedFlashUnit(FlashUnit):
         """Stop compaction and release the active segment handle."""
         self.compactor.stop()
         self.store.close()
+
+
+def open_node_unit(
+    data_dir: str,
+    name: str,
+    segment_bytes: Optional[int] = None,
+    sync: bool = True,
+    policy: Optional[CompactionPolicy] = None,
+) -> SegmentedFlashUnit:
+    """Storage node *name*'s durable unit under *data_dir*.
+
+    The node persists to the segment-store directory
+    ``<data_dir>/<name>.store``; a legacy flat file
+    ``<data_dir>/<name>.flash`` is migrated into it on first open and
+    renamed to ``<name>.flash.migrated``.
+    """
+    return SegmentedFlashUnit(
+        name,
+        os.path.join(data_dir, f"{name}.store"),
+        segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,
+        sync=sync,
+        policy=policy,
+        migrate_flat=os.path.join(data_dir, f"{name}.flash"),
+    )

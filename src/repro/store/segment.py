@@ -1,12 +1,12 @@
 """Segmented durable log storage.
 
-One :class:`SegmentStore` replaces the single flat intention-log file of
-:class:`~repro.corfu.durable.DurableFlashUnit` with a directory of
-fixed-size *segment* files. The frame format inside a segment is exactly
-the flat format — ``[op:u8][epoch:u64][address:u64][length:u32][data]``
-with ops ``W`` (page write), ``T`` (sparse trim), ``P`` (prefix trim)
-and ``S`` (seal) — so a flat file can be migrated by streaming its
-frames into a store unchanged.
+One :class:`SegmentStore` keeps a unit's intention log as a directory
+of fixed-size *segment* files. The frame format inside a segment is
+exactly the legacy single-file flat format —
+``[op:u8][epoch:u64][address:u64][length:u32][data]`` with ops ``W``
+(page write), ``T`` (sparse trim), ``P`` (prefix trim) and ``S``
+(seal) — so a flat file can be migrated by streaming its frames into a
+store unchanged.
 
 Segment file layout::
 
@@ -237,10 +237,10 @@ class SegmentStore:
 
     Thread safety: ``_lock`` guards the segment list, the active file
     handle, and the sequence counter. Appends hold it across the file
-    write so the frame order matches the caller's apply order (the same
-    contract as the flat durable format). :meth:`rewrite_segments` reads
-    and writes *sealed* files outside the lock — they are immutable —
-    and takes it only to splice the segment list.
+    write so the frame order matches the caller's apply order.
+    :meth:`rewrite_segments` reads and writes *sealed* files outside the
+    lock — they are immutable — and takes it only to splice the segment
+    list.
 
     ``frames_appended`` counts the frames handed to the file since open.
     The owning unit, whose lock serializes all of its appends, reads it
@@ -478,8 +478,7 @@ class SegmentStore:
         assert info is not None and f is not None
         # Holding the lock across the file write is deliberate: the frame
         # order must match the caller's apply order, and each critical
-        # section covers one caller's batch (same contract as the flat
-        # durable format).
+        # section covers one caller's batch.
         f.write(head + run if head else run)  # tangolint: disable=TL012
         f.flush()
         if self.sync:

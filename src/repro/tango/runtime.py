@@ -18,11 +18,13 @@ Core mechanics implemented here:
   — the "consistent snapshot of all the objects touched by the
   transaction as of X" of section 4.1. There is one loop:
   ``StreamClient.play`` merges the hosted streams a window at a time,
-  and query playback, the speculative-batch reconcile and late-stream
-  catch-up all consume it; each entry is decoded once (``_records``),
-  or never by the runtime that appended it (its records go into the
-  cache slot with the write), but versions are bumped entry by entry,
-  so a commit record sees them as of its own offset.
+  and query playback and late-stream catch-up both consume it; each
+  entry is decoded once (``_decode_payload``), or never by the runtime
+  that appended it (its records go into the cache slot with the
+  write), but versions are bumped entry by entry, so a commit record
+  sees them as of its own offset.
+- **group commit** (section 6): ``batch()`` coalesces updates, 4
+  records per entry by default.
 - **transactions** (sections 3.2, 4.1): optimistic concurrency control
   with speculative updates, commit records carrying versioned read
   sets, deterministic commit/abort decisions at every consumer, and
@@ -80,53 +82,6 @@ MAX_DELTA_CHAIN = 8
 def _decode_payload(entry) -> Tuple[Record, ...]:
     """An entry's record batch, as the stream cache remembers it."""
     return tuple(decode_records(entry.payload))
-
-
-class _GroupCommitPolicy:
-    """Adaptive group-commit sizing shared by a runtime's batch scopes.
-
-    Section 6 fixes the batch at 4 records per entry; this policy
-    starts there and adapts to what each flush observes:
-
-    - *payload pressure* — a flush that had to split into per-record
-      entries (the coalesced payload outgrew one entry) halves the
-      batch, so the next scope coalesces what actually fits;
-    - *in-flight pressure* — retries/timeouts observed at the transport
-      during the flush halve it, shedding latency when the write path
-      is struggling;
-    - a full batch that flushed as a single entry using at most half
-      the payload capacity over a quiet network doubles it (capped),
-      amortizing more records per sequencer grant and chain write.
-
-    One policy per runtime, shared by every scope (that is what makes
-    it adaptive across scopes); its lock is a leaf taken only for the
-    size read-modify-write, never across an RPC (TL012).
-    """
-
-    START = 4
-    FLOOR = 1
-    CEIL = 64
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._size = self.START
-
-    @property
-    def size(self) -> int:
-        with self._lock:
-            return self._size
-
-    def observe(
-        self, batched: int, split: bool, pressure: int,
-        payload_bytes: int, capacity: int,
-    ) -> int:
-        """Record one flush's observations; return the adapted size."""
-        with self._lock:
-            if split or pressure > 0:
-                self._size = max(self.FLOOR, self._size // 2)
-            elif batched >= self._size and payload_bytes * 2 <= capacity:
-                self._size = min(self.CEIL, self._size * 2)
-            return self._size
 
 
 class TangoRuntime:
@@ -194,12 +149,6 @@ class TangoRuntime:
         self._watermark = NO_VERSION
         # Optional dynamic decision-record scheme (section 4.1).
         self._hosting_registry = None
-        # Adaptive group-commit sizing, shared across batch scopes.
-        self._batch_policy = _GroupCommitPolicy()
-        # True while a speculative batch scope is open (guarded by
-        # _play_lock): speculation assumes no concurrent playback, so
-        # overlapping speculative scopes are refused.
-        self._speculating = False
 
         # Delta-checkpoint state: the version keys modified since each
         # object's last checkpoint (what a delta has to carry), objects
@@ -230,8 +179,6 @@ class TangoRuntime:
             "full_checkpoints": 0,
             "delta_checkpoints": 0,
             "evicted_versions": 0,
-            "speculative_commits": 0,
-            "speculative_rollbacks": 0,
         }
         # Observability hooks: event name -> callbacks (see subscribe).
         self._subscribers: Dict[str, List] = {}
@@ -444,45 +391,25 @@ class TangoRuntime:
         # The record is what playing the entry decodes: hand it over.
         return self._streams.append(encode_records([record]), (oid,), (record,))
 
-    def batch(self, size: Optional[int] = None, speculative: bool = False):
+    def batch(self, size: int = 4):
         """Group-commit scope: coalesce updates into shared log entries.
 
         Section 6: "We use 4KB entries in the CORFU log, with a batch
-        size of 4 at each client." Each flushed entry is multiappended
-        to the union of its records' streams, so every object's stream
-        still sees every one of its updates, in order. Accessors called
-        inside the scope flush first, preserving read-your-writes.
-
-        With *size* (a fixed record count) the scope flushes every
-        *size* records, as before. The default (``size=None``) adapts:
-        the threshold starts at the paper's 4 and grows or shrinks with
-        observed payload pressure and in-flight latency (see
-        :class:`_GroupCommitPolicy`), shared across this runtime's
-        scopes.
-
-        With ``speculative=True`` (opt-in), updates to hosted objects
-        are applied to the local view *immediately* — accessors inside
-        the scope read the speculative state without flushing or log
-        I/O — and every flush reconciles against the log: if no foreign
-        entry interleaved with the speculated objects, the speculation
-        is committed in place (versions bumped at the real offsets);
-        otherwise the touched objects are rolled back to their
-        pre-speculation checkpoints and replayed from the log in order.
-        Objects must implement ``get_checkpoint``/``load_checkpoint``;
-        views that store apply offsets should not opt in unless a
-        rollback re-applying them with real offsets is acceptable. If
-        the scope body raises, speculative applies are rolled back
-        along with the discarded records (see API.md). Speculation
-        assumes a single playback driver: concurrent speculative
-        scopes are refused, and transactions cannot open inside one.
+        size of 4 at each client." The scope flushes every *size*
+        records (and the rest at exit). Each flushed entry is
+        multiappended to the union of its records' streams, so every
+        object's stream still sees every one of its updates, in order.
+        Accessors called inside the scope flush first, preserving
+        read-your-writes. If the scope body raises, unflushed records
+        are discarded (see API.md).
 
         ::
 
-            with runtime.batch():          # adaptive group commit
+            with runtime.batch():          # 4 records per entry
                 for item in items:
                     tango_list.append(item)
         """
-        return _BatchScope(self, size, speculative)
+        return _BatchScope(self, size)
 
     def query_helper(
         self, oid: int, key: Optional[bytes] = None, upto: Optional[int] = None
@@ -508,15 +435,6 @@ class TangoRuntime:
                 ctx.record_read(oid, key, self._versions.get(oid, key))
             return
         batch = getattr(tls, "batch", None)
-        if batch is not None and batch.speculative:
-            # Speculative scope: accessors read the locally applied
-            # (speculative) view without flushing or syncing — that is
-            # the point of speculation. Conflicts with foreign log
-            # entries are detected (and rolled back) at flush time.
-            with self._play_lock:
-                if oid not in self._objects:
-                    raise UnknownObjectError(f"object {oid} has no local view")
-            return
         if batch is not None:
             # Read-your-writes inside a batch scope: flush buffered
             # updates before placing the read marker.
@@ -544,13 +462,6 @@ class TangoRuntime:
         """Open a transaction context in thread-local storage."""
         if self._current_tx() is not None:
             raise NestedTransactionError("transaction already open")
-        batch = getattr(self._tls, "batch", None)
-        if batch is not None and batch.speculative:
-            # A transaction's end_tx plays the log forward, which would
-            # interleave foreign entries under live speculative state.
-            raise TangoError(
-                "cannot open a transaction inside a speculative batch scope"
-            )
         tx_id = (self._client_id << 32) | (next(self._tx_seq) & 0xFFFFFFFF)
         self._tls.tx = TxContext(tx_id)
 
@@ -1024,93 +935,6 @@ class TangoRuntime:
             process(offset, records, delivering)
             if offset > self._watermark:
                 self._watermark = offset
-
-    def _flush_speculative(
-        self, batch: "_UpdateBatch"
-    ) -> List[Tuple[int, Tuple[UpdateRecord, ...]]]:
-        """Flush a speculative batch and reconcile it with the log.
-
-        The batch's records were already applied to the hosted views
-        (optimistically, with provisional offsets). After the durable
-        append, the log decides whether the speculation was right:
-
-        - if no foreign entry interleaved with a speculated object's
-          stream below our last flushed offset, the speculation IS the
-          replay — commit it in place by advancing the iterators past
-          our own entries (without re-applying them) and bumping
-          versions at the real offsets;
-        - otherwise roll the speculated objects back to their
-          pre-speculation checkpoints, rewind their iterators, and
-          replay the log in order — our entries included, exactly once.
-
-        Foreign entries touching only non-speculated objects are played
-        normally either way (their order relative to the speculation is
-        independent). Runs under the play lock, like end_tx.
-        """
-        with self._play_lock:
-            flushed = batch._flush_records()
-            if not flushed:
-                return flushed
-            spec_oids = set(batch._snapshots)
-            our = {offset for offset, _ in flushed}
-            last = max(our)
-            self._streams.sync_many(tuple(self._objects))
-            conflict = False
-            # Entries, not records: our own are consumed undecoded.
-            for offset, entry, delivering in self._streams.play(self._objects, last):
-                if offset in our:
-                    # Our own entry: the speculative apply already
-                    # mutated the views; it is consumed, nothing more.
-                    pass
-                elif not entry.is_junk and any(sid in spec_oids for sid in delivering):
-                    # A foreign entry interleaved below our flushed
-                    # offsets on a speculated stream: the speculation
-                    # applied out of log order. Put the iterators back
-                    # on this entry, stop, and roll back.
-                    for sid in delivering:
-                        self._streams.seek(sid, offset - 1)
-                    conflict = True
-                    break
-                else:
-                    self._process_entry(offset, _decode_payload(entry), delivering)
-                if offset > self._watermark:
-                    self._watermark = offset
-            if conflict:
-                for oid, (snap, pos) in sorted(batch._snapshots.items()):
-                    obj = self._objects.get(oid)
-                    if obj is not None:
-                        obj.load_checkpoint(snap)
-                        self._streams.seek(oid, pos)
-                batch._snapshots.clear()
-                self.stats["speculative_rollbacks"] += 1
-                self._play_until(last)
-                return flushed
-            # Speculation committed: the local state already equals the
-            # replay; record versions and bookkeeping at real offsets.
-            for offset, records in flushed:
-                for record in records:
-                    if record.oid not in self._objects:
-                        continue
-                    self._versions.bump(record.oid, offset, record.key)
-                    if record.key is None:
-                        self._dirty_full.add(record.oid)
-                    else:
-                        self._dirty_keys.setdefault(
-                            record.oid, set()
-                        ).add(record.key)
-                    self.stats["applied_updates"] += 1
-                    if self._subscribers:
-                        self._emit(
-                            "apply",
-                            {
-                                "oid": record.oid,
-                                "offset": offset,
-                                "key": record.key,
-                            },
-                        )
-            batch._snapshots.clear()
-            self.stats["speculative_commits"] += 1
-            return flushed
 
     def _process_entry(
         self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
@@ -1616,55 +1440,15 @@ class _TemporaryView:
 class _UpdateBatch:
     """Accumulates update records and flushes them as shared entries."""
 
-    def __init__(
-        self,
-        runtime: TangoRuntime,
-        size: Optional[int],
-        speculative: bool = False,
-    ) -> None:
+    def __init__(self, runtime: TangoRuntime, size: int) -> None:
         self._runtime = runtime
-        # size=None means adaptive: the threshold tracks the runtime's
-        # shared group-commit policy, re-read after every flush.
-        self._policy = runtime._batch_policy if size is None else None
-        self._size = runtime._batch_policy.size if size is None else size
-        self.speculative = speculative
+        self._size = size
         self._records: List[UpdateRecord] = []
-        # oid -> (pre-speculation checkpoint, stream position), taken
-        # lazily at each hosted object's first speculative apply.
-        self._snapshots: Dict[int, Tuple[bytes, int]] = {}
-        self._spec_seq = 0
 
     def add(self, record: UpdateRecord) -> None:
-        if self.speculative:
-            self._speculative_apply(record)
         self._records.append(record)
         if len(self._records) >= self._size:
             self.flush()
-
-    def _speculative_apply(self, record: UpdateRecord) -> None:
-        runtime = self._runtime
-        with runtime._play_lock:
-            obj = runtime._objects.get(record.oid)
-            if obj is None:
-                return  # remote write: buffered only, applied by hosts
-            if record.oid not in self._snapshots:
-                try:
-                    snap = obj.get_checkpoint()
-                except NotImplementedError:
-                    raise TangoError(
-                        f"object {record.oid} does not implement "
-                        f"checkpoints; speculative batch scopes need "
-                        f"them for rollback"
-                    ) from None
-                self._snapshots[record.oid] = (
-                    snap, runtime._streams.position(record.oid)
-                )
-            self._spec_seq += 1
-            # Provisional apply offset: past everything delivered so
-            # far, monotonically increasing within the scope. Replaced
-            # by the real offsets at reconcile time (via rollback +
-            # replay) if the log disagrees with the speculation.
-            obj.apply(record.payload, runtime._watermark + self._spec_seq)
 
     def flush(self) -> List[Tuple[int, Tuple[UpdateRecord, ...]]]:
         """Flush buffered records; returns ``[(offset, records), ...]``.
@@ -1678,24 +1462,9 @@ class _UpdateBatch:
         flush delivers at-least-once for that chunk and exactly-once
         for everything behind it (the old code silently dropped both).
         """
-        if not self._records:
-            return []
-        if self.speculative:
-            flushed = self._runtime._flush_speculative(self)
-        else:
-            flushed = self._flush_records()
-        self._spec_seq = 0
-        return flushed
-
-    def _flush_records(self) -> List[Tuple[int, Tuple[UpdateRecord, ...]]]:
         flushed: List[Tuple[int, Tuple[UpdateRecord, ...]]] = []
         streams_client = self._runtime._streams
         corfu = streams_client.corfu
-        limit = corfu.max_payload
-        pressure_before = self._net_pressure(corfu)
-        batched = len(self._records)
-        split = False
-        payload_bytes = 0
         while self._records:
             records = self._records
             streams: List[int] = []
@@ -1703,8 +1472,7 @@ class _UpdateBatch:
                 if record.oid not in streams:
                     streams.append(record.oid)
             payload = encode_records(records)
-            if len(payload) <= limit and len(streams) <= corfu.max_streams:
-                payload_bytes = len(payload)
+            if len(payload) <= corfu.max_payload and len(streams) <= corfu.max_streams:
                 offset = streams_client.append(payload, tuple(streams))
                 self._records = []
                 flushed.append((offset, tuple(records)))
@@ -1714,7 +1482,6 @@ class _UpdateBatch:
             # (append_batch), so the flush costs one increment RPC per
             # run instead of one per record. The buffer is trimmed only
             # after each run's append returns (exception safety).
-            split = True
             j = 1
             while j < len(records) and records[j].oid == records[0].oid:
                 j += 1
@@ -1733,42 +1500,7 @@ class _UpdateBatch:
                 )
                 self._records = records[1:]
                 flushed.append((offset, (run[0],)))
-        if self._policy is not None:
-            pressure = self._net_pressure(corfu) - pressure_before
-            self._size = self._policy.observe(
-                batched, split, pressure, payload_bytes, limit
-            )
         return flushed
-
-    @staticmethod
-    def _net_pressure(corfu) -> int:
-        """Retries + timeouts across endpoints (the in-flight signal)."""
-        total = 0
-        for stats in corfu.net_stats().values():
-            total += stats["retries"] + stats["timeouts"]
-        return total
-
-    def abandon(self) -> None:
-        """Discard buffered records; undo speculative local applies.
-
-        The scope body raised (or its exit flush failed): buffered
-        records never reach the log, and any hosted view mutated
-        speculatively is restored to its pre-speculation checkpoint so
-        the local state rejoins the log's history. Records already
-        flushed are durable and stay — they were acknowledged.
-        """
-        self._records = []
-        if not self._snapshots:
-            return
-        runtime = self._runtime
-        with runtime._play_lock:
-            for oid, (snap, pos) in sorted(self._snapshots.items()):
-                obj = runtime._objects.get(oid)
-                if obj is not None:
-                    obj.load_checkpoint(snap)
-                    runtime._streams.seek(oid, pos)
-        self._snapshots = {}
-        self._spec_seq = 0
 
 
 class _BatchScope:
@@ -1778,56 +1510,28 @@ class _BatchScope:
     buffered (unflushed) updates are DISCARDED — none of them reaches
     the log, and no partial entry is appended. Updates flushed earlier
     in the scope (threshold reached, or an accessor's read-your-writes
-    flush) are already durable and stay. Speculative local applies of
-    discarded records are rolled back.
+    flush) are already durable and stay.
     """
 
-    def __init__(
-        self,
-        runtime: TangoRuntime,
-        size: Optional[int],
-        speculative: bool = False,
-    ) -> None:
+    def __init__(self, runtime: TangoRuntime, size: int) -> None:
         self._runtime = runtime
         self._size = size
-        self._speculative = speculative
 
     def __enter__(self) -> "_BatchScope":
         if getattr(self._runtime._tls, "batch", None) is not None:
             raise TangoError("batch scope already open on this thread")
-        if self._speculative:
-            with self._runtime._play_lock:
-                if self._runtime._speculating:
-                    raise TangoError(
-                        "another speculative batch scope is active"
-                    )
-                self._runtime._speculating = True
-        self._runtime._tls.batch = _UpdateBatch(
-            self._runtime, self._size, self._speculative
-        )
+        self._runtime._tls.batch = _UpdateBatch(self._runtime, self._size)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        batch = self._runtime._tls.batch
+        # Dropping the batch discards whatever it still buffers: after
+        # a body exception, or after an exit flush that raised (there
+        # is no scope left to retry in, so that error surfaces).
         try:
             if exc_type is None:
-                try:
-                    batch.flush()
-                except BaseException:
-                    # The exit flush failed and there is no scope left
-                    # to retry in: roll back speculative applies so the
-                    # local view rejoins the log, and surface the error
-                    # (records already flushed are durable; the rest
-                    # are discarded, loudly).
-                    batch.abandon()
-                    raise
-            else:
-                batch.abandon()
+                self._runtime._tls.batch.flush()
         finally:
             self._runtime._tls.batch = None
-            if self._speculative:
-                with self._runtime._play_lock:
-                    self._runtime._speculating = False
         return False
 
 

@@ -18,7 +18,8 @@ The shared engine here is a *lock-set analysis* over each class:
    defined in the linted program).
 2. **Held sets**: inside ``with self._lock:`` the lock is held.
    Private helpers (leading underscore) are assumed to run with the
-   *intersection* of the locks held at every intra-class call site —
+   *intersection* of the locks held at every intra-class call site
+   (``self.m(...)``, or ``m(...)`` through a local ``m = self.m``) —
    so a helper only ever invoked from inside critical sections is
    checked as if the lock were held, without annotation. A
    ``*_locked`` name suffix forces "all class locks held" as an
@@ -173,6 +174,10 @@ class _MethodScan:
         self.calls: List[_CallSite] = []
         self.blocking: List[_Blocking] = []
         self.lock_creations: List[_LockCreation] = []
+        #: Local name -> ``self.<attr>`` it is bound to, so a call through
+        #: a bound-method alias (``put = self._put; put(x)``) counts as an
+        #: intra-class call made with the locks held at the call.
+        self.bound: Dict[str, str] = {}
 
     def scan(self, fn: ast.AST) -> "_MethodScan":
         for stmt in fn.body:  # type: ignore[attr-defined]
@@ -230,6 +235,14 @@ class _MethodScan:
                 self._visit(stmt, _EMPTY)
             return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            if isinstance(node, ast.Assign):
+                bound = self_attr(node.value)
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        if bound is None:
+                            self.bound.pop(target.id, None)
+                        else:
+                            self.bound[target.id] = bound
             for target in self._targets_of(node):
                 for leaf in self._flatten(target):
                     attr = self_attr(leaf)
@@ -265,6 +278,9 @@ class _MethodScan:
     def _classify_call(self, node: ast.Call, locks: FrozenSet[str]) -> None:
         func = node.func
         if isinstance(func, ast.Name):
+            if func.id in self.bound:
+                self.calls.append(_CallSite(node, None, self.bound[func.id], locks))
+                return
             target = self.aliases.get(func.id)
             if target == ("time", "sleep"):
                 self.blocking.append(_Blocking(node, "time.sleep", locks))

@@ -1,15 +1,11 @@
 """Tests for group-commit update batching (section 6: batch size 4)."""
 
-import threading
-
 import pytest
 
 from repro.corfu import CorfuCluster
 from repro.errors import ReproError, RpcTimeout, TangoError
-from repro.net import FaultyTransport
 from repro.net.transport import LoopbackTransport
 from repro.objects import TangoList, TangoMap
-from repro.tango.object import TangoObject
 from repro.tango.records import UpdateRecord, decode_records
 from repro.tango.runtime import TangoRuntime
 
@@ -209,181 +205,16 @@ class TestFlushExceptionSafety:
 
 
 class TestAdaptiveGroupCommit:
+    """The group-commit size no longer adapts; a default scope keeps the
+    paper's fixed batch of 4 for every flush."""
+
     def test_default_scope_starts_at_paper_size(self, make_runtime):
         rt = make_runtime()
-        assert rt._batch_policy.size == 4
-
-    def test_quiet_full_batch_grows(self, make_runtime):
-        rt = make_runtime()
         m = TangoMap(rt, oid=1)
-        with rt.batch():
-            for i in range(4):
-                m.put(f"k{i}", i)  # full batch, small payload, quiet net
-        assert rt._batch_policy.size == 8
-        with rt.batch():
-            for i in range(8):
-                m.put(f"g{i}", i)
-        assert rt._batch_policy.size == 16
-
-    def test_payload_pressure_shrinks(self, make_runtime):
-        rt = make_runtime()
-        m = TangoMap(rt, oid=1)
-        big = "x" * 1500
-        with rt.batch():
-            for i in range(4):
-                m.put(f"k{i}", big)  # 4 x ~1.5KB > one 4KB entry: split
-        assert rt._batch_policy.size == 2
-        assert m.size() == 4
-
-    def test_inflight_pressure_shrinks(self):
-        """Retries/timeouts observed during the flush halve the batch."""
-        transport = FaultyTransport(seed=0, drop_response=0.5)
-        cluster = CorfuCluster(
-            num_sets=1, replication_factor=2, transport=transport
-        )
-        rt = TangoRuntime(cluster, client_id=1)
-        m = TangoMap(rt, oid=1)
-        start = rt._batch_policy.size
-        with rt.batch():
-            for i in range(start):
-                m.put(f"k{i}", i)
-        assert rt._batch_policy.size < start
-        transport.calm()
-        assert m.size() == start
-
-    def test_fixed_size_scope_does_not_adapt(self, make_runtime):
-        rt = make_runtime()
-        m = TangoMap(rt, oid=1)
-        before = rt._batch_policy.size
-        big = "x" * 1500
-        with rt.batch(size=4):
-            for i in range(4):
-                m.put(f"k{i}", big)  # split, but the scope is pinned
-        assert rt._batch_policy.size == before
-
-    def test_policy_shared_across_scopes(self, make_runtime):
-        """Adaptation carries from one scope to the next (one policy
-        per runtime), and stays within [FLOOR, CEIL]."""
-        rt = make_runtime()
-        m = TangoMap(rt, oid=1)
-        big = "x" * 3500
-        for round_ in range(5):
+        for _ in range(2):
+            before = rt.streams.corfu.appends
             with rt.batch():
-                m.put("a", big)
-                m.put("b", big)  # splits every time
-        assert rt._batch_policy.size == 1  # halved to the floor, not 0
-
-
-class _NoCheckpointObject(TangoObject):
-    def __init__(self, runtime, oid):
-        super().__init__(runtime, oid)
-        self.values = []
-
-    def apply(self, payload: bytes, offset: int) -> None:
-        self.values.append(payload)
-
-    def add(self, payload: bytes) -> None:
-        self._update(payload)
-
-
-class TestSpeculativeBatch:
-    def test_accessor_reads_speculation_without_flush(self, make_runtime):
-        rt = make_runtime()
-        m = TangoMap(rt, oid=1)
-        m.put("k", 0)
-        m.get("k")
-        appends_before = rt.streams.corfu.appends
-        with rt.batch(size=100, speculative=True):
-            m.put("k", 1)
-            assert m.get("k") == 1  # local speculative view, no log I/O
-            assert rt.streams.corfu.appends == appends_before
-        assert m.get("k") == 1  # committed at scope exit
-        assert rt.stats["speculative_commits"] == 1
-        assert rt.stats["speculative_rollbacks"] == 0
-
-    def test_body_exception_rolls_back_speculation(self, make_runtime):
-        rt = make_runtime()
-        m = TangoMap(rt, oid=1)
-        m.put("k", 0)
-        m.get("k")
-        with pytest.raises(RuntimeError):
-            with rt.batch(speculative=True):
-                m.put("k", 99)
-                assert m.get("k") == 99
-                raise RuntimeError("boom")
-        assert m.get("k") == 0  # view restored to the log's history
-
-    def test_conflict_rolls_back_and_replays(self, make_runtime):
-        """A foreign entry landing in a speculated stream before our
-        flush invalidates the speculation: the view is rolled back and
-        replayed from the log, so both clients' updates apply in log
-        order."""
-        rt1, rt2 = make_runtime(), make_runtime()
-        m1, m2 = TangoMap(rt1, oid=1), TangoMap(rt2, oid=1)
-        m1.put("base", 1)
-        m1.get("base")
-        with rt1.batch(size=100, speculative=True):
-            m1.put("mine", 2)
-            m2.put("theirs", 3)  # foreign write, ahead of our flush
-            assert m1.get("mine") == 2
-        assert rt1.stats["speculative_rollbacks"] == 1
-        assert m1.get("mine") == 2
-        assert m1.get("theirs") == 3
-
-    def test_clean_speculation_commits_without_rollback(self, make_runtime):
-        rt = make_runtime()
-        lst = TangoList(rt, oid=1)
-        lst.append("pre")
-        lst.to_list()
-        with rt.batch(size=100, speculative=True):
-            for i in range(5):
-                lst.append(f"s{i}")
-            assert lst.to_list() == ("pre", "s0", "s1", "s2", "s3", "s4")
-        assert lst.to_list() == ("pre", "s0", "s1", "s2", "s3", "s4")
-        assert rt.stats["speculative_rollbacks"] == 0
-        assert rt.stats["speculative_commits"] == 1
-
-    def test_other_clients_see_committed_speculation(self, make_runtime):
-        rt1, rt2 = make_runtime(), make_runtime()
-        m1, m2 = TangoMap(rt1, oid=1), TangoMap(rt2, oid=1)
-        with rt1.batch(size=100, speculative=True):
-            m1.put("k", 7)
-        assert m2.get("k") == 7
-
-    def test_tx_inside_speculative_scope_rejected(self, make_runtime):
-        rt = make_runtime()
-        with rt.batch(speculative=True):
-            with pytest.raises(TangoError):
-                rt.begin_tx()
-
-    def test_concurrent_speculative_scopes_rejected(self, make_runtime):
-        rt = make_runtime()
-        errors = []
-        entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with rt.batch(speculative=True):
-                entered.set()
-                release.wait(5)
-
-        t = threading.Thread(target=holder)
-        t.start()
-        try:
-            assert entered.wait(5)
-            with pytest.raises(TangoError):
-                with rt.batch(speculative=True):
-                    pass  # pragma: no cover - never entered
-        finally:
-            release.set()
-            t.join()
-        assert not errors
-
-    def test_object_without_checkpoints_rejected(self, make_runtime):
-        rt = make_runtime()
-        obj = _NoCheckpointObject(rt, oid=9)
-        with pytest.raises(RuntimeError):
-            with rt.batch(speculative=True):
-                with pytest.raises(TangoError):
-                    obj.add(b"x")
-                raise RuntimeError("unwind")  # scope discards cleanly
+                for i in range(8):
+                    m.put(f"k{i}", i)
+            assert rt.streams.corfu.appends == before + 2  # 8 records / 4
+        assert m.size() == 8

@@ -318,8 +318,8 @@ class TestBatchedReadChaos:
         assert {k: fresh.get(k) for k in expected} == expected
 
 
-# Batch-scope chaos: group-commit scopes (runtime.batch, adaptive and
-# fixed sizes) driven under seeded drops/duplicates/reordering. No
+# Batch-scope chaos: group-commit scopes (runtime.batch, the default
+# size and a pinned one) driven under seeded drops/duplicates/reordering. No
 # partitions: every scope must exit cleanly, so every update below is
 # *acknowledged* — and acknowledged updates must be exactly-once.
 _batch_actions = st.lists(
@@ -349,8 +349,8 @@ class TestBatchChaos:
         expected = []
         token = 0
         # Drive the actions through a sequence of batch scopes,
-        # alternating adaptive sizing with a pinned size so both paths
-        # see the fault mix.
+        # alternating the default size with a pinned one so partial and
+        # full flushes both see the fault mix.
         for start in range(0, len(actions), 5):
             group = actions[start:start + 5]
             scope = rt.batch() if (start // 5) % 2 == 0 else rt.batch(size=3)
@@ -369,37 +369,6 @@ class TestBatchChaos:
         # Exactly once, in submission order, for the writer...
         assert lst.to_list() == tuple(expected)
         # ...and for a fresh client replaying the log from scratch.
-        fresh = TangoList(TangoRuntime(cluster, client_id=2), oid=1)
-        assert fresh.to_list() == tuple(expected)
-
-    @given(actions=_batch_actions)
-    @_settings
-    def test_speculative_scopes_exactly_once_under_faults(self, actions):
-        """Speculative scopes under the same faults: commit-or-rollback
-        reconciliation must preserve exactly-once for acknowledged
-        updates even when flush-path RPCs are dropped or duplicated."""
-        transport = FaultyTransport(seed=53)
-        cluster = CorfuCluster(
-            num_sets=2, replication_factor=3, transport=transport
-        )
-        rt = TangoRuntime(cluster, client_id=1)
-        lst = TangoList(rt, oid=1)
-        lst.append("seed")
-        expected = ["seed"]
-        token = 0
-        for start in range(0, len(actions), 5):
-            group = actions[start:start + 5]
-            with rt.batch(size=100, speculative=True):
-                for action in group:
-                    if action[0] == "put":
-                        value = f"s{token}-{action[2]}"
-                        token += 1
-                        lst.append(value)
-                        expected.append(value)
-                    else:
-                        transport.set_rates(**_RATE_MIXES[action[1]])
-        transport.calm()
-        assert lst.to_list() == tuple(expected)
         fresh = TangoList(TangoRuntime(cluster, client_id=2), oid=1)
         assert fresh.to_list() == tuple(expected)
 

@@ -130,6 +130,54 @@ def test_tl010_construction_only_helpers_are_exempt(tmp_path):
     assert findings == []
 
 
+_ALIAS_TABLE = """
+import threading
+
+class Table:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._rows = {}
+
+    def clear(self):
+        with self._lock:
+            self._rows.clear()
+
+    def put_all(self, items):
+        with self._lock:
+            put = self._put
+%s
+    def _put(self, key, value):
+        self._rows[key] = value
+"""
+
+
+def test_tl010_bound_method_alias_is_a_call_site(tmp_path):
+    # _put is only ever called through the local alias, inside the
+    # lock: the alias call is its call site, so its write is guarded.
+    findings = lint_source(
+        tmp_path,
+        _ALIAS_TABLE % """\
+            for key, value in items:
+                put(key, value)
+""",
+    )
+    assert findings == []
+
+
+def test_tl010_bound_method_alias_called_unlocked_still_fires(tmp_path):
+    # Bound under the lock but called after it is released: the locks
+    # held at the call are what count.
+    findings = lint_source(
+        tmp_path,
+        _ALIAS_TABLE % """\
+        for key, value in items:
+            put(key, value)
+""",
+    )
+    assert [d.rule_id for d in findings] == ["TL010"]
+    assert "_rows" in findings[0].message
+
+
 def test_tl010_subclass_inherits_base_guards(tmp_path):
     findings = lint_source(
         tmp_path,

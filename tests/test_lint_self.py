@@ -9,12 +9,16 @@ block the build. Fix the code, or (for a hand-verified exception) add a
 """
 
 import os
+import re
+import tokenize
+from collections import Counter
 
+from repro.tools.discovery import iter_python_files
 from repro.tools.lint import ALL_RULES, lint_paths, render_text
+from repro.tools.lint.engine import _SUPPRESS_RE
 
-SRC = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
-)
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+SRC = os.path.join(ROOT, "src", "repro")
 
 
 def test_source_tree_exists():
@@ -37,3 +41,40 @@ def test_every_rule_documents_itself():
         assert rule.title, rule.rule_id
         assert rule.rationale, rule.rule_id
         assert rule.paper_section, rule.rule_id
+
+
+def _tree_suppressions():
+    """(module, rule) -> count of ``# tangolint: disable`` comments."""
+    found = Counter()
+    for path in iter_python_files([SRC]):
+        module = os.path.relpath(path, SRC).replace(os.sep, "/")
+        with open(path, "rb") as f:
+            for token in tokenize.tokenize(f.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = _SUPPRESS_RE.search(token.string)
+                if match is not None:
+                    for rule in (match.group("rules") or "*").split(","):
+                        found[(module, rule.strip())] += 1
+    return found
+
+
+def _documented_suppressions():
+    """The same count, from the table in docs/LINT.md's Suppressions."""
+    with open(os.path.join(ROOT, "docs", "LINT.md"), encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("\n## Suppressions", 1)[1].split("\n## ", 1)[0]
+    documented = Counter()
+    for line in section.splitlines():
+        row = re.match(r"\|\s*`([^`]+\.py)`\s*\|([^|]*)\|", line)
+        if row is None:
+            continue
+        for rule, times in re.findall(r"(TL\d{3})(?:\s*×(\d+))?", row.group(2)):
+            documented[(row.group(1), rule)] += int(times or 1)
+    return documented
+
+
+def test_suppression_inventory_matches_docs():
+    documented = _documented_suppressions()
+    assert documented, "no suppression table in docs/LINT.md"
+    assert _tree_suppressions() == documented

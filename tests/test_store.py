@@ -5,8 +5,9 @@ import struct
 
 import pytest
 
-from repro.corfu.durable import DurableFlashUnit, open_durable_cluster
-from repro.errors import SealedError, TrimmedError, WrittenError
+from repro.corfu import CorfuCluster
+from repro.corfu.durable import open_durable_cluster
+from repro.errors import SealedError, TrimmedError, UnwrittenError, WrittenError
 from repro.store import (
     CompactionPolicy,
     Compactor,
@@ -22,6 +23,7 @@ from repro.store.segment import (
     pack_frame,
     read_flat_log,
 )
+from tests.frozen_flat_log import FlatLogWriter
 
 
 def small_store(tmp_path, segment_bytes=256, name="store"):
@@ -335,12 +337,11 @@ class TestSegmentedFlashUnit:
 
     def test_migrates_flat_file(self, tmp_path):
         flat = str(tmp_path / "legacy.flash")
-        legacy = DurableFlashUnit("u", flat)
-        for addr in range(12):
-            legacy.write(addr, b"m%d" % addr, epoch=0)
-        legacy.trim(2, epoch=0)
-        legacy.seal(1)
-        legacy.close()
+        with FlatLogWriter(flat) as legacy:
+            for addr in range(12):
+                legacy.write(addr, b"m%d" % addr)
+            legacy.trim(2)
+            legacy.seal(1)
         unit = SegmentedFlashUnit(
             "u", str(tmp_path / "u.store"), migrate_flat=flat
         )
@@ -357,6 +358,29 @@ class TestSegmentedFlashUnit:
         assert os.path.exists(flat + ".migrated")
         unit.close()
 
+    def test_torn_flat_file_migrates_its_valid_prefix(self, tmp_path, caplog):
+        flat = str(tmp_path / "legacy.flash")
+        with FlatLogWriter(flat) as legacy:
+            legacy.write(0, b"whole")
+            legacy.write(1, b"also whole")
+        with open(flat, "ab") as f:  # crash mid-append: half a frame
+            f.write(struct.pack("<BQQI", ord("W"), 0, 2, 64) + b"part")
+        with caplog.at_level("WARNING", logger="repro.store.segment"):
+            unit = SegmentedFlashUnit(
+                "u", str(tmp_path / "u.store"), migrate_flat=flat
+            )
+        assert any("torn frame" in r.message for r in caplog.records)
+        assert unit.read(0, epoch=0) == b"whole"
+        assert unit.read(1, epoch=0) == b"also whole"
+        with pytest.raises(UnwrittenError):
+            unit.read(2, epoch=0)
+        assert os.path.exists(flat + ".migrated")
+        unit.close()
+        # The store holds exactly the valid prefix.
+        reopened = SegmentedFlashUnit("u", str(tmp_path / "u.store"))
+        assert reopened.written_addresses() == [0, 1]
+        reopened.close()
+
     def test_store_status_shape(self, tmp_path):
         unit = self.unit(tmp_path)
         unit.write(0, b"s", epoch=0)
@@ -369,19 +393,22 @@ class TestSegmentedFlashUnit:
 
 
 class TestFlatFormatCompatibility:
-    def test_flat_log_reader_matches_durable_unit(self, tmp_path):
+    def test_flat_log_reader_matches_frozen_writer(self, tmp_path):
         """The old flat format stays readable with identical contents."""
         flat = str(tmp_path / "unit.flash")
-        unit = DurableFlashUnit("u", flat)
-        unit.write(0, b"alpha", epoch=0)
-        unit.write(1, b"beta", epoch=0)
-        unit.trim(0, epoch=0)
-        unit.close()
+        with FlatLogWriter(flat) as writer:
+            writer.write(0, b"alpha")
+            writer.write(1, b"beta")
+            writer.trim(0)
+            writer.trim_prefix(1, epoch=2)
+            writer.seal(3)
         frames = read_flat_log(flat)
-        assert frames == [
+        assert frames == writer.frames == [
             (OP_WRITE, 0, 0, b"alpha"),
             (OP_WRITE, 0, 1, b"beta"),
             (OP_TRIM, 0, 0, b""),
+            (OP_TRIM_PREFIX, 2, 1, b""),
+            (OP_SEAL, 3, 0, b""),
         ]
 
     def test_unknown_op_stops_flat_parse(self, tmp_path, caplog):
@@ -416,12 +443,18 @@ class TestDurableClusterIntegration:
 
     def test_flat_cluster_migrates_to_segments(self, tmp_path):
         data_dir = str(tmp_path / "cluster")
-        flat_cluster = open_durable_cluster(
-            data_dir, num_sets=2, replication_factor=2, segmented=False
-        )
-        client = flat_cluster.client()
+        os.makedirs(data_dir)
+        # A legacy deployment: every node's pages in <node>.flash.
+        old = CorfuCluster(num_sets=2, replication_factor=2)
+        client = old.client()
         for i in range(7):
             client.append(b"old-%d" % i, stream_ids=(1,))
+        for name in old.projection.all_nodes():
+            unit = old.storage(name)
+            path = os.path.join(data_dir, f"{name}.flash")
+            with FlatLogWriter(path) as flat:
+                for address in unit.written_addresses():
+                    flat.write(address, unit.read(address, epoch=0))
         migrated = open_durable_cluster(
             data_dir, num_sets=2, replication_factor=2
         )

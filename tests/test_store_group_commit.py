@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.corfu.durable import DurableFlashUnit
 from repro.corfu.storage import FlashUnit
 from repro.errors import ReproError, UnwrittenError
 from repro.store import CompactionPolicy, SegmentedFlashUnit, SegmentStore, segment
@@ -26,10 +25,6 @@ from repro.store.segment import FRAME, OP_WRITE
 def segmented(directory, **kwargs):
     kwargs.setdefault("segment_bytes", 256)
     return SegmentedFlashUnit("u", os.path.join(directory, "u.store"), **kwargs)
-
-
-def flat(directory):
-    return DurableFlashUnit("u", os.path.join(directory, "u.flash"))
 
 
 def page(address, size):
@@ -81,9 +76,8 @@ class IOSpy:
 
 
 class TestUnpersistedPagesAreNotServed:
-    @pytest.mark.parametrize("make", [segmented, flat], ids=["segmented", "flat"])
-    def test_write_after_close_serves_nothing(self, tmp_path, make):
-        unit = make(str(tmp_path))
+    def test_write_after_close_serves_nothing(self, tmp_path):
+        unit = segmented(str(tmp_path))
         unit.write(1, b"one", epoch=0)
         unit.close()
         with pytest.raises(ValueError):
@@ -95,7 +89,7 @@ class TestUnpersistedPagesAreNotServed:
         for address in (3, 4):
             with pytest.raises(UnwrittenError):
                 unit.read(address, epoch=0)
-        reopened = make(str(tmp_path))
+        reopened = segmented(str(tmp_path))
         assert reopened.written_addresses() == [1]
         reopened.close()
 

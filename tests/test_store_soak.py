@@ -5,12 +5,13 @@ import tracemalloc
 
 import pytest
 
-from repro.corfu.durable import DurableFlashUnit, open_durable_cluster
+from repro.corfu.durable import open_durable_cluster
 from repro.errors import TrimmedError
 from repro.objects import TangoMap
 from repro.store import CompactionPolicy, SegmentedFlashUnit
 from repro.tango.directory import TangoDirectory
 from repro.tango.runtime import TangoRuntime
+from tests.frozen_flat_log import FlatLogWriter
 
 
 def _segment_files(data_dir):
@@ -90,40 +91,35 @@ def test_soak_log_grows_100x_with_bounded_disk_and_memory(tmp_path):
 
 
 def test_flat_and_segmented_replay_identically(tmp_path):
-    """The same intention frames rebuild the same unit either way."""
+    """A migrated flat log rebuilds exactly what its frames say."""
     flat = str(tmp_path / "unit.flash")
-    unit = DurableFlashUnit("u", flat)
-    for addr in range(50):
-        unit.write(addr, b"payload-%03d" % addr, epoch=0)
-    unit.trim_prefix(10, epoch=0)
-    unit.trim(17, epoch=0)
-    unit.trim(23, epoch=0)
-    unit.seal(2)
-    unit.write(50, b"after-seal", epoch=2)
-    unit.close()
+    with FlatLogWriter(flat) as writer:
+        for addr in range(50):
+            writer.write(addr, b"payload-%03d" % addr)
+        writer.trim_prefix(10)
+        writer.trim(17)
+        writer.trim(23)
+        writer.seal(2)
+        writer.write(50, b"after-seal", epoch=2)
+    written = {
+        address: data
+        for _op, _epoch, address, data in writer.frames
+        if data
+    }
 
-    # Reopen the flat file directly (the old format stays readable)...
-    flat_unit = DurableFlashUnit("u", flat)
-    # ...and migrate a copy of the same frames into a segment store.
-    import shutil
-
-    flat_copy = str(tmp_path / "copy.flash")
-    shutil.copyfile(flat, flat_copy)
     seg_unit = SegmentedFlashUnit(
-        "u", str(tmp_path / "u.store"), migrate_flat=flat_copy
+        "u", str(tmp_path / "u.store"), migrate_flat=flat
     )
-
-    assert seg_unit.epoch == flat_unit.epoch == 2
+    assert seg_unit.epoch == 2
     for addr in range(51):
         if addr < 10 or addr in (17, 23):
-            for u in (flat_unit, seg_unit):
-                with pytest.raises(TrimmedError):
-                    u.read(addr, epoch=2)
+            with pytest.raises(TrimmedError):
+                seg_unit.read(addr, epoch=2)
         else:
-            assert seg_unit.read(addr, epoch=2) == flat_unit.read(
-                addr, epoch=2
-            )
-    flat_unit.close()
+            assert seg_unit.read(addr, epoch=2) == written[addr]
+    assert seg_unit.written_addresses() == [
+        a for a in range(10, 51) if a not in (17, 23)
+    ]
     seg_unit.close()
 
     # The segmented copy still matches after its own reopen cycle.
