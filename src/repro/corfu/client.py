@@ -256,6 +256,11 @@ class CorfuClient:
         self._net = cluster.transport
         self.name = name if name is not None else cluster.next_client_name()
         self._projection: Projection = cluster.projection
+        #: Payload capacity of one log entry: entry size, stream count
+        #: and K are deployment constants, so it is computed once.
+        self.max_payload = max_payload_bytes(
+            cluster.entry_size, cluster.max_streams, cluster.k
+        )
         self._proxies: Dict[Tuple[str, str], object] = {}
         self._chain = ChainReplicator(self._storage_rpc)
         # node name -> (consecutive-timeout streak, delivered-RPC count
@@ -361,13 +366,6 @@ class CorfuClient:
     @property
     def projection(self) -> Projection:
         return self._projection
-
-    @property
-    def max_payload(self) -> int:
-        """Payload capacity of one log entry under this deployment."""
-        return max_payload_bytes(
-            self._cluster.entry_size, self._cluster.max_streams, self._cluster.k
-        )
 
     @property
     def max_streams(self) -> int:

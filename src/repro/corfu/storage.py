@@ -26,7 +26,7 @@ It enforces exactly the semantics the protocols rely on:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     NodeDownError,
@@ -129,6 +129,38 @@ class FlashUnit:
         if address in self._pages:
             raise WrittenError(address)
 
+    def _check_batch_locked(
+        self, writes, epoch: int
+    ) -> Tuple[Dict[int, str], List[Tuple[int, bytes]]]:
+        """Classify a :meth:`write_many` batch; change nothing.
+
+        Makes :meth:`write`'s checks once per batch: the node-level ones
+        (down, stale epoch) raise for the whole call, as does a negative
+        address anywhere in it. Returns ``({address: status}, accepted)``
+        where *accepted* lists the ``"ok"`` pages in batch order; an
+        address accepted earlier in the same batch reports
+        ``"written"``, as a second :meth:`write` would.
+        """
+        self._check_up()
+        self._check_epoch(epoch)
+        results: Dict[int, str] = {}
+        accepted: List[Tuple[int, bytes]] = []
+        # _is_trimmed, inlined: this loop runs once per page.
+        prefix, sparse, pages = (
+            self._trimmed_prefix, self._trimmed_sparse, self._pages,
+        )
+        for address, data in writes:
+            if address < 0:
+                raise ValueError(f"negative address {address}")
+            if address < prefix or address in sparse:
+                results[address] = "trimmed"
+            elif address in pages or address in results:
+                results[address] = "written"
+            else:
+                results[address] = "ok"
+                accepted.append((address, data))
+        return results, accepted
+
     def write_many(self, writes, epoch: int) -> Dict[int, str]:
         """Batched write: one RPC applying ``(address, data)`` pairs in order.
 
@@ -136,25 +168,18 @@ class FlashUnit:
         page was accepted), ``"written"`` or ``"trimmed"``. As with
         :meth:`read_many`, per-address outcomes are *data* — a batch
         must not stop because one offset lost its write-once race —
-        while node-level conditions (down node, stale epoch) raise for
-        the whole call before anything is applied. Here each page goes
-        through :meth:`write`; the segmented store's unit overrides this
-        to persist the batch's accepted pages in one append. The whole
-        batch holds the unit lock, so a delivery repeated by the network
-        bounces off write-once and reports ``"written"``.
+        while node-level conditions (down node, stale epoch) and a
+        negative address raise for the whole call before anything is
+        applied. The batch is checked once, then its accepted pages are
+        installed together; the segmented store's unit persists them in
+        one append in between. The whole batch holds the unit lock, so
+        a delivery repeated by the network bounces off write-once and
+        reports ``"written"``.
         """
         with self._lock:
-            self._check_up()
-            self._check_epoch(epoch)
-            results: Dict[int, str] = {}
-            for address, data in writes:
-                try:
-                    self.write(address, data, epoch)
-                    results[address] = "ok"
-                except WrittenError:
-                    results[address] = "written"
-                except TrimmedError:
-                    results[address] = "trimmed"
+            results, accepted = self._check_batch_locked(writes, epoch)
+            self._pages.update(accepted)
+            self.writes += len(accepted)
             return results
 
     def read(self, address: int, epoch: int) -> bytes:

@@ -113,7 +113,7 @@ class Compactor:
             return address < prefix or address in sparse
 
         sealed = store.sealed_segments()
-        runs = self._plan_runs(sealed, is_dead)
+        runs = self._plan_runs(sealed, prefix, is_dead)
         result = {
             "segments_compacted": 0,
             "segments_written": 0,
@@ -137,7 +137,7 @@ class Compactor:
         return result
 
     def _plan_runs(
-        self, sealed: List[SegmentInfo], is_dead
+        self, sealed: List[SegmentInfo], prefix: int, is_dead
     ) -> List[List[SegmentInfo]]:
         """Maximal adjacent runs of compactable segments, batch-capped.
 
@@ -147,7 +147,9 @@ class Compactor:
         output decays to as the trim horizon advances past it — ride
         along even below the byte floor. Absorbing them is what bounds
         the segment-file count: alone, each is too small to ever clear
-        ``min_dead_bytes``, and one new one appears per sweep.
+        ``min_dead_bytes``, and one new one appears per sweep. A segment
+        whose W addresses all lie below the trimmed *prefix* is fully
+        dead without a visit to any of them.
         """
         runs: List[List[SegmentInfo]] = []
         current: List[SegmentInfo] = []
@@ -160,9 +162,10 @@ class Compactor:
             current, has_eligible = [], False
 
         for info in sealed:
-            dead = info.dead_bytes(is_dead)
+            below = info.max_w < prefix
+            dead = info.data_bytes if below else info.dead_bytes(is_dead)
             eligible = self.policy.eligible(info, dead)
-            if not (eligible or self._fully_dead(info, is_dead)):
+            if not (eligible or below or self._fully_dead(info, is_dead)):
                 flush()
                 continue
             if len(current) >= self.policy.max_batch_segments:

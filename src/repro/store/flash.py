@@ -15,7 +15,7 @@ streamed into the store unchanged and the file is renamed to
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.corfu.storage import FlashUnit
 from repro.store.compactor import CompactionPolicy, Compactor
@@ -25,7 +25,6 @@ from repro.store.segment import (
     OP_TRIM,
     OP_TRIM_PREFIX,
     OP_WRITE,
-    Frame,
     SegmentStore,
     read_flat_log,
 )
@@ -110,41 +109,25 @@ class SegmentedFlashUnit(FlashUnit):
     def write_many(self, writes, epoch: int) -> Dict[int, str]:
         """:meth:`FlashUnit.write_many`, persisted as one frame append.
 
-        The accepted pages' frames go to the store together, in batch
-        order — one file write per segment they touch. Pages are applied
-        only once their frames are on file; if a later segment's write
-        fails, exactly the pages written before it are applied and the
-        error propagates.
+        The batch is checked as :meth:`FlashUnit.write_many` checks it;
+        the accepted pages' frames then go to the store together, in
+        batch order — one file write per segment they touch. Pages are
+        installed only once their frames are on file; if a later
+        segment's write fails, exactly the pages written before it are
+        installed and the error propagates.
         """
         with self._lock:
-            self._check_up()
-            self._check_epoch(epoch)
-            results: Dict[int, str] = {}
-            frames: List[Frame] = []
-            # _is_trimmed, inlined: this loop runs once per page. An
-            # address already in *results* was accepted earlier in the
-            # batch (a trimmed one would be trimmed again).
-            prefix, sparse, pages = (
-                self._trimmed_prefix, self._trimmed_sparse, self._pages,
-            )
-            for address, data in writes:
-                if address < 0:
-                    raise ValueError(f"negative address {address}")
-                if address < prefix or address in sparse:
-                    results[address] = "trimmed"
-                elif address in pages or address in results:
-                    results[address] = "written"
-                else:
-                    results[address] = "ok"
-                    frames.append((OP_WRITE, epoch, address, data))
-            if frames:
+            results, accepted = self._check_batch_locked(writes, epoch)
+            if accepted:
                 before = self.store.frames_appended
                 try:
-                    self.store.append_frames(frames)
+                    self.store.append_frames(
+                        [(OP_WRITE, epoch, a, data) for a, data in accepted]
+                    )
                 finally:
-                    written = self.store.frames_appended - before
-                    for _op, _epoch, address, data in frames[:written]:
-                        super().write(address, data, epoch)
+                    on_file = accepted[: self.store.frames_appended - before]
+                    self._pages.update(on_file)
+                    self.writes += len(on_file)
             return results
 
     def trim(self, address: int, epoch: int) -> None:

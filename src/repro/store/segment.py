@@ -143,7 +143,8 @@ class SegmentInfo:
 
     ``w_frames`` maps each W-frame address to its on-disk frame size;
     addresses are unique store-wide (the address space is write-once),
-    so the map doubles as the per-segment index. ``control_bytes``
+    so the map doubles as the per-segment index, and ``max_w`` is its
+    highest address (-1 with no W frame). ``control_bytes``
     counts T/P/S frames — always reclaimable by a rewrite, because the
     compactor re-records the trim/epoch snapshot in its preamble.
     ``crc`` is the running crc32 of the frame region, so sealing a
@@ -160,6 +161,7 @@ class SegmentInfo:
         "data_bytes",
         "control_bytes",
         "w_frames",
+        "max_w",
         "crc",
     )
 
@@ -175,6 +177,7 @@ class SegmentInfo:
         self.data_bytes = 0  # frame-region bytes (header/footer excluded)
         self.control_bytes = 0
         self.w_frames: Dict[int, int] = {}
+        self.max_w = -1
         self.crc = 0
 
     def note_frame(self, op: int, address: int, frame_len: int) -> None:
@@ -182,6 +185,8 @@ class SegmentInfo:
         self.data_bytes += frame_len
         if op == OP_WRITE:
             self.w_frames[address] = frame_len
+            if address > self.max_w:
+                self.max_w = address
         else:
             self.control_bytes += frame_len
 
@@ -190,11 +195,6 @@ class SegmentInfo:
         return self.control_bytes + sum(
             size for addr, size in self.w_frames.items() if is_dead(addr)
         )
-
-    def garbage_ratio(self, is_dead: Callable[[int], bool]) -> float:
-        if self.data_bytes <= 0:
-            return 0.0
-        return self.dead_bytes(is_dead) / self.data_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "sealed" if self.sealed else "active"
@@ -569,9 +569,11 @@ class SegmentStore:
         The output carries *preamble* (the caller's trim/epoch snapshot)
         followed by every W frame whose address satisfies *keep*, covers
         the union of the targets' sequence ranges, and takes a higher
-        gen. Crash-safe: temp write (body and footer, one fsync), rename,
-        directory fsync, then delete inputs — a crash at any point leaves
-        a state :meth:`_load` repairs.
+        gen. An input none of whose W addresses satisfies *keep* is
+        dropped unread, all its frames counted as dropped. Crash-safe:
+        temp write (body and footer, one fsync), rename, directory fsync,
+        then delete inputs — a crash at any point leaves a state
+        :meth:`_load` repairs.
         """
         if not targets:
             raise ValueError("rewrite_segments needs at least one target")
@@ -594,6 +596,9 @@ class SegmentStore:
         bytes_in = 0
         for info in targets:
             bytes_in += info.data_bytes
+            if not any(map(keep, info.w_frames)):
+                frames_dropped += info.frame_count
+                continue
             with open(info.path, "rb") as f:
                 raw = f.read()
             frames_end, _sealed = self._locate_footer(

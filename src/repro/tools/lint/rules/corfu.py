@@ -11,7 +11,7 @@ one careless mutation away from being silently lost.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Set
 
 from repro.tools.lint.engine import Diagnostic, ParsedModule, Rule, Severity
 from repro.tools.lint.rules.common import (
@@ -27,10 +27,15 @@ _EPOCH_ATTR = "_epoch"
 #: The attribute holding a unit's write-once page store.
 _PAGES_ATTR = "_pages"
 
-#: Methods allowed to install pages: the guarded write path. Recovery
-#: replay (rebuilding from frames the guarded path produced) must carry
-#: an explicit suppression — it is the one legitimate exception.
-_GUARDED_WRITERS = frozenset({"write"})
+#: Methods allowed to install pages: the guarded write path, a page at
+#: a time or a batch checked as one (trim state and prior occupancy,
+#: under the unit lock). Recovery replay (rebuilding from frames the
+#: guarded path produced) must carry an explicit suppression — it is the
+#: one legitimate exception.
+_GUARDED_WRITERS = frozenset({"write", "write_many"})
+
+#: Dict methods that store into the page map.
+_STORING_METHODS = frozenset({"update", "setdefault"})
 
 
 def _is_epoch_keeper(cls: ast.ClassDef) -> bool:
@@ -133,10 +138,12 @@ class WriteOncePages(Rule):
         "The write-once address space is what lets chain replication "
         "arbitrate append races without coordination: the first write "
         "wins and every later one must observe WrittenError. Installing "
-        "a page anywhere but the guarded write() path (which checks "
-        "trim state and prior occupancy under the unit lock) can "
-        "silently overwrite committed data. Deletions (trims) are "
-        "legal; stores are not."
+        "a page anywhere but the guarded write() / write_many() path "
+        "(which checks trim state and prior occupancy under the unit "
+        "lock) can silently overwrite committed data, whether the "
+        "store goes through self._pages, a local alias of it, or "
+        "update()/setdefault(). Deletions (trims) are legal; stores "
+        "are not."
     )
 
     def check(self, module: ParsedModule) -> Iterable[Diagnostic]:
@@ -155,23 +162,42 @@ class WriteOncePages(Rule):
         name: str,
         fn: ast.FunctionDef,
     ) -> Iterable[Diagnostic]:
+        aliases = _page_aliases(fn)
+
+        def is_pages(node: ast.AST) -> bool:
+            return self_attr(node) == _PAGES_ATTR or (
+                isinstance(node, ast.Name) and node.id in aliases
+            )
+
         for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in _STORING_METHODS
+                    and is_pages(func.value)
+                ):
+                    yield self.diag(
+                        module,
+                        node,
+                        f"{cls.name}.{name} installs pages through "
+                        f"{ast.unparse(func)}(...); only the guarded "
+                        f"write path may store pages (write-once)",
+                    )
+                continue
             if not isinstance(node, (ast.Assign, ast.AugAssign)):
                 continue
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
             for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and self_attr(target.value) == _PAGES_ATTR
-                ):
+                if isinstance(target, ast.Subscript) and is_pages(target.value):
                     yield self.diag(
                         module,
                         node,
-                        f"{cls.name}.{name} installs a page directly "
-                        f"(self.{_PAGES_ATTR}[...] = ...); only the "
-                        f"guarded write() path may store pages "
+                        f"{cls.name}.{name} installs a page "
+                        f"({ast.unparse(target.value)}[...] = ...); only "
+                        f"the guarded write path may store pages "
                         f"(write-once)",
                     )
                 elif name != "__init__" and self_attr(target) == _PAGES_ATTR:
@@ -182,3 +208,23 @@ class WriteOncePages(Rule):
                         f"(self.{_PAGES_ATTR} = ...); the write-once "
                         f"space may only be populated via write()",
                     )
+
+
+def _page_aliases(fn: ast.FunctionDef) -> Set[str]:
+    """Local names bound to ``self._pages`` anywhere in *fn*.
+
+    Covers ``pages = self._pages`` and the element-wise tuple form
+    ``prefix, pages = self._trimmed_prefix, self._pages``.
+    """
+    aliases: Set[str] = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and self_attr(value) == _PAGES_ATTR:
+                    aliases.add(name.id)
+    return aliases

@@ -68,6 +68,14 @@ def test_expected_finding_counts():
     assert len(finding_ids(fixture("tl009_bad.py"))) == 2
 
 
+def test_write_once_sees_aliases_and_dict_methods():
+    # A store through a local alias of self._pages (plain or tuple
+    # unpacked) or through update/setdefault is a page store too; a
+    # batch writer checked as one may install, and aliases may read.
+    assert finding_ids(fixture("tl005_alias_bad.py")) == ["TL005"] * 5
+    assert finding_ids(fixture("tl005_alias_good.py")) == []
+
+
 # ---------------------------------------------------------------------------
 # parse failures, suppressions
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.errors import (
     UnwrittenError,
     WrittenError,
 )
+from repro.store import SegmentedFlashUnit
 
 
 @pytest.fixture
@@ -75,6 +76,21 @@ class TestWriteMany:
             unit.write_many([(0, b"a"), (1, b"b")], epoch=2)
         unit.recover()
         assert unit.written_addresses() == []
+
+    @pytest.mark.parametrize("kind", ["memory", "segmented"])
+    def test_malformed_address_rejects_the_whole_batch(self, kind, tmp_path):
+        unit = (
+            FlashUnit("flash-0")
+            if kind == "memory"
+            else SegmentedFlashUnit("flash-0", str(tmp_path / "u.store"))
+        )
+        with pytest.raises(ValueError):
+            unit.write_many([(0, b"x"), (-1, b"y")], epoch=0)
+        assert unit.writes == 0
+        assert unit.written_addresses() == []
+        assert unit.write_many([(0, b"x")], epoch=0) == {0: "ok"}
+        if kind == "segmented":
+            unit.close()
 
 
 class TestTrim:

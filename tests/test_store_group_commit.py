@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.corfu.storage import FlashUnit
-from repro.errors import ReproError, UnwrittenError
+from repro.errors import ReproError, TrimmedError, UnwrittenError, WrittenError
 from repro.store import CompactionPolicy, SegmentedFlashUnit, SegmentStore, segment
 from repro.store.segment import FRAME, OP_WRITE
 
@@ -195,6 +195,37 @@ class TestIOCounts:
         assert spy.opens.count("wb") == 1
         unit.close()
 
+    def test_sweep_over_fully_dead_segments_reads_none_of_them(
+        self, tmp_path, monkeypatch
+    ):
+        # Ten sealed segments of four 71-byte frames; the prefix kills
+        # the first nine outright and leaves the tenth whole.
+        unit = segmented(
+            str(tmp_path),
+            sync=False,
+            policy=CompactionPolicy(min_garbage_ratio=0.5, min_dead_bytes=1),
+        )
+        for address in range(40):
+            unit.write(address, page(address, 50), epoch=0)
+        unit.trim_prefix(36, epoch=0)
+        assert all(s.max_w < 36 for s in unit.store.sealed_segments()[:9])
+        spy = IOSpy(monkeypatch)
+        stats = unit.compact()
+        # Two runs (eight inputs, then one): two outputs, no input read.
+        assert spy.opens == ["wb", "wb"]
+        assert stats == {
+            "segments_compacted": 9,
+            "segments_written": 2,
+            "frames_dropped": 36,
+            "bytes_reclaimed": 2472,
+        }
+        monkeypatch.undo()
+        unit.close()
+        reopened = segmented(str(tmp_path), sync=False)
+        assert reopened.written_addresses() == [36, 37, 38, 39]
+        assert reopened.read(36, epoch=0) == page(36, 50)
+        reopened.close()
+
 
 class TestReopenThenRoll:
     def test_running_crc_survives_reopen(self, tmp_path, caplog):
@@ -228,12 +259,12 @@ class TestReopenThenRoll:
 
 _addresses = st.integers(min_value=0, max_value=40)
 _sizes = st.integers(min_value=0, max_value=300)
+_batch = st.lists(st.tuples(_addresses, _sizes), min_size=0, max_size=12)
 _ops = st.one_of(
     st.tuples(st.just("write"), _addresses, _sizes),
-    st.tuples(
-        st.just("write_many"),
-        st.lists(st.tuples(_addresses, _sizes), min_size=0, max_size=12),
-    ),
+    st.tuples(st.just("write_many"), _batch),
+    st.tuples(st.just("stale_write_many"), _batch),
+    st.tuples(st.just("down_write_many"), _batch),
     st.tuples(st.just("trim"), _addresses),
     st.tuples(st.just("trim_prefix"), _addresses),
     st.tuples(st.just("seal")),
@@ -242,17 +273,45 @@ _ops = st.one_of(
 )
 
 
+def _write_page_by_page(unit, writes, epoch):
+    """The page-by-page oracle for ``write_many``: node checks once, then
+    each page through ``unit.write`` (a segmented unit's persists its own
+    frame), with the status taken from the exception it raises."""
+    with unit._lock:
+        unit._check_up()
+        unit._check_epoch(epoch)
+        results = {}
+        for address, data in writes:
+            try:
+                unit.write(address, data, epoch)
+                results[address] = "ok"
+            except WrittenError:
+                results[address] = "written"
+            except TrimmedError:
+                results[address] = "trimmed"
+        return results
+
+
 def _drive(unit, op, batched):
     """Apply *op*; return its outcome (an error type name, or a value)."""
     epoch = unit.epoch
+    write_many = unit.write_many if batched else (
+        lambda batch, e: _write_page_by_page(unit, batch, e)
+    )
     try:
         if op[0] == "write":
             return unit.write(op[1], page(op[1], op[2]), epoch)
-        if op[0] == "write_many":
+        if op[0].endswith("write_many"):
             batch = [(a, page(a, n)) for a, n in op[1]]
-            if batched:
-                return unit.write_many(batch, epoch)
-            return FlashUnit.write_many(unit, batch, epoch)  # page by page
+            if op[0] == "stale_write_many":
+                return write_many(batch, epoch - 1)
+            if op[0] == "down_write_many":
+                unit.crash()
+                try:
+                    return write_many(batch, epoch)
+                finally:
+                    unit.recover()
+            return write_many(batch, epoch)
         if op[0] == "trim":
             return unit.trim(op[1], epoch)
         if op[0] == "trim_prefix":
@@ -260,7 +319,7 @@ def _drive(unit, op, batched):
         if op[0] == "seal":
             return unit.seal(epoch + 1)
         if op[0] == "seal_segment":
-            return unit.store.seal_active()
+            return unit.store.seal_active() if hasattr(unit, "store") else None
         return unit.compact()
     except ReproError as exc:
         return type(exc).__name__
@@ -279,6 +338,11 @@ def _state(unit):
     return pages, unit.epoch, unit.trim_snapshot()
 
 
+def _memory_state(unit):
+    pages = {a: unit.read(a, unit.epoch) for a in unit.written_addresses()}
+    return pages, unit.epoch, unit.writes
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -290,6 +354,19 @@ def _state(unit):
 )
 # A sparse trim at the new prefix folds into it live as on reopen.
 @example(segment_bytes=21, ops=[("trim", 1), ("trim_prefix", 1), ("compact",)])
+# One batch repeating an address, over a trimmed and a written page.
+@example(
+    segment_bytes=64,
+    ops=[
+        ("write", 2, 5),
+        ("trim", 1),
+        ("write_many", [(3, 10), (1, 4), (3, 20), (2, 1), (4, 0), (4, 7)]),
+        ("seal",),
+        ("stale_write_many", [(5, 1)]),
+        ("down_write_many", [(6, 1)]),
+        ("write_many", []),
+    ],
+)
 def test_batched_segments_are_byte_identical_to_page_by_page(segment_bytes, ops):
     policy = CompactionPolicy(min_garbage_ratio=0.2, min_dead_bytes=1)
     with tempfile.TemporaryDirectory() as batched_dir, \
@@ -299,8 +376,13 @@ def test_batched_segments_are_byte_identical_to_page_by_page(segment_bytes, ops)
             for d in (batched_dir, single_dir)
         ]
         batched, single = units
+        # The in-memory unit's write_many against the same oracle.
+        memory = [FlashUnit("m"), FlashUnit("m")]
         for op in ops:
             assert _drive(batched, op, True) == _drive(single, op, False), op
+            assert batched.writes == single.writes, op
+            assert _drive(memory[0], op, True) == _drive(memory[1], op, False), op
+            assert _memory_state(memory[0]) == _memory_state(memory[1]), op
         for unit in units:
             unit.close()
         batched_files = _files(os.path.join(batched_dir, "u.store"))
