@@ -21,23 +21,27 @@ See ``examples/`` for multi-client scenarios, transactions across
 objects, and the mini HDFS namenode.
 """
 
-from repro.corfu import CorfuClient, CorfuCluster, Projection, ReplicaSet
-from repro.errors import ReproError, TangoError, TransactionAborted
-from repro.objects import (
-    Ledger,
-    TangoBK,
-    TangoCounter,
-    TangoIndexedMap,
-    TangoList,
-    TangoMap,
-    TangoQueue,
-    TangoRegister,
-    TangoTreeSet,
-    TangoZK,
-)
-from repro.streams import StreamClient
-from repro.tango import TangoObject, TangoRuntime
-from repro.tango.directory import TangoDirectory
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface py.typed promises
+    from repro.corfu import CorfuClient, CorfuCluster, Projection, ReplicaSet
+    from repro.errors import ReproError, TangoError, TransactionAborted
+    from repro.objects import (
+        Ledger,
+        TangoBK,
+        TangoCounter,
+        TangoIndexedMap,
+        TangoList,
+        TangoMap,
+        TangoQueue,
+        TangoRegister,
+        TangoTreeSet,
+        TangoZK,
+    )
+    from repro.streams import StreamClient
+    from repro.tango import TangoObject, TangoRuntime
+    from repro.tango.directory import TangoDirectory
 
 __version__ = "1.0.0"
 
@@ -65,3 +69,33 @@ __all__ = [
     "TransactionAborted",
     "__version__",
 ]
+
+#: The submodule each exported name comes from. Names resolve on first
+#: access, so a node process that imports only ``repro.net.server``
+#: never loads the runtime, the streams layer or the object library.
+_SOURCES = {
+    "repro.corfu": ("CorfuCluster", "CorfuClient", "Projection", "ReplicaSet"),
+    "repro.streams": ("StreamClient",),
+    "repro.tango": ("TangoRuntime", "TangoObject"),
+    "repro.tango.directory": ("TangoDirectory",),
+    "repro.objects": (
+        "TangoRegister", "TangoCounter", "TangoMap", "TangoIndexedMap",
+        "TangoList", "TangoTreeSet", "TangoQueue", "TangoZK", "TangoBK",
+        "Ledger",
+    ),
+    "repro.errors": ("ReproError", "TangoError", "TransactionAborted"),
+}
+_EXPORTS = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -49,6 +49,7 @@ import signal
 import socket
 import sys
 import threading
+from contextlib import suppress
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import NodeDownError
@@ -59,9 +60,9 @@ from repro.net.wire import (
     FramedSocket,
     decode_value,
     encode_error,
+    encode_frame,
     encode_value,
     recv_frame,
-    send_frame,
 )
 
 
@@ -151,22 +152,16 @@ class NodeServer:
         # the kernel listener alive, silently accepting connections to
         # a "stopped" server. Shutdown aborts the accept immediately
         # and refuses new SYNs.
-        try:
+        with suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
+        with suppress(OSError):
             self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
         with self._conn_lock:
             conns = list(self._conns)
             threads = list(self._conn_threads)
         for conn in conns:
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover
-                pass
         me = threading.current_thread()
         if self._accept_thread is not None and self._accept_thread is not me:
             self._accept_thread.join(timeout=2.0)
@@ -201,10 +196,8 @@ class NodeServer:
                     self._conns.add(conn)
                     self._conn_threads.append(thread)
             if stopping:
-                try:
+                with suppress(OSError):
                     conn.close()
-                except OSError:  # pragma: no cover
-                    pass
                 return
             thread.start()
 
@@ -218,66 +211,53 @@ class NodeServer:
                     return  # peer went away or sent garbage: drop the conn
                 if request is None:
                     return  # clean EOF
-                response = self._respond(request)
                 try:
-                    send_frame(framed, response)
+                    framed.sendall(self._respond(request))
                 except (OSError, ValueError):
                     return
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover
-                pass
 
     # Dispatch lives outside any loop body on purpose: the RPC boundary
     # catches *everything* a node raises and ships it as a typed error
-    # envelope — the client, not the server, decides what is fatal.
-    def _respond(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    # envelope — the client, not the server, decides what is fatal. A
+    # reply too large to frame is such an error too: the caller's, not
+    # a reason to drop the connection.
+    def _respond(self, request: Dict[str, Any]) -> bytes:
+        """The framed reply to *request*, encoded once."""
         rid = request.get("id")
         target = request.get("target", "")
         op = request.get("op", "")
-        entry = self._registry.get(target)
-        if entry is None:
-            return {"id": rid, "err": encode_error(NodeDownError(target))}
-        obj, allowed = entry
-        if op not in allowed:
-            return {
-                "id": rid,
-                "err": encode_error(
-                    ValueError(f"op {op!r} is not served by node {target!r}")
-                ),
-            }
-        if op == "ping":
-            return {
-                "id": rid,
-                "ok": encode_value(
-                    {
-                        "name": target,
-                        "kind": type(obj).__name__,
-                        "pid": os.getpid(),
-                    }
-                ),
-            }
-        if op == "shutdown":
-            # Reply first, then stop from a fresh thread so this
-            # connection's response reaches the wire.
-            threading.Timer(0.05, self.stop).start()
-            return {"id": rid, "ok": encode_value(True)}
         try:
-            args = decode_value(request.get("args", []))
-            kwargs = decode_value(request.get("kwargs", {}))
-            method = getattr(obj, op, None)
-            if not callable(method):
-                raise TypeError(
-                    f"op {op!r} on node {target!r} is not callable"
-                )
-            result = method(*args, **kwargs)
-            return {"id": rid, "ok": encode_value(result)}
+            entry = self._registry.get(target)
+            if entry is None:
+                raise NodeDownError(target)
+            obj, allowed = entry
+            if op not in allowed:
+                raise ValueError(f"op {op!r} is not served by node {target!r}")
+            if op == "ping":
+                kind = type(obj).__name__
+                result: Any = {"name": target, "kind": kind, "pid": os.getpid()}
+            elif op == "shutdown":
+                # Reply first, then stop from a fresh thread so this
+                # connection's response reaches the wire.
+                threading.Timer(0.05, self.stop).start()
+                result = True
+            else:
+                args = decode_value(request.get("args", []))
+                kwargs = decode_value(request.get("kwargs", {}))
+                method = getattr(obj, op, None)
+                if not callable(method):
+                    raise TypeError(
+                        f"op {op!r} on node {target!r} is not callable"
+                    )
+                result = method(*args, **kwargs)
+            return encode_frame({"id": rid, "ok": encode_value(result)})
         except Exception as exc:
-            return {"id": rid, "err": encode_error(exc)}
-
+            return encode_frame({"id": rid, "err": encode_error(exc)})
 
 def _build_node(
     kind: str,

@@ -48,12 +48,14 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+from contextlib import suppress
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NodeDownError, RpcTimeout
 from repro.net.clock import Clock, MonotonicClock
 from repro.net.transport import Transport
 from repro.net.wire import (
+    _SCALARS,
     FramedSocket,
     decode_error,
     decode_value,
@@ -131,29 +133,29 @@ class SocketTransport(Transport):
             "target": target,
             "op": op,
             "args": encode_value(list(args)),
-            "kwargs": encode_value(dict(kwargs)),
+            "kwargs": encode_value(kwargs) if kwargs else {},
         }
 
         conn, pooled = self._checkout(target)
-        if conn is None:
-            conn = self._dial(target, addr, deadline, op)
-            pooled = False
-        try:
-            send_frame(self._armed(conn, deadline), request)
-        except (OSError, ValueError):
-            self._discard(conn)
-            if not pooled:
-                stats.note_timeout()
-                raise RpcTimeout(target, op) from None
-            # A parked connection the server has since closed: the
-            # request never left, so one fresh dial is retry-safe.
-            conn = self._dial(target, addr, deadline, op)
+        while True:
+            if conn is None:
+                conn = self._dial(target, addr, deadline, op)
             try:
                 send_frame(self._armed(conn, deadline), request)
-            except (OSError, ValueError):
+                break
+            except ValueError:
+                # Too large to frame: the caller's error, raised before
+                # a byte was written, so the connection stays healthy.
+                self._checkin(target, conn)
+                raise
+            except OSError:
                 self._discard(conn)
-                stats.note_timeout()
-                raise RpcTimeout(target, op) from None
+                if not pooled:
+                    stats.note_timeout()
+                    raise RpcTimeout(target, op) from None
+            # A parked connection the server has since closed: the
+            # request never left, so one fresh dial is retry-safe.
+            conn, pooled = None, False
 
         try:
             while True:
@@ -193,7 +195,8 @@ class SocketTransport(Transport):
         err = response.get("err")
         if err is not None:
             raise decode_error(err)
-        return decode_value(response.get("ok"))
+        ok = response.get("ok")
+        return ok if type(ok) in _SCALARS else decode_value(ok)
 
     # -- connection management ----------------------------------------------
 
@@ -253,10 +256,8 @@ class SocketTransport(Transport):
         self._discard(conn)
 
     def _discard(self, conn: FramedSocket) -> None:
-        try:
+        with suppress(OSError):
             conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
 
     def close(self) -> None:
         """Close every pooled connection (later calls dial fresh sockets)."""

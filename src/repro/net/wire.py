@@ -36,8 +36,9 @@ from __future__ import annotations
 import builtins
 import json
 import socket
+from _json import encode_basestring_ascii, make_encoder, make_scanner
 from binascii import a2b_base64, b2a_base64
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, cast
 
 from repro import errors as _errors
 from repro.errors import RemoteCallError
@@ -263,7 +264,16 @@ def decode_error(envelope: Dict[str, Any]) -> BaseException:
 # -- frames ------------------------------------------------------------------
 
 
-_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+# The C encoder and scanner behind ``json.dumps`` / ``json.loads``, built
+# once (``JSONEncoder.encode`` builds an encoder per call). The encoder
+# keeps the frame settings: sorted keys, compact separators, ASCII
+# escaping, NaN allowed; no circular-reference markers, since
+# ``encode_value`` builds fresh trees.
+_encode_json = make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
+_scan_json = make_scanner(cast(Any, json.JSONDecoder()))  # duck-typed context
 
 #: Bytes asked of the kernel per ``recv``: several small frames' worth,
 #: so whatever has arrived comes back in one call.
@@ -272,7 +282,7 @@ _RECV_BYTES = 65536
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """Serialize one message: u32 length prefix + compact JSON body."""
-    body = _encode_json(payload).encode("utf-8")
+    body = "".join(_encode_json(payload, 0)).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ValueError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
@@ -362,12 +372,21 @@ def recv_frame(conn: FramedSocket) -> Optional[Dict[str, Any]]:
     """Read one framed message; None on clean EOF at a frame boundary.
 
     Raises ``ConnectionError`` on mid-frame EOF and ``ValueError`` on a
-    corrupt length prefix or non-object body.
+    corrupt length prefix or non-object body. A body that is not one
+    JSON object spanning it all is left to ``json.loads``, so every body
+    is accepted or rejected exactly as ``json.loads`` would.
     """
     body = conn.read_frame()
     if body is None:
         return None
-    payload = json.loads(body.decode("utf-8"))
+    text = body.decode("utf-8")
+    try:
+        payload, end = _scan_json(text, 0)
+        if end == len(text) and type(payload) is dict:
+            return payload
+    except (StopIteration, ValueError):
+        pass
+    payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("frame body must be a JSON object")
     return payload

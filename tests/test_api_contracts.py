@@ -54,6 +54,31 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.NoSuchExport  # noqa: B018
+
+    def test_node_processes_import_only_what_a_node_uses(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.net.server; print(' '.join(sys.modules))",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert "repro.net.server" in out
+        for unused in ("repro.tango", "repro.objects", "repro.streams"):
+            assert unused not in out
 
     def test_py_typed_marker_ships(self):
         import pathlib

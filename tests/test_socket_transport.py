@@ -7,6 +7,9 @@ multi-process behaviors (SIGKILL, supervision) live in
 ``test_wire_cluster.py``.
 """
 
+import select
+import socket
+import struct
 import threading
 import time
 
@@ -20,8 +23,10 @@ from repro.errors import (
     SealedError,
     UnwrittenError,
 )
+from repro.net import wire
 from repro.net.server import NodeServer
 from repro.net.socket import SocketTransport
+from repro.net.wire import FramedSocket, recv_frame, send_frame
 
 
 @pytest.fixture()
@@ -250,3 +255,175 @@ class TestServerLoop:
             raw.sendall(b"\x05\x00\x00\x00nope!")
         # The poisoned connection is dropped; real clients are unharmed.
         assert _storage(net).is_written(0, 0) is False
+
+
+class TestOversizedFrames:
+    """A frame past ``MAX_FRAME_BYTES`` is the caller's error, not a
+    timeout: no healthy connection is dropped and no timeout counted."""
+
+    @pytest.fixture(autouse=True)
+    def small_frames(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 2000)
+
+    def test_oversized_reply_is_an_error_reply(self, net, server):
+        proxy = _storage(net)
+        for offset in range(3):
+            proxy.write(offset, b"p" * 600, 0)
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            proxy.read_many([0, 1, 2], 0)
+        assert net.endpoint_stats()["flash-0-0"]["timeouts"] == 0
+        # The server kept the connection and the client pooled it.
+        assert proxy.read(2, 0) == b"p" * 600
+        with server._conn_lock:
+            assert len(server._conns) == 1
+
+    def test_oversized_request_is_raised_before_sending(self, net):
+        proxy = _storage(net)
+        proxy.write(0, b"x", 0)
+        (pooled,) = net._pools["flash-0-0"]
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            proxy.write(1, b"y" * 3000, 0)
+        assert net.endpoint_stats()["flash-0-0"]["timeouts"] == 0
+        assert net._pools["flash-0-0"] == [pooled]
+        assert proxy.is_written(1, 0) is False
+        assert net._pools["flash-0-0"] == [pooled]
+
+    def test_oversized_read_ejects_no_replica(self, server):
+        from repro.proc.remote import RemoteCluster
+
+        server.register("flash-0-1", FlashUnit("flash-0-1"))
+        cluster = RemoteCluster(
+            {n: server.address for n in ("flash-0-0", "flash-0-1", "seq-0")},
+            num_sets=1,
+            replication_factor=2,
+        )
+        try:
+            client = cluster.client()
+            for _ in range(3):
+                client.append(b"p" * 600, (1,))
+            with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+                client.read_many([0, 1, 2])
+            projection = cluster.projection
+            assert projection.epoch == 0
+            assert projection.replica_sets[0].nodes == ("flash-0-0", "flash-0-1")
+        finally:
+            cluster.close()
+
+
+class _ScriptedServer:
+    """A listener that runs *script(server, conn)* on every connection
+    it accepts, counting connections and the requests scripts record."""
+
+    def __init__(self, script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()[:2]
+        self.accepted = 0
+        self.requests = []
+        self.done = threading.Event()
+        self._script = script
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            threading.Thread(
+                target=self._script, args=(self, conn), daemon=True
+            ).start()
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+
+
+@pytest.fixture()
+def scripted():
+    servers = []
+
+    def start(script, timeout=2.0):
+        srv = _ScriptedServer(script)
+        net = SocketTransport(addresses={"node": srv.address}, timeout=timeout)
+        servers.append((srv, net))
+        return srv, net, net.proxy("client-1", "node", lambda: None)
+
+    yield start
+    for srv, net in servers:
+        net.close()
+        srv.close()
+
+
+def _serve_requests(srv, framed, limit=None):
+    """Answer each request with its own id until EOF or *limit*."""
+    served = 0
+    while limit is None or served < limit:
+        request = recv_frame(framed)
+        if request is None:
+            return
+        srv.requests.append(request["op"])
+        send_frame(framed, {"id": request["id"], "ok": request["op"]})
+        served += 1
+
+
+class TestCallPathScripted:
+    def test_foreign_reply_is_discarded(self, scripted):
+        def script(srv, conn):
+            with FramedSocket(conn) as framed:
+                request = recv_frame(framed)
+                send_frame(framed, {"id": "stranger#1", "ok": "not yours"})
+                send_frame(framed, {"id": request["id"], "ok": "yours"})
+                _serve_requests(srv, framed)
+
+        srv, net, proxy = scripted(script)
+        assert proxy.anything() == "yours"
+        # The exchange completed, so the connection was pooled and
+        # serves the next call.
+        assert proxy.again() == "again"
+        assert srv.accepted == 1
+
+    def test_only_foreign_replies_until_the_deadline_is_a_timeout(
+        self, scripted
+    ):
+        def script(srv, conn):
+            with FramedSocket(conn) as framed:
+                recv_frame(framed)
+                try:
+                    while True:
+                        send_frame(framed, {"id": "stranger#1", "ok": 0})
+                        time.sleep(0.02)
+                except OSError:
+                    srv.done.set()  # the client closed the connection
+
+        srv, net, proxy = scripted(script, timeout=0.3)
+        with pytest.raises(RpcTimeout):
+            proxy.anything()
+        assert net.endpoint_stats()["node"]["timeouts"] == 1
+        assert not net._pools.get("node")
+        assert srv.done.wait(5.0)
+
+    def test_stale_pooled_connection_is_redialed_once(self, scripted):
+        def script(srv, conn):
+            with FramedSocket(conn) as framed:
+                if srv.accepted == 1:
+                    # Serve one call, then reset the connection while
+                    # the client holds it in its pool.
+                    _serve_requests(srv, framed, limit=1)
+                    conn.setsockopt(
+                        socket.SOL_SOCKET,
+                        socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                    return
+                _serve_requests(srv, framed)
+
+        srv, net, proxy = scripted(script)
+        assert proxy.first() == "first"
+        (pooled,) = net._pools["node"]
+        # Wait until the reset has reached the pooled socket.
+        assert select.select([pooled._sock], [], [], 5.0)[0]
+        assert proxy.second() == "second"
+        assert srv.accepted == 2
+        assert srv.requests == ["first", "second"]
+        assert net.endpoint_stats()["node"]["timeouts"] == 0

@@ -17,6 +17,8 @@ import threading
 from collections import OrderedDict, namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corfu.entry import NO_BACKPOINTER
 from repro.errors import (
@@ -347,6 +349,88 @@ def _frozen_encode_frame(payload):
 
 _Grant = namedtuple("_Grant", "offset backpointers")
 
+_TAG_KEYS = st.sampled_from(["__bytes__", "__tuple__", "__map__", "__error__"])
+#: Everything ``encode_value`` lowers: scalars (ints past 64 bits,
+#: NaN and the infinities, non-ASCII and control characters), bytes,
+#: and containers whose dicts have str, int or tag-colliding keys.
+_WIRE_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.binary(max_size=32),
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | _TAG_KEYS, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_PADDING = st.text(alphabet=" \t\r\n", max_size=2)
+
+#: Bodies at the edge of what a frame may hold: whitespace around the
+#: object is accepted (``json.loads`` skips it); trailing data, a
+#: non-object top level, an empty body and bad UTF-8 are rejected.
+_EDGE_BODIES = [
+    b'{"id":"c#1","ok":null}',
+    b' {"id":"c#1"}',
+    b'{"id":"c#1"}\n',
+    b'\t\r\n {"id":"c#1"} \n',
+    b'{"id":"c#1"}{"id":"c#2"}',
+    b'{"id":"c#1"} x',
+    b'{"id":"c#1"',
+    b'{"id":}',
+    b'[{"id":"c#1"}]',
+    b'"id"',
+    b"17",
+    b"null",
+    b"",
+    b"   ",
+    b'{"id":"\xff"}',
+    b"\xef\xbb\xbf{}",
+    b'{"a":NaN,"b":-Infinity,"c":1e400}',
+    b'{"a":1,"a":2}',
+    b'{"k":"\\u00e9\\ud83d\\ude00\\u0000"}',
+]
+
+
+class _Body:
+    """A connection whose next frame is *body*."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def read_frame(self):
+        return self.body
+
+
+def _frozen_recv_body(body):
+    """``recv_frame``'s parse before the built-once scanner, verbatim."""
+    payload = json.loads(body.decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("frame body must be a JSON object")
+    return payload
+
+
+def _assert_parses_as_before(body):
+    try:
+        want = _frozen_recv_body(body)
+    except ValueError:
+        with pytest.raises(ValueError):
+            recv_frame(_Body(body))
+        return
+    got = recv_frame(_Body(body))
+    assert type(got) is dict
+    # Through json.dumps so NaN compares equal to itself.
+    assert json.dumps(got) == json.dumps(want)
+
 
 class TestFrozenCodecEquivalence:
     """The codec got faster, not different: same bytes on the wire."""
@@ -395,6 +479,35 @@ class TestFrozenCodecEquivalence:
                 _frozen_encode_value(value)
             )
         assert decode_value(encode_value(blob)) == blob
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIRE_VALUES)
+    def test_frames_of_any_value_are_byte_identical(self, value):
+        frame = {"id": "c#7", "ok": encode_value(value)}
+        assert encode_frame(frame) == _frozen_encode_frame(
+            {"id": "c#7", "ok": _frozen_encode_value(value)}
+        )
+
+    @pytest.mark.parametrize("body", _EDGE_BODIES, ids=repr)
+    def test_bodies_accepted_and_rejected_as_before(self, body):
+        _assert_parses_as_before(body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda head, value, tail: (
+                    head + json.dumps(value) + tail
+                ).encode("utf-8"),
+                _PADDING,
+                _JSON_VALUES,
+                st.one_of(_PADDING, st.sampled_from(["x", "{}", "1", ",", "]"])),
+            ),
+            st.binary(max_size=40),
+        )
+    )
+    def test_any_body_parses_as_before(self, body):
+        _assert_parses_as_before(body)
 
 
 class TestFrames:
