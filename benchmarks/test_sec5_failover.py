@@ -41,11 +41,17 @@ def test_sec5_failover_checkpoint_ablation(benchmark, show):
         "Section 5 ablation: failover scan with/without sequencer "
         "checkpoints (paper: planned optimization)",
         rows,
-        columns=("log_entries", "checkpointed", "scan_reads", "failover_ms"),
+        columns=(
+            "log_entries", "checkpointed", "scan_reads", "scan_rpcs", "failover_ms"
+        ),
     )
     by = {(r["log_entries"], r["checkpointed"]): r["scan_reads"] for r in rows}
+    rpcs = {(r["log_entries"], r["checkpointed"]): r["scan_rpcs"] for r in rows}
     # Without checkpoints the scan grows with the log...
     assert by[(1600, False)] > 10 * by[(100, False)]
     # ...with a checkpoint near the tail it is constant and tiny.
     assert by[(1600, True)] <= 8
     assert by[(1600, True)] <= by[(100, True)] + 4
+    # The scan batches its reads: one RPC per 64 addresses of a set, not
+    # one per entry (1,636 storage RPCs when each offset was read alone).
+    assert rpcs[(1600, False)] <= 200

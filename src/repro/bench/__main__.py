@@ -128,7 +128,7 @@ def _run_sec5(quick: bool) -> None:
         log_sizes=(100, 400) if quick else (100, 400, 1600)
     )
     _table("Section 5 ablation: failover with/without sequencer checkpoints",
-           rows, ("log_entries", "checkpointed", "scan_reads", "failover_ms"))
+           rows, ("log_entries", "checkpointed", "scan_reads", "scan_rpcs", "failover_ms"))
 
 
 _RUNNERS: Dict[str, object] = {

@@ -944,38 +944,11 @@ class CorfuClient:
                     self._note_success()
                     return tail
             raise RetriesExhaustedError("check", _MAX_RETRIES)
-        return self._slow_check()
+        from repro.corfu import reconfig
 
-    def _slow_check(self) -> int:
-        """Query storage-node local tails and invert the mapping."""
-        proj = self._projection
-        tail = 0
-        for set_index, rset in enumerate(proj.replica_sets):
-            local_tail = 0
-            for node in rset:
-                try:
-                    local_tail = max(
-                        local_tail, self._local_tail_rpc(node)
-                    )
-                except NodeDownError:
-                    continue
-            if local_tail > 0:
-                tail = max(tail, proj.global_offset(set_index, local_tail - 1) + 1)
-        return tail
-
-    def _local_tail_rpc(self, node: str) -> int:
-        """One node's local tail, with bounded per-node timeout retries.
-
-        A persistently unreachable node is treated as down for the slow
-        check's purposes: its chain peers hold the same local tail.
-        """
-        for attempt in range(_TIMEOUT_FAILOVER):
-            try:
-                return self._storage_rpc(node).local_tail()
-            except RpcTimeout as exc:
-                self._net.record_retry(exc.node)
-                self._net.backoff(self.name, attempt)
-        raise NodeDownError(node)
+        return reconfig.slow_check_tail(
+            self._cluster, self._projection, source=self.name
+        )
 
     def query_streams(
         self, stream_ids: Sequence[int]

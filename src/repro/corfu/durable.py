@@ -28,14 +28,13 @@ def open_durable_cluster(data_dir: str, **kwargs):
 
     Reopening the same directory reconstructs the whole log — Tango
     clients then rebuild their views from it as usual. The sequencer is
-    soft state and recovers via the slow check on first use after a
-    restart (pass ``recover_sequencer=False`` to skip).
+    soft state: every shard is rebuilt from the log before this returns,
+    by the same slow check and backward scan as a failover.
     """
     from repro.corfu import reconfig
     from repro.corfu.cluster import CorfuCluster
     from repro.store import open_node_unit
 
-    recover_sequencer = kwargs.pop("recover_sequencer", True)
     segment_bytes = kwargs.pop("segment_bytes", None)
     sync = kwargs.pop("sync", True)
     compaction_policy = kwargs.pop("compaction_policy", None)
@@ -49,14 +48,8 @@ def open_durable_cluster(data_dir: str, **kwargs):
             sync=sync,
             policy=compaction_policy,
         )
-    if recover_sequencer:
-        projection = cluster.projection
-        tail = reconfig.slow_check_tail(cluster, projection)
-        if tail > 0:
-            stream_tails = reconfig.rebuild_stream_tails(
-                cluster, projection, tail, cluster.k, projection.epoch
-            )
-            cluster.sequencer(projection.sequencer).bootstrap(
-                tail, stream_tails, projection.epoch
-            )
+    projection = cluster.projection
+    reconfig.recover_sequencers(
+        cluster, projection, range(projection.num_seq_shards)
+    )
     return cluster

@@ -21,18 +21,14 @@ the auxiliary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import json
+import math
+from typing import Dict, Iterable, List, Optional
 
 from repro.corfu.client import _MAX_RETRIES
 from repro.corfu.cluster import CorfuCluster
-from repro.corfu.layout import Projection
-from repro.errors import (
-    NodeDownError,
-    RpcTimeout,
-    SealedError,
-    TrimmedError,
-    UnwrittenError,
-)
+from repro.corfu.layout import Projection, ReplicaSet
+from repro.errors import NodeDownError, RpcTimeout, SealedError
 
 #: Endpoint name used when no driving client is identified (e.g. the
 #: durable-cluster bootstrap). Client-driven reconfiguration passes the
@@ -49,6 +45,12 @@ _DEFAULT_SOURCE = "reconfig"
 #: the chaos suite's worst fault mix.
 _RPC_ATTEMPTS = 8
 
+#: Most addresses one recovery round asks of one replica set. The first
+#: round reads one offset and each next round twice as many, up to this
+#: many per set: a checkpoint near the tail costs a handful of pages,
+#: and a long live suffix one ``read_many`` per 64 addresses per set.
+_SCAN_BATCH = 64
+
 
 def _storage_rpc(cluster: CorfuCluster, source: str, node: str):
     return cluster.transport.proxy(source, node, lambda: cluster.storage(node))
@@ -58,22 +60,19 @@ def _sequencer_rpc(cluster: CorfuCluster, source: str, node: str):
     return cluster.transport.proxy(source, node, lambda: cluster.sequencer(node))
 
 
-def _seal_one(cluster: CorfuCluster, source: str, proxy, new_epoch: int) -> None:
-    """Seal one node, retrying through timeouts; unreachable nodes pass.
-
-    A node we cannot reach after the retry budget is treated exactly
-    like a dead one: it cannot serve this partition's clients either
-    way, and if it is alive-but-partitioned its chain peers are sealed,
-    so any stale-epoch chain operation still fails to complete.
-    """
+def _ask(cluster: CorfuCluster, source: str, proxy, op: str, *args):
+    """One RPC, retried through timeouts (each recorded as a retry, so
+    ``net_stats()`` shows them); None if the node is down or stays
+    silent for the whole budget — callers treat it like a dead one."""
     for attempt in range(_RPC_ATTEMPTS):
         try:
-            proxy.seal(new_epoch)
-            return
-        except (NodeDownError, SealedError):
-            return  # dead nodes can't serve stale requests anyway
+            return getattr(proxy, op)(*args)
+        except NodeDownError:
+            return None
         except RpcTimeout:
+            cluster.transport.record_retry(proxy.target)
             cluster.transport.backoff(source, attempt)
+    return None
 
 
 def seal_cluster(
@@ -84,16 +83,21 @@ def seal_cluster(
 ) -> None:
     """Seal every reachable node (storage + sequencer) of *old* at *new_epoch*.
 
-    A sharded sequencer group is sealed shard by shard; surviving
-    shards keep their soft state across the epoch bump (sealing only
-    fences stale-epoch requests, it clears nothing).
+    A node we cannot reach after the retry budget is treated exactly
+    like a dead one: it cannot serve this partition's clients either
+    way, and if it is alive-but-partitioned its chain peers are sealed,
+    so any stale-epoch chain operation still fails to complete. A
+    sharded sequencer group is sealed shard by shard; surviving shards
+    keep their soft state across the epoch bump (sealing only fences
+    stale-epoch requests, it clears nothing).
     """
-    for name in old.all_nodes():
-        _seal_one(cluster, source, _storage_rpc(cluster, source, name), new_epoch)
-    for name in old.sequencer_shards:
-        _seal_one(
-            cluster, source, _sequencer_rpc(cluster, source, name), new_epoch
-        )
+    proxies = [_storage_rpc(cluster, source, name) for name in old.all_nodes()]
+    proxies += [_sequencer_rpc(cluster, source, name) for name in old.sequencer_shards]
+    for proxy in proxies:
+        try:
+            _ask(cluster, source, proxy, "seal", new_epoch)
+        except SealedError:
+            pass  # already sealed at this epoch or a later one
 
 
 def eject_storage_node(
@@ -136,22 +140,90 @@ def slow_check_tail(
     """
     tail = 0
     for set_index, rset in enumerate(projection.replica_sets):
-        local_tail = 0
-        for node in rset:
-            proxy = _storage_rpc(cluster, source, node)
-            for attempt in range(_RPC_ATTEMPTS):
-                try:
-                    local_tail = max(local_tail, proxy.local_tail())
-                    break
-                except NodeDownError:
-                    break
-                except RpcTimeout:
-                    cluster.transport.backoff(source, attempt)
+        local_tail = max(
+            _ask(cluster, source, _storage_rpc(cluster, source, node), "local_tail") or 0
+            for node in rset
+        )
         if local_tail > 0:
-            tail = max(
-                tail, projection.global_offset(set_index, local_tail - 1) + 1
-            )
+            tail = max(tail, projection.global_offset(set_index, local_tail - 1) + 1)
     return tail
+
+
+def _trim_mark(cluster: CorfuCluster, rset: ReplicaSet, source: str) -> Optional[int]:
+    """The set's prefix-trim mark on its first reachable replica, tail
+    first (where a read would meet "trimmed"); None if none answers."""
+    for node in reversed(rset.nodes):
+        status = _ask(cluster, source, _storage_rpc(cluster, source, node), "store_status")
+        if status is not None:
+            return status["trimmed_prefix"]
+    return None
+
+
+def _read_set(
+    cluster: CorfuCluster, rset: ReplicaSet, addresses: List[int], epoch: int, source: str
+) -> Dict[int, bytes]:
+    """Pages of *addresses* held by any surviving replica, tail first.
+
+    The tail of an un-ejected chain may be down while the head holds the
+    data, so an address unwritten at one replica, or held by one that
+    cannot be reached, is asked of the next toward the head. That may
+    find an in-flight (head-only) write, which advisory backpointer
+    state may safely reference: its winner completes the chain. Holes
+    and trimmed pages are left out, and nothing is repaired.
+    """
+    pages: Dict[int, bytes] = {}
+    for node in reversed(rset.nodes):
+        if not addresses:
+            break
+        proxy = _storage_rpc(cluster, source, node)
+        replies = _ask(cluster, source, proxy, "read_many", addresses, epoch)
+        if replies is None:
+            continue
+        unwritten = []
+        for address in addresses:
+            status, data = replies[address]
+            if status == "ok":
+                pages[address] = data
+            elif status == "unwritten":
+                unwritten.append(address)
+        addresses = unwritten
+    return pages
+
+
+def _pages_newest_first(
+    cluster: CorfuCluster, projection: Projection, tail: int, epoch: int, source: str,
+    shard_index: int, num_shards: int,
+):
+    """Yield ``(offset, raw)`` for a stripe's pages below *tail*, newest first,
+    read in rounds (:data:`_SCAN_BATCH`) down to each set's trim mark."""
+    n = len(projection.replica_sets)
+    stripe_sets = n // math.gcd(n, num_shards)
+    marks: Dict[int, int] = {}  # set index -> local prefix-trim mark
+    floor = 0  # nothing live below this, once every stripe set's mark is in
+    offset = tail - 1 - ((tail - 1 - shard_index) % num_shards)
+    size = 1
+    while offset >= floor:
+        batch: Dict[int, List[int]] = {}
+        taken = 0
+        while offset >= floor and taken < size:
+            set_index, address = offset % n, offset // n
+            if set_index not in marks:
+                mark = _trim_mark(cluster, projection.replica_sets[set_index], source)
+                marks[set_index] = tail if mark is None else mark  # None: read nothing
+                if len(marks) == stripe_sets:
+                    floor = min(m * n + s for s, m in marks.items())
+            if address >= marks[set_index]:
+                batch.setdefault(set_index, []).append(address)
+                taken += 1
+            offset -= num_shards
+        size = min(2 * size, _SCAN_BATCH * stripe_sets)
+        pages: Dict[int, bytes] = {}
+        for set_index, addresses in batch.items():
+            rset = projection.replica_sets[set_index]
+            for address, raw in _read_set(cluster, rset, addresses, epoch, source).items():
+                pages[address * n + set_index] = raw
+        for at in sorted(pages, reverse=True):
+            yield at, pages[at]
 
 
 def rebuild_stream_tails(
@@ -161,77 +233,24 @@ def rebuild_stream_tails(
     k: int,
     epoch: int,
     source: str = _DEFAULT_SOURCE,
+    shard_index: int = 0,
+    num_shards: int = 1,
 ) -> Dict[int, List[int]]:
-    """Reconstruct the sequencer's per-stream last-K map by backward scan.
+    """Reconstruct one sequencer's per-stream last-K map by backward scan.
 
-    Reads entries from ``tail - 1`` down to 0 and records, for each
-    stream, the most recent K offsets it appears at. Holes and trimmed
-    offsets are skipped; junk entries carry no stream headers and
-    contribute nothing.
+    Scans the stripe the sequencer issues, offsets ``≡ shard_index (mod
+    num_shards)`` below *tail* (an unsharded sequencer is stripe 0 of
+    1), so recovering one shard reads ``1/N`` of the log. Three sources
+    feed one candidate set per stream this sequencer owns (``sid %
+    num_shards == shard_index``); each stream keeps its K newest:
 
-    If the scan meets a sequencer checkpoint entry (see
-    :func:`checkpoint_sequencer_state`), it stops there: the checkpoint
-    holds the state as of its own offset, and everything newer was just
-    scanned. The snapshot's per-stream offsets fill whatever slots the
-    scan has not already filled with newer ones.
-    """
-    import json
-
-    from repro.corfu.entry import LogEntry
-
-    stream_tails: Dict[int, List[int]] = {}
-    for offset in range(tail - 1, -1, -1):
-        rset, address = projection.map_offset(offset)
-        raw = _read_any_replica(cluster, rset, address, epoch, source)
-        if raw is None:
-            continue
-        entry = LogEntry.decode(raw, offset, k)
-        for header in entry.headers:
-            offsets = stream_tails.setdefault(header.stream_id, [])
-            if len(offsets) < k:
-                offsets.append(offset)
-        if not entry.is_junk and entry.payload.startswith(_SEQ_CKPT_MAGIC):
-            snapshot = json.loads(entry.payload[len(_SEQ_CKPT_MAGIC):])
-            for sid_str, old_offsets in snapshot.items():
-                sid = int(sid_str)
-                merged = stream_tails.setdefault(sid, [])
-                for old in old_offsets:
-                    if len(merged) >= k:
-                        break
-                    if old < offset and old not in merged:
-                        merged.append(old)
-            break
-    return stream_tails
-
-
-def rebuild_shard_stream_tails(
-    cluster: CorfuCluster,
-    projection: Projection,
-    tail: int,
-    k: int,
-    epoch: int,
-    shard_index: int,
-    num_shards: int,
-    source: str = _DEFAULT_SOURCE,
-) -> Dict[int, List[int]]:
-    """Reconstruct one sequencer shard's per-stream map from its stripe.
-
-    Scans only offsets ``≡ shard_index (mod num_shards)`` below *tail*
-    — the slice this shard issues — so recovering one crashed shard
-    reads ``1/N`` of the log and never halts the other shards. Two
-    sources feed the map, both restricted to streams this shard owns
-    (``sid % num_shards == shard_index``):
-
-    - stream headers of entries in the stripe (single-shard appends,
-      and cross-shard entries whose final offset landed in this
-      stripe);
-    - vector-grant **markers** (see
-      :func:`repro.corfu.entry.decode_vector_marker`): a cross-shard
-      entry living in another stripe left a marker at the reservation
-      it burned here, naming its final offset and this shard's streams.
-
-    Marker-referenced offsets arrive out of scan order, so candidates
-    are collected per stream and sorted newest-first at the end.
+    - stream headers of entries in the stripe (holes and junk carry none);
+    - vector-grant **markers** (:func:`repro.corfu.entry.decode_vector_marker`):
+      a cross-shard entry living in another stripe left one at the
+      reservation it burned here, naming its final offset and streams;
+    - a sequencer checkpoint (:func:`checkpoint_sequencer_state`): it
+      holds the state as of its own offset, and everything newer was
+      just scanned, so the scan stops there.
     """
     from repro.corfu.entry import LogEntry, decode_vector_marker
 
@@ -241,25 +260,82 @@ def rebuild_shard_stream_tails(
         if sid % num_shards == shard_index:
             candidates.setdefault(sid, set()).add(offset)
 
-    start = tail - 1 - ((tail - 1 - shard_index) % num_shards)
-    for offset in range(start, -1, -num_shards) if start >= 0 else ():
-        rset, address = projection.map_offset(offset)
-        raw = _read_any_replica(cluster, rset, address, epoch, source)
-        if raw is None:
-            continue
+    for offset, raw in _pages_newest_first(
+        cluster, projection, tail, epoch, source, shard_index, num_shards
+    ):
         entry = LogEntry.decode(raw, offset, k)
         for header in entry.headers:
             note(header.stream_id, offset)
-        if not entry.is_junk and not entry.headers:
-            marker = decode_vector_marker(entry.payload)
-            if marker is not None:
-                final_offset, stream_ids = marker
-                for sid in stream_ids:
-                    note(sid, final_offset)
-    return {
-        sid: sorted(offsets, reverse=True)[:k]
-        for sid, offsets in candidates.items()
-    }
+        if entry.is_junk:
+            continue
+        if entry.payload.startswith(_SEQ_CKPT_MAGIC):
+            snapshot = json.loads(entry.payload[len(_SEQ_CKPT_MAGIC):])
+            for sid_str, old_offsets in snapshot.items():
+                for old in old_offsets:
+                    if old < offset:
+                        note(int(sid_str), old)
+            break
+        marker = None if entry.headers else decode_vector_marker(entry.payload)
+        if marker is not None:
+            final_offset, stream_ids = marker
+            for sid in stream_ids:
+                note(sid, final_offset)
+    return {sid: sorted(offsets, reverse=True)[:k] for sid, offsets in candidates.items()}
+
+
+def recover_sequencers(
+    cluster: CorfuCluster,
+    projection: Projection,
+    shard_indexes: Iterable[int],
+    source: str = _DEFAULT_SOURCE,
+) -> bool:
+    """Rebuild and bootstrap the sequencer shards *shard_indexes* of *projection*.
+
+    The recovery step of every failover and of a durable open: one slow
+    check, then per shard a backward scan of its stripe and a bootstrap
+    at *projection*'s epoch with the global tail, so its next issue
+    lands above everything granted so far. Returns False if a shard
+    refused the bootstrap as stale: a racing reconfiguration moved past.
+    """
+    tail = slow_check_tail(cluster, projection, source=source)
+    shards = projection.sequencer_shards
+    for shard_index in shard_indexes:
+        stream_tails = rebuild_stream_tails(
+            cluster, projection, tail, cluster.k, projection.epoch, source,
+            shard_index, len(shards),
+        )
+        if len(shards) > 1:
+            cluster.create_sequencer(
+                shards[shard_index], shard_index=shard_index, num_shards=len(shards)
+            )
+        sequencer = _sequencer_rpc(cluster, source, shards[shard_index])
+        for attempt in range(_MAX_RETRIES):
+            try:
+                sequencer.bootstrap(tail, stream_tails, projection.epoch)
+                break
+            except SealedError:
+                return False
+            except RpcTimeout as exc:
+                cluster.transport.backoff(source, attempt)
+                if attempt == _MAX_RETRIES - 1:
+                    raise NodeDownError(exc.node)
+    return True
+
+
+def replace_sequencer(
+    cluster: CorfuCluster,
+    new_name: Optional[str] = None,
+    source: str = _DEFAULT_SOURCE,
+) -> Projection:
+    """Fail over to a new sequencer, recovering its soft state.
+
+    Steps: seal the old epoch everywhere, recover the tail with the slow
+    check, rebuild the backpointer map by scanning backward, bootstrap
+    the replacement, and install the new projection.
+    """
+    if cluster.projection.seq_shards:
+        raise ValueError("sequencer is sharded; fail over one shard with replace_sequencer_shard()")
+    return replace_sequencer_shard(cluster, 0, new_name, source=source)
 
 
 def replace_sequencer_shard(
@@ -272,52 +348,19 @@ def replace_sequencer_shard(
 
     The seal-and-advance protocol of :func:`replace_sequencer`, scoped
     to one shard: the whole old epoch is sealed (healthy shards simply
-    continue at the new one, soft state intact), the global tail is
-    recovered with the slow check, the dead shard's per-stream map is
-    rebuilt by a backward scan of **its own stripe only**, and the
-    replacement — bootstrapped with the global tail, so its next issue
-    lands above everything granted so far — joins the projection in the
-    dead shard's place.
+    continue at the new one, soft state intact), and only the dead
+    shard's map is rebuilt, from its own stripe, so the other shards
+    never halt. The replacement joins the projection in its place.
     """
     old = cluster.projection
-    shards = old.sequencer_shards
-    if not 0 <= shard_index < len(shards):
-        raise ValueError(
-            f"shard index {shard_index} out of range for {len(shards)} shards"
-        )
-    if len(shards) == 1:
-        return replace_sequencer(cluster, new_name, source=source)
     if new_name is None:
-        new_name = f"seq-{old.epoch + 1}.{shard_index}"
+        new_name = f"seq-{old.epoch + 1}" + (f".{shard_index}" if old.seq_shards else "")
     new = old.with_seq_shard(shard_index, new_name)
     seal_cluster(cluster, old, new.epoch, source=source)
-    tail = slow_check_tail(cluster, new, source=source)
-    stream_tails = rebuild_shard_stream_tails(
-        cluster,
-        new,
-        tail,
-        cluster.k,
-        new.epoch,
-        shard_index,
-        len(shards),
-        source=source,
-    )
-    cluster.create_sequencer(
-        new_name, shard_index=shard_index, num_shards=len(shards)
-    )
-    replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_MAX_RETRIES):
-        try:
-            replacement.bootstrap(tail, stream_tails, new.epoch)
-            break
-        except SealedError:
-            # A racing reconfiguration moved past us; its projection
-            # already carries recovered state.
-            return cluster.projection
-        except RpcTimeout as exc:
-            cluster.transport.backoff(source, attempt)
-            if attempt == _MAX_RETRIES - 1:
-                raise NodeDownError(exc.node)
+    if not recover_sequencers(cluster, new, (shard_index,), source=source):
+        # A racing reconfiguration moved past us; its projection
+        # already carries recovered state.
+        return cluster.projection
     try:
         cluster.install_projection(new)
     except ValueError:
@@ -346,8 +389,6 @@ def checkpoint_sequencer_state(cluster: CorfuCluster) -> int:
     is in the snapshot; every one issued after has an offset above C and
     is covered by the recovery scan. Nothing can fall between.
     """
-    import json
-
     from repro.corfu.entry import encode_append
     from repro.corfu.replication import ChainReplicator
 
@@ -379,79 +420,3 @@ def checkpoint_sequencer_state(cluster: CorfuCluster) -> int:
     )
     chain.write(rset, address, raw, proj.epoch)
     return offset
-
-
-def _read_any_replica(
-    cluster, rset, address: int, epoch: int, source: str = _DEFAULT_SOURCE
-):
-    """Read one page from any surviving replica, tail first.
-
-    Recovery must tolerate replicas that crashed without having been
-    ejected from the projection yet: the tail may be down while the
-    head still holds the data. Reading towards the head may observe an
-    in-flight (head-only) write — acceptable here, since the winner of
-    that offset will complete the chain, and advisory backpointer state
-    may safely reference it. Returns None for holes, trimmed pages, or
-    fully unreachable chains (the scan skips the offset). Timeouts are
-    retried per replica before that replica is given up as unreachable
-    — a dropped recovery read must not silently shrink stream state.
-    """
-    for node in reversed(rset.nodes):
-        proxy = _storage_rpc(cluster, source, node)
-        for attempt in range(_RPC_ATTEMPTS):
-            try:
-                return proxy.read(address, epoch)
-            except TrimmedError:
-                return None
-            except (UnwrittenError, NodeDownError):
-                # A tail-unwritten page may still be an in-flight write
-                # held at an upstream replica; walk towards the head.
-                break
-            except RpcTimeout:
-                cluster.transport.backoff(source, attempt)
-    return None
-
-
-def replace_sequencer(
-    cluster: CorfuCluster,
-    new_name: Optional[str] = None,
-    source: str = _DEFAULT_SOURCE,
-) -> Projection:
-    """Fail over to a new sequencer, recovering its soft state.
-
-    Steps: seal the old epoch everywhere, recover the tail with the slow
-    check, rebuild the backpointer map by scanning backward, bootstrap
-    the replacement, and install the new projection.
-    """
-    old = cluster.projection
-    if old.seq_shards:
-        raise ValueError(
-            "sequencer is sharded; fail over one shard with "
-            "replace_sequencer_shard()"
-        )
-    if new_name is None:
-        new_name = f"seq-{old.epoch + 1}"
-    new = old.with_sequencer(new_name)
-    seal_cluster(cluster, old, new.epoch, source=source)
-    tail = slow_check_tail(cluster, new, source=source)
-    stream_tails = rebuild_stream_tails(
-        cluster, new, tail, cluster.k, new.epoch, source=source
-    )
-    replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_MAX_RETRIES):
-        try:
-            replacement.bootstrap(tail, stream_tails, new.epoch)
-            break
-        except SealedError:
-            # A racing reconfiguration moved past us; its projection
-            # already carries recovered state.
-            return cluster.projection
-        except RpcTimeout as exc:
-            cluster.transport.backoff(source, attempt)
-            if attempt == _MAX_RETRIES - 1:
-                raise NodeDownError(exc.node)
-    try:
-        cluster.install_projection(new)
-    except ValueError:
-        return cluster.projection
-    return new

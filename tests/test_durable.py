@@ -140,17 +140,26 @@ class TestDurableCluster:
         entry = client2.read(offset)
         assert entry.header_for(1).previous_offset() == 6
 
-    def test_restart_without_sequencer_recovery(self, tmp_path):
+    def test_sharded_appends_continue_after_restart(self, tmp_path):
+        """Every shard of a sharded sequencer is rebuilt from its stripe."""
+        data_dir = str(tmp_path / "cluster")
+        kwargs = dict(num_sets=3, replication_factor=2, seq_shards=2)
+        client = open_durable_cluster(data_dir, **kwargs).client()
+        last = {sid: client.append(b"pre", stream_ids=(sid,)) for sid in (0, 1, 2, 3)}
+        reopened = open_durable_cluster(data_dir, **kwargs).client()
+        for sid in (0, 1, 2, 3):
+            offset = reopened.append(b"post", stream_ids=(sid,))
+            assert offset > max(last.values())
+            assert reopened.read(offset).header_for(sid).previous_offset() == last[sid]
+
+    def test_restart_slow_check_sees_durable_entries(self, tmp_path):
         data_dir = str(tmp_path / "cluster")
         cluster = open_durable_cluster(
             data_dir, num_sets=3, replication_factor=2
         )
         cluster.client().append(b"x")
         reopened = open_durable_cluster(
-            data_dir,
-            num_sets=3,
-            replication_factor=2,
-            recover_sequencer=False,
+            data_dir, num_sets=3, replication_factor=2
         )
-        # The slow check still sees the durable entries.
+        # The slow check sees the durable entries.
         assert reopened.client().check(fast=False) == 1

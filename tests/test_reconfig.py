@@ -1,9 +1,16 @@
 """Tests for reconfiguration: seal-and-advance, failover, recovery."""
 
+import math
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.corfu import CorfuCluster, reconfig
-from repro.errors import SealedError
+from repro.corfu.durable import open_durable_cluster
+from repro.corfu.entry import encode_append
+from repro.errors import SealedError, TrimmedError
+from tests import frozen_recovery_scan as frozen
 
 
 class TestSeal:
@@ -196,3 +203,165 @@ class TestTrimDuringReconfig:
             t.join()
         assert not errors
         assert cluster.client().read(29).payload == b"e29"
+
+
+def _storage_rpcs(cluster) -> int:
+    """Delivered RPCs to storage nodes, trimmed and unwritten reads included."""
+    nodes = set(cluster.projection.all_nodes())
+    stats = cluster.transport.endpoint_stats()
+    return sum(s["rpcs"] for name, s in stats.items() if name in nodes)
+
+
+#: Storage RPCs a failover of the 9x2 layout pays however long the log
+#: is: a seal and a local tail for each of the 18 nodes, one trim-mark
+#: probe per set, and the opening rounds of the doubling schedule that
+#: ask a set fewer than 64 addresses (1 + 2 + 4 + 8 offsets, then six
+#: rounds over all nine sets).
+FAILOVER_FIXED_RPCS = 18 + 18 + 9 + (1 + 2 + 4 + 8 + 6 * 9)
+
+
+class TestRecoveryCost:
+    """Recovery reads the live log in batches and stops at the trim mark."""
+
+    @staticmethod
+    def _reopen_rpcs(data_dir, trimmed: int):
+        cluster = open_durable_cluster(
+            str(data_dir), num_sets=2, replication_factor=2, sync=False
+        )
+        client = cluster.client()
+        for _ in range(trimmed):
+            client.append(b"old", stream_ids=(1,))
+        client.trim_prefix(trimmed)
+        for i in range(5):
+            client.append(b"live-%d" % i, stream_ids=(1 + i % 2,))
+        for name in cluster.projection.all_nodes():
+            cluster.storage(name).close()
+        reopened = open_durable_cluster(
+            str(data_dir), num_sets=2, replication_factor=2, sync=False
+        )
+        cost = _storage_rpcs(reopened)
+        tail, streams = reopened.sequencer().query((1, 2))
+        for name in reopened.projection.all_nodes():
+            reopened.storage(name).close()
+        t = trimmed
+        assert tail == t + 5
+        assert streams == {1: (t + 4, t + 2, t), 2: (t + 3, t + 1)}
+        return cost
+
+    def test_reopen_cost_does_not_grow_with_the_trimmed_prefix(self, tmp_path):
+        assert self._reopen_rpcs(tmp_path / "short", 600) == self._reopen_rpcs(
+            tmp_path / "long", 9600
+        )
+
+    def test_failover_reads_the_log_in_batches(self, big_cluster):
+        entries = 1600
+        client = big_cluster.client()
+        for i in range(entries):
+            client.append(b"p%d" % i, stream_ids=(i % 8,))
+        big_cluster.crash_sequencer()
+        before = _storage_rpcs(big_cluster)
+        reconfig.replace_sequencer(big_cluster)
+        replicas = len(big_cluster.projection.replica_sets[0])
+        assert _storage_rpcs(big_cluster) - before <= (
+            math.ceil(entries / reconfig._SCAN_BATCH) * replicas
+            + FAILOVER_FIXED_RPCS
+        )
+
+
+def _run_plan(cluster, plan, crash_tail):
+    """Build a log from *plan*: appends, holes, junk, trims, checkpoints.
+
+    A sharded log's stripes advance independently, so a trim may reach
+    offsets a lagging shard has yet to issue; an op that is then granted
+    a trimmed offset is simply dropped from the log.
+    """
+    client = cluster.client()
+    for op, arg in plan:
+        try:
+            _run_op(cluster, client, op, arg)
+        except TrimmedError:
+            pass
+    if crash_tail is not None:
+        sets = cluster.projection.replica_sets
+        rset = sets[crash_tail % len(sets)]
+        cluster.crash_storage(rset.tail)
+
+
+def _run_op(cluster, client, op, arg):
+    proj = cluster.projection
+    shards = proj.sequencer_shards
+    if op == "append":
+        client.append(b"a", stream_ids=arg)
+    elif op in ("hole", "junk", "in-flight"):
+        seq = cluster.sequencer(shards[arg % len(shards)])
+        offset, backpointers = seq.increment((arg,), epoch=proj.epoch)
+        if op == "junk":
+            client.fill(offset)
+        elif op == "in-flight":
+            raw, _ = encode_append(offset, (arg,), backpointers, b"f", cluster.k)
+            rset, address = proj.map_offset(offset)
+            cluster.storage(rset.head).write(address, raw, proj.epoch)
+    elif op == "trim":
+        tail = client.check()
+        if tail:
+            client.trim(arg % tail)
+    elif op == "prefix":
+        client.trim_prefix(arg * client.check() // 8)
+    elif op == "checkpoint" and len(shards) == 1:
+        reconfig.checkpoint_sequencer_state(cluster)
+
+
+_streams = st.integers(min_value=0, max_value=5)
+_plan_ops = st.one_of(
+    st.tuples(
+        st.just("append"),
+        st.lists(_streams, max_size=3, unique=True).map(tuple),
+    ),
+    st.tuples(st.sampled_from(["hole", "junk", "in-flight"]), _streams),
+    st.tuples(st.just("trim"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("prefix"), st.integers(min_value=0, max_value=8)),
+)
+
+
+@st.composite
+def _plans(draw):
+    plan = draw(st.lists(_plan_ops, max_size=50))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        plan.insert(draw(st.integers(0, len(plan))), ("checkpoint", None))
+    return plan
+
+
+class TestScanMatchesFrozenScanners:
+    """The batched scanner returns what the per-offset scanners returned."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_sets=st.integers(min_value=1, max_value=3),
+        seq_shards=st.sampled_from([1, 1, 2, 3, 4]),
+        k=st.sampled_from([1, 2, 4]),
+        plan=_plans(),
+        crash_tail=st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+    )
+    def test_same_map(self, num_sets, seq_shards, k, plan, crash_tail):
+        cluster = CorfuCluster(
+            num_sets=num_sets, replication_factor=2, k=k, seq_shards=seq_shards
+        )
+        _run_plan(cluster, plan, crash_tail)
+        proj = cluster.projection
+        tail = reconfig.slow_check_tail(cluster, proj)
+        for shard in range(seq_shards):
+            got = reconfig.rebuild_stream_tails(
+                cluster, proj, tail, k, proj.epoch,
+                shard_index=shard, num_shards=seq_shards,
+            )
+            if seq_shards == 1:
+                want = frozen.rebuild_stream_tails(cluster, proj, tail, k, proj.epoch)
+            else:
+                want = frozen.rebuild_shard_stream_tails(
+                    cluster, proj, tail, k, proj.epoch, shard, seq_shards
+                )
+            assert got == want
