@@ -843,12 +843,15 @@ class CorfuClient:
         epoch → refresh, dead node → reconfigure, timeout → backoff /
         failure-detect), and results already collected are retained
         across retries: a reconfiguration halfway through the groups
-        re-reads only what is still missing.
+        re-reads only what is still missing. A negative offset raises
+        ``ValueError`` before any RPC, as it does for :meth:`read`.
         """
         results: Dict[int, ReadOutcome] = {}
         remaining = sorted(set(offsets))
         if not remaining:
             return results
+        if remaining[0] < 0:
+            raise ValueError(f"negative offset {remaining[0]}")
         k = self._cluster.k
         decode = LogEntry.decode
         for attempt in range(_MAX_RETRIES):

@@ -34,6 +34,7 @@ from repro.util.encoding import (
     U32,
     absolute_header,
     encode_bytes,
+    entry_head,
     relative_header,
 )
 
@@ -60,6 +61,9 @@ Buffer = Union[bytes, bytearray, memoryview]
 # Decoders build values straight from their fields: the bytes were
 # validated when they were encoded.
 _new = tuple.__new__
+
+# The common entry's head: one relative header at K = 4.
+_ONE_HEADER = entry_head(1, DEFAULT_K)
 
 
 class _StreamHeaderFields(NamedTuple):
@@ -239,7 +243,42 @@ class LogEntry(NamedTuple):
         """Deserialize an entry previously produced by :meth:`encode`.
 
         ``payload`` comes back as ``bytes`` whatever buffer type *raw* is.
+        At K = 4 an entry whose headers are all relative (each word's
+        format bit clear) is one unpack of :func:`entry_head`, its
+        pointers built without a loop when it has one header (the
+        common entry); an absolute header or another K takes the
+        per-header decoder.
         """
+        if k == 4:
+            nheaders = raw[2] | raw[3] << 8
+            if nheaders == 1 and not raw[4] & 1:
+                junk_flag, _, word, d1, d2, d3, d4, length = _ONE_HEADER.unpack_from(raw, 0)
+                ptrs = (
+                    own_offset - d1 if d1 else NO_BACKPOINTER,
+                    own_offset - d2 if d2 else NO_BACKPOINTER,
+                    own_offset - d3 if d3 else NO_BACKPOINTER,
+                    own_offset - d4 if d4 else NO_BACKPOINTER,
+                )
+                header = _new(StreamHeader, (word >> 1, ptrs, False))
+                payload = bytes(raw[20 : 20 + length])  # 20: _ONE_HEADER.size
+                return _new(LogEntry, ((header,), payload, junk_flag != 0))
+            head = entry_head(nheaders, 4)
+            fields = head.unpack_from(raw, 0)
+            built = []
+            it = iter(fields[2:-1])
+            for word, d1, d2, d3, d4 in zip(it, it, it, it, it):
+                if word & 1:
+                    break  # an absolute header: decode them all one by one
+                ptrs = (
+                    own_offset - d1 if d1 else NO_BACKPOINTER,
+                    own_offset - d2 if d2 else NO_BACKPOINTER,
+                    own_offset - d3 if d3 else NO_BACKPOINTER,
+                    own_offset - d4 if d4 else NO_BACKPOINTER,
+                )
+                built.append(_new(StreamHeader, (word >> 1, ptrs, False)))
+            else:
+                payload = bytes(raw[head.size : head.size + fields[-1]])
+                return _new(LogEntry, (tuple(built), payload, fields[0] != 0))
         junk_flag, nheaders = ENTRY_PREFIX.unpack_from(raw, 0)
         headers, off = _decode_headers(
             raw, ENTRY_PREFIX.size, nheaders, own_offset, k

@@ -459,7 +459,8 @@ class StreamClient:
                 event.set()
 
     def _prefetch(self, offsets: Iterable[int]) -> None:
-        """Best-effort batched cache warm: never raises, never fills holes.
+        """Best-effort batched cache warm: never fills holes, and raises
+        only for a negative offset (as ``fetch`` does).
 
         Only spends an RPC when at least two of the offsets are actual
         cache misses (see :meth:`_claim_locked`).

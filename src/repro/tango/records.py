@@ -36,6 +36,7 @@ from repro.util.encoding import (
     COMMIT_PREFIX,
     DECISION,
     DELTA_CHECKPOINT_PREFIX,
+    ONE_UPDATE_HEAD,
     READ_PREFIX,
     U16,
     U32,
@@ -151,8 +152,11 @@ class ReadSetEntry(NamedTuple):
         oid, has_key = READ_PREFIX.unpack_from(buf, off)
         off += READ_PREFIX.size
         key = None
-        if has_key:
-            key, off = decode_bytes(buf, off)
+        if has_key:  # decode_bytes, inlined as in UpdateRecord
+            (length,) = U32.unpack_from(buf, off)
+            off += 4
+            key = buf[off : off + length]
+            off += length
         (word,) = U64.unpack_from(buf, off)
         return _new(ReadSetEntry, (oid, key, _version(word))), off + 8
 
@@ -399,6 +403,10 @@ _DECODER_OF = {
 }
 
 
+#: The first bytes of a batch of one update record.
+_ONE_UPDATE = U16.pack(1) + U16.pack(_KIND_UPDATE)
+
+
 def encode_records(records: List[Record]) -> bytes:
     """Serialize a batch of records into one entry payload."""
     buf = bytearray(U16.pack(len(records)))
@@ -418,6 +426,16 @@ def decode_records(payload: bytes) -> List[Record]:
         return []
     if type(payload) is not bytes:
         payload = bytes(payload)
+    if payload.startswith(_ONE_UPDATE):  # what every put writes: one unpack
+        _, _, oid, tx_id, has_key, length = ONE_UPDATE_HEAD.unpack_from(payload, 0)
+        off = ONE_UPDATE_HEAD.size
+        key = None
+        if has_key:
+            key = payload[off : off + length]
+            off += length
+            (length,) = U32.unpack_from(payload, off)
+            off += 4
+        return [_new(UpdateRecord, (oid, payload[off : off + length], key, tx_id))]
     (count,) = U16.unpack_from(payload, 0)
     off = 2
     records: List[Record] = []

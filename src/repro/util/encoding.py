@@ -30,6 +30,10 @@ ENTRY_PREFIX = struct.Struct("<HH")
 
 #: Update record prefix: object id, transaction id, key-present flag.
 UPDATE_PREFIX = struct.Struct("<IQH")
+#: A record batch of one update (what every ``put`` writes), up to its
+#: first length: record count, kind, the update prefix, and the key's
+#: length (the payload's when the update carries no key).
+ONE_UPDATE_HEAD = struct.Struct("<HH" + UPDATE_PREFIX.format[1:] + "I")
 #: Commit record prefix: transaction id, flags, read-set size.
 COMMIT_PREFIX = struct.Struct("<QHH")
 #: Read-set entry prefix: object id, key-present flag.
@@ -53,6 +57,15 @@ def relative_header(k: int) -> struct.Struct:
 def absolute_header(k: int) -> struct.Struct:
     """Absolute stream header: id/format word, then K/4 ``u64`` offsets."""
     return struct.Struct("<I" + "Q" * max(1, k // 4))
+
+
+@functools.lru_cache(maxsize=64)
+def entry_head(nheaders: int, k: int) -> struct.Struct:
+    """Every field of an entry before its payload, its *nheaders*
+    headers read as relative ones: the prefix, each header's word and
+    K deltas, then the payload length."""
+    header = relative_header(k).format[1:]
+    return struct.Struct(ENTRY_PREFIX.format + header * nheaders + "I")
 
 
 def encode_bytes(buf: bytearray, data: bytes) -> None:

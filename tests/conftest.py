@@ -6,12 +6,18 @@ import itertools
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.corfu import CorfuCluster
 from repro.tango.directory import TangoDirectory
 from repro.tango.runtime import TangoRuntime
 
 _client_ids = itertools.count(1)
+
+#: ``pytest --hypothesis-profile=codec``: a deep pass of the property
+#: tests (the codec suites compare thousands of entries and batches
+#: with the frozen codec). The default profile stays as it is.
+settings.register_profile("codec", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

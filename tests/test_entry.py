@@ -4,7 +4,7 @@ import dataclasses
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.corfu.entry import (
@@ -262,11 +262,48 @@ def _frozen_entry(entry):
     )
 
 
+def _case(k, own, *pointer_lists, payload=b"p" * 9):
+    """(k, max_streams, own offset, entry): one header per pointer
+    list, streams 1, 2, ... in order."""
+    headers = tuple(
+        make_header(sid, ptrs, own, k) for sid, ptrs in enumerate(pointer_lists, 1)
+    )
+    return k, 16, own, LogEntry(headers=headers, payload=payload)
+
+
+#: Entries that run each decode path on every pass. At K = 4 an entry
+#: of relative headers is one unpack (one header: the unrolled path);
+#: an absolute header, or any other K, takes the per-header decoder.
+#: A delta of 0 is "no pointer", never the entry's own offset.
+_PATH_CASES = (
+    _case(4, 100, (90, 80)),  # one relative header, two deltas of 0
+    _case(4, 100, ()),  # one header, every delta 0
+    _case(4, 0xFFFF, (0, 1, 2, 3)),  # the widest relative deltas
+    _case(4, 100_000, (99_999, 99_990, 40_000), (99_998,), (), payload=b""),
+    _case(4, 1_000_000, (999_999,), (10, 9), (), (999_990, 999_980)),  # absolute among relative
+    _case(4, 1_000_000, (10,)),  # one absolute header
+    _case(8, 100, tuple(range(99, 90, -1))),
+    _case(8, 1_000_000, (999_999,), (10, 9)),
+    _case(16, 100, (99, 98), ()),
+    _case(16, 1_000_000, (10, 9, 8)),
+    (4, 16, 7, LogEntry.junk()),
+    (8, 16, 7, LogEntry.junk()),
+)
+
+
+def _path_examples(test):
+    for case in _PATH_CASES:
+        for buffer in (bytes, bytearray, memoryview):
+            test = example(case=case, buffer=buffer, bad_sid=1)(test)
+    return test
+
+
 class TestFrozenCodecEquivalence:
     """The tuple value types against a verbatim copy of the
     frozen-dataclass codec they replaced (``tests/frozen_codec.py``)."""
 
     @given(case=_entries(), buffer=_BUFFERS, bad_sid=st.integers(min_value=1))
+    @_path_examples
     def test_same_bytes_same_values(self, case, buffer, bad_sid):
         k, max_streams, own, entry = case
         raw = entry.encode(own, k, max_streams)
@@ -333,6 +370,25 @@ class TestFrozenCodecEquivalence:
             frozen.LogEntry.decode(raw[:cut], own, k)
         with pytest.raises((struct.error, IndexError)):
             LogEntry.decode(raw[:cut], own, k)
+
+    @pytest.mark.parametrize("case", _PATH_CASES)
+    def test_every_truncation_of_every_path_decodes_as_frozen(self, case):
+        """Cut anywhere: a cut before the payload raises in both
+        codecs; a cut in the payload decodes to the same short entry."""
+        k, max_streams, own, entry = case
+        raw = entry.encode(own, k, max_streams)
+        fixed = len(raw) - len(entry.payload)
+        for cut in range(len(raw)):
+            for buffer in (bytes, bytearray, memoryview):
+                if cut < fixed:
+                    with pytest.raises(struct.error):
+                        frozen.LogEntry.decode(raw[:cut], own, k)
+                    with pytest.raises((struct.error, IndexError)):
+                        LogEntry.decode(buffer(raw[:cut]), own, k)
+                else:
+                    reference = frozen.LogEntry.decode(raw[:cut], own, k)
+                    decoded = LogEntry.decode(buffer(raw[:cut]), own, k)
+                    assert decoded == dataclasses.astuple(reference)
 
 
 @st.composite

@@ -49,6 +49,17 @@ class TestReadMany:
     def test_empty_batch(self, client):
         assert client.read_many([]) == {}
 
+    def test_negative_offset_raises_before_any_rpc(self, cluster, client):
+        """A negative offset is a caller error, as it is for ``read``,
+        not a per-offset condition: no batch is sent."""
+        client.append(b"a")
+        with pytest.raises(ValueError, match="negative offset -1"):
+            client.read(-1)
+        before = _storage_rpcs(client, cluster)
+        with pytest.raises(ValueError, match="negative offset -1"):
+            client.read_many([-1, 0])
+        assert _storage_rpcs(client, cluster) == before
+
     def test_duplicate_offsets_collapse(self, client):
         client.append(b"a")
         outcomes = client.read_many([0, 0, 0])
@@ -364,3 +375,16 @@ class TestBatchedSync:
         assert entries[1].is_junk  # hole -> filled by the handler
         assert entries[2].payload == b"two"
         assert corfu.fills == 1
+
+    def test_fetch_many_rejects_negative_offsets_like_fetch(self, cluster):
+        corfu = cluster.client()
+        corfu.append(b"zero", (1,))
+        corfu.append(b"one", (1,))
+        sclient = StreamClient(corfu)
+        for wanted in ([-1], [-1, 0], [-2, -1, 0, 1]):
+            with pytest.raises(ValueError, match="negative offset"):
+                sclient.fetch_many(wanted)
+        # Nothing was cached for a negative offset: fetch still raises.
+        with pytest.raises(ValueError, match="negative offset -1"):
+            sclient.fetch(-1)
+        assert sclient.fetch_many([0, 1])[1].payload == b"one"

@@ -1,9 +1,10 @@
 """Tests for Tango record serialization."""
 
 import dataclasses
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.tango.records import (
@@ -238,6 +239,41 @@ def _byte_fields(value):
             yield item
 
 
+#: Batches that exercise each decode path on every pass. A batch of
+#: one update (what every ``put`` writes) is one unpack up to its first
+#: length; every other batch walks its records. ``b""`` is a key, not
+#: "no key".
+_PATH_BATCHES = (
+    [UpdateRecord(7, b"payload", key=b"k01234")],
+    [UpdateRecord(7, b"payload")],
+    [UpdateRecord(7, b"payload", key=b"")],
+    [UpdateRecord(7, b"", key=b"k", tx_id=2**64 - 1)],
+    [UpdateRecord(2**32 - 1, b"", tx_id=5)],
+    [UpdateRecord(1, b"a", key=b"k"), UpdateRecord(2, b"b")],
+    [
+        CommitRecord(
+            9,
+            (
+                ReadSetEntry(1, b"k1", 10),
+                ReadSetEntry(2, b"", NO_VERSION),
+                ReadSetEntry(3, None, 12),
+            ),
+            (1, 2, 3),
+            (UpdateRecord(1, b"u", key=b"k1", tx_id=9), UpdateRecord(2, b"v", tx_id=9)),
+        )
+    ],
+    [DecisionRecord(3, True)],
+    [UpdateRecord(1, b"u", key=b"k"), DecisionRecord(3, False)],
+)
+
+
+def _batch_examples(test):
+    for batch in _PATH_BATCHES:
+        for buffer in (bytes, bytearray, memoryview):
+            test = example(batch=batch, buffer=buffer)(test)
+    return test
+
+
 class TestFrozenCodecEquivalence:
     """Records against a verbatim copy of the frozen-dataclass codec
     they replaced (``tests/frozen_codec.py``)."""
@@ -246,6 +282,7 @@ class TestFrozenCodecEquivalence:
         batch=st.lists(_records, max_size=6),
         buffer=st.sampled_from((bytes, bytearray, memoryview)),
     )
+    @_batch_examples
     def test_same_bytes_same_values(self, batch, buffer):
         raw = encode_records(batch)
         assert raw == frozen.encode_records([_to_frozen(r) for r in batch])
@@ -279,3 +316,18 @@ class TestFrozenCodecEquivalence:
         assert type(decoded.read_set[0]) is ReadSetEntry
         assert type(decoded.inline_updates[0]) is UpdateRecord
         assert decoded.inline_updates[0].is_speculative
+
+    @pytest.mark.parametrize("batch", _PATH_BATCHES)
+    def test_every_truncation_of_every_path_decodes_as_frozen(self, batch):
+        """Cut anywhere: both codecs raise ``struct.error`` or decode
+        the same (short) records."""
+        raw = encode_records(batch)
+        for cut in range(1, len(raw)):
+            try:
+                reference = frozen.decode_records(raw[:cut])
+            except struct.error:
+                with pytest.raises(struct.error):
+                    decode_records(memoryview(raw)[:cut])
+                continue
+            decoded = decode_records(memoryview(raw)[:cut])
+            assert decoded == [dataclasses.astuple(r) for r in reference]
