@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.corfu.cluster import CorfuCluster
@@ -297,9 +298,8 @@ class CorfuClient:
         key = ("storage", node)
         proxy = self._proxies.get(key)
         if proxy is None:
-            cluster = self._cluster
             proxy = self._net.proxy(
-                self.name, node, lambda n=node: cluster.storage(n)
+                self.name, node, partial(self._cluster.storage, node)
             )
             self._proxies[key] = proxy
         return proxy
@@ -309,9 +309,8 @@ class CorfuClient:
         key = ("sequencer", node)
         proxy = self._proxies.get(key)
         if proxy is None:
-            cluster = self._cluster
             proxy = self._net.proxy(
-                self.name, node, lambda n=node: cluster.sequencer(n)
+                self.name, node, partial(self._cluster.sequencer, node)
             )
             self._proxies[key] = proxy
         return proxy
@@ -590,7 +589,6 @@ class CorfuClient:
                     entries.append((offset, raw))
                     built.append(entry)
                 lost = self._write_entries(entries)
-                self._note_success()
                 retry = []
                 for idx, (offset, _) in zip(pending, entries):
                     if offset in lost:
@@ -601,8 +599,10 @@ class CorfuClient:
                     else:
                         offsets[idx] = offset
                 landed = len(entries) - len(retry)
-                with self._counter_lock:
+                with self._counter_lock:  # the count and _note_success, one hold
                     self.appends += landed
+                    if self._timeout_streaks:
+                        self._timeout_streaks.clear()
                 # Write-once => write-through: what landed is known
                 # without reading it back. A lost offset holds someone
                 # else's junk; its payload is reported by the round
@@ -780,6 +780,7 @@ class CorfuClient:
         already happened elsewhere (in a batched chain write), so even
         attempt zero here is a retry of an ambiguous write.
         """
+        last: Optional[Exception] = None
         for attempt in range(_MAX_RETRIES):
             proj = self._projection
             rset, address = proj.map_offset(offset)
@@ -789,15 +790,21 @@ class CorfuClient:
                     maybe_mine=maybe_mine_from_start or attempt > 0,
                 )
                 return
-            except SealedError:
+            except SealedError as exc:
                 # Reconfigured mid-write: finish the chain under the
                 # new projection; the offset is still ours.
+                last = exc
                 self.refresh_projection()
             except NodeDownError as exc:
+                last = exc
                 self._handle_node_down(exc)
             except RpcTimeout as exc:
+                last = exc
                 self._handle_timeout(exc, attempt)
-        raise RetriesExhaustedError("append.chain_write", _MAX_RETRIES)
+        raise RetriesExhaustedError(
+            "append.chain_write", _MAX_RETRIES,
+            last=f"offset {offset}: {type(last).__name__}: {last}",
+        )
 
     # -- read path ------------------------------------------------------------
 

@@ -35,13 +35,13 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ReproError, RpcTimeout
 from repro.net.clock import LogicalClock
-from repro.net.transport import Transport, resolve_method
+from repro.net.transport import LoopbackTransport
 
 #: Rate knobs accepted by ``__init__`` and ``set_rates``.
 _RATE_KNOBS = ("drop_request", "drop_response", "duplicate", "reorder")
 
 
-class FaultyTransport(Transport):
+class FaultyTransport(LoopbackTransport):
     """Deterministic, seedable network fault injection.
 
     Args:
@@ -164,24 +164,18 @@ class FaultyTransport(Transport):
                 stats.note_timeout()
                 raise RpcTimeout(target, op)
             if self.reorder and self._rng.random() < self.reorder:
-                self._defer_locked(target, op, resolve, args, kwargs)
+                self._defer_locked(source, target, op, resolve, args, kwargs)
                 stats.note_timeout()
                 raise RpcTimeout(target, op)
-            stats.note_delivery(op, args)
-        self._note_begin()
-        try:
-            result = resolve_method(resolve, target, op)(*args, **kwargs)
-        finally:
-            self._note_end()
+        result = self.deliver(source, target, op, resolve, args, kwargs)
         with self._lock:
             # Post-execution faults apply only to calls the server
             # completed: a duplicate of a rejected request is a no-op,
             # and there is no response to lose.
             if self.duplicate and self._rng.random() < self.duplicate:
                 stats.note_duplicate()
-                stats.note_delivery(op, args)
                 try:
-                    resolve_method(resolve, target, op)(*args, **kwargs)
+                    self.deliver(source, target, op, resolve, args, kwargs)
                 except ReproError:
                     # The retransmission bounced off an idempotence
                     # check (WrittenError, SealedError, ...) — exactly
@@ -205,6 +199,7 @@ class FaultyTransport(Transport):
 
     def _defer_locked(
         self,
+        source: str,
         target: str,
         op: str,
         resolve: Callable[[], object],
@@ -215,16 +210,15 @@ class FaultyTransport(Transport):
         self._defer_seq += 1
         self.stats_for(target).note_reordered()
 
-        def deliver() -> None:
-            self.stats_for(target).note_delivery(op, args)
+        def deliver_late() -> None:
             try:
-                resolve_method(resolve, target, op)(*args, **kwargs)
+                self.deliver(source, target, op, resolve, args, kwargs)
             except ReproError:
                 # Late delivery bounced (sealed epoch, already-written
                 # offset, node down). Nobody is waiting for the answer.
                 return
 
-        self._deferred.append((due, self._defer_seq, target, deliver))
+        self._deferred.append((due, self._defer_seq, target, deliver_late))
 
     def _flush_deferred_locked(self, everything: bool = False) -> int:
         if not self._deferred:

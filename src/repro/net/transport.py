@@ -23,55 +23,43 @@ socket transport plugs in a
 :class:`~repro.net.clock.MonotonicClock` so deadlines and retry
 backoff use real wall time.
 
-Concurrency: a transport is shared by every client thread of a
-deployment, so counter updates are read-modify-write races unless
-locked. :class:`EndpointStats` owns a lock for its counters (all bumps
-go through ``note_*`` methods; TL010 enforces this), and the transport
-guards its endpoint map so ``endpoint_stats`` can snapshot while
-another thread is creating an endpoint's entry. Readers of a single
-counter attribute (e.g. the failure detector's ``stats.rpcs``) take a
-plain int read, which is atomic under the GIL.
+In-process delivery is one routine, :meth:`LoopbackTransport.deliver`
+(the loopback's ``call``; the faulty transport runs its main, duplicate
+and reordered deliveries through it): count the call, enter the
+in-flight gauge, resolve the server object and run *op* on it.
+
+Concurrency: a transport is shared by every client thread, so counter
+bumps are locked: each :class:`EndpointStats` owns a lock (all bumps go
+through ``note_*``; TL010 enforces this), and ``_stats_lock`` guards
+endpoint creation against snapshots, and the in-flight high-water mark.
+A delivery to a known endpoint takes only that endpoint's lock: the map
+is add-only, so a hit is a lock-free ``dict.get``, and the gauge is the
+length of a list each delivery appends to and pops from. Single int
+reads (the failure detector's ``stats.rpcs``) are atomic under the GIL.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.clock import Clock, LogicalClock
-
-
-def resolve_method(resolve: Callable[[], object], target: str, op: str):
-    """Resolve the live server object and the *callable* named by *op*.
-
-    Shared by the in-process transports (loopback, faulty). A
-    non-callable attribute is a protocol violation, not metadata: over
-    a real wire there is no object to reach into, so delivery refuses
-    to simulate it.
-    """
-    attr = getattr(resolve(), op)
-    if not callable(attr):
-        raise TypeError(
-            f"rpc '{op}' to {target} names a non-callable server "
-            f"attribute; attribute reach-through across the transport "
-            f"is not supported (hold local metadata on the client, or "
-            f"add a real RPC)"
-        )
-    return attr
 
 
 class EndpointStats:
     """Per-node RPC counters, kept by the transport.
 
-    ``rpcs`` counts delivered calls (the server actually executed);
-    ``retries`` counts client-side retry decisions against this node;
-    ``timeouts`` counts :class:`~repro.errors.RpcTimeout` raised to
-    callers; ``duplicates`` counts extra at-least-once deliveries;
-    ``drops`` counts lost requests/responses; ``reordered`` counts
-    deliveries deferred past their issue order. ``batch_rpcs`` /
-    ``batch_offsets`` count delivered *batched* reads (``read_many``)
-    and the offsets they carried — the observable proof that the
-    batched read path is collapsing round trips.
+    ``rpcs`` counts deliveries handed to the node, one per execution (a
+    duplicate or a late reordered delivery counts again; a dropped or
+    partitioned call does not); ``retries`` counts client-side retry
+    decisions against this node; ``timeouts`` counts
+    :class:`~repro.errors.RpcTimeout` raised to callers; ``duplicates``
+    counts extra at-least-once deliveries; ``drops`` counts lost
+    requests/responses; ``reordered`` counts deliveries deferred past
+    their issue order. ``batch_rpcs`` / ``batch_offsets`` count
+    delivered *batched* reads (``read_many``) and the offsets they
+    carried. The in-flight gauge is transport-wide
+    (:meth:`Transport.inflight_stats`).
     """
 
     __slots__ = (
@@ -216,10 +204,11 @@ class Transport:
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self._stats: Dict[str, EndpointStats] = {}
         # Guards the endpoint map itself (entry creation vs snapshot
-        # iteration) and the transport-wide in-flight gauge; each
+        # iteration) and the in-flight high-water mark; each
         # EndpointStats guards its own counters.
         self._stats_lock = threading.Lock()
-        self._inflight = 0
+        # The in-flight gauge: one element per delivery executing now.
+        self._gauge: List[str] = []
         self._max_inflight = 0
         self.clock: Clock = clock if clock is not None else LogicalClock()
 
@@ -256,27 +245,12 @@ class Transport:
 
     # -- observability ------------------------------------------------------
 
-    def _note_begin(self) -> None:
-        """A delivery started executing somewhere on this transport.
-
-        The transport-wide gauge shows how many calls the whole
-        deployment is serving at once (client threads overlap; one
-        thread's RPCs never do).
-        """
-        with self._stats_lock:
-            self._inflight += 1
-            if self._inflight > self._max_inflight:
-                self._max_inflight = self._inflight
-
-    def _note_end(self) -> None:
-        with self._stats_lock:
-            self._inflight -= 1
-
     def inflight_stats(self) -> Dict[str, int]:
-        """Transport-wide concurrent-delivery gauge and high-water mark."""
+        """Deliveries executing now, transport-wide (duplicates and late
+        reordered ones included), and the most ever at once."""
         with self._stats_lock:
             return {
-                "inflight": self._inflight,
+                "inflight": len(self._gauge),
                 "max_inflight": self._max_inflight,
             }
 
@@ -315,7 +289,7 @@ class LoopbackTransport(Transport):
     server object.
     """
 
-    def call(
+    def deliver(
         self,
         source: str,
         target: str,
@@ -324,9 +298,34 @@ class LoopbackTransport(Transport):
         args: tuple,
         kwargs: dict,
     ):
-        self.stats_for(target).note_delivery(op, args)
-        self._note_begin()
+        """The in-process delivery routine: count, gauge, execute.
+
+        A non-callable attribute is a protocol violation, not metadata:
+        over a real wire there is no object to reach into.
+        """
+        # The lock-free endpoint hit of stats_for, inlined.
+        stats = self._stats.get(target)  # tangolint: disable=TL010
+        (stats or self.stats_for(target)).note_delivery(op, args)
+        gauge = self._gauge
+        gauge.append(op)
         try:
-            return resolve_method(resolve, target, op)(*args, **kwargs)
+            depth = len(gauge)
+            # Unlocked: a rise is re-checked under the lock, so the
+            # mark only ever grows to a depth some delivery saw.
+            if depth > self._max_inflight:  # tangolint: disable=TL010
+                with self._stats_lock:
+                    if depth > self._max_inflight:
+                        self._max_inflight = depth
+            method = getattr(resolve(), op)
+            if not callable(method):
+                raise TypeError(
+                    f"rpc '{op}' to {target} names a non-callable server "
+                    f"attribute; attribute reach-through across the "
+                    f"transport is not supported (hold local metadata on "
+                    f"the client, or add a real RPC)"
+                )
+            return method(*args, **kwargs)
         finally:
-            self._note_end()
+            gauge.pop()
+
+    call = deliver

@@ -8,6 +8,7 @@ same order edges two racing threads would).
 """
 
 import os
+import re
 import threading
 
 import pytest
@@ -186,3 +187,41 @@ def test_install_instruments_repro_locks_and_workload_is_acyclic():
         assert lockcheck.uninstall() is monitor
     assert threading.Lock is lockcheck._real_lock
     assert threading.RLock is lockcheck._real_rlock
+
+
+# ---------------------------------------------------------------------------
+# docs/CONCURRENCY.md records the static hierarchy of src/repro
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+_UNITS = (
+    "zero one two three four five six seven eight nine ten eleven twelve "
+    "thirteen fourteen fifteen sixteen seventeen eighteen nineteen"
+).split()
+_NUMBER_WORDS = _UNITS + ["twenty"] + [f"twenty-{u}" for u in _UNITS[1:10]]
+
+
+def _documented_hierarchy():
+    """(safe order, inferred edges, lock count) as CONCURRENCY.md has them."""
+    with open(os.path.join(ROOT, "docs", "CONCURRENCY.md"), encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("\n## The lock hierarchy", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    order = [name.strip() for name in block.split("<")]
+    edges = set(re.findall(r"^\|\s*`([\w.]+)`\s*\|\s*`([\w.]+)`\s*\|", section, re.M))
+    count = re.search(r"(\S+) locks in all", section).group(1).lower()
+    return order, edges, _NUMBER_WORDS.index(count)
+
+
+def test_documented_lock_hierarchy_matches_the_source():
+    from repro.tools.discovery import iter_python_files
+    from repro.tools.lint.engine import parse_module
+    from repro.tools.lint.rules.concurrency import build_lock_graph
+
+    src = os.path.join(ROOT, "src", "repro")
+    modules = [parse_module(path)[0] for path in iter_python_files([src])]
+    graph = build_lock_graph([m for m in modules if m is not None])
+    order, edges, count = _documented_hierarchy()
+    assert order == graph.topological_order()
+    assert edges == set(graph.edges)
+    assert count == len(graph.nodes)

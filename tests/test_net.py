@@ -200,6 +200,74 @@ class TestCountersUnderThreads:
         assert sorted(net.endpoint_stats()) == sorted(targets)
 
 
+class _CountingLock:
+    """Counts acquisitions of the lock it wraps. It wraps whatever lock
+    object it is given, so it also counts under ``REPRO_LOCKCHECK=1``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.acquired = 0
+
+    def acquire(self, *args, **kwargs):
+        got = self.inner.acquire(*args, **kwargs)
+        self.acquired += bool(got)
+        return got
+
+    def release(self):
+        self.inner.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+class TestDeliveryHotPath:
+    def test_max_inflight_counts_every_overlapping_delivery(self):
+        # Each delivery waits inside the server until all N are in, so
+        # the high-water mark must read exactly N: a lock-free gauge
+        # that stopped seeing overlap would read less.
+        n = 6
+        net = LoopbackTransport()
+        barrier = threading.Barrier(n)
+
+        class Gate:
+            def wait(self):
+                return barrier.wait(timeout=30)
+
+        gate = Gate()
+        threads = [
+            threading.Thread(
+                target=net.proxy(f"client-{i}", "node-a", lambda: gate).wait
+            )
+            for i in range(n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not barrier.broken
+        assert net.inflight_stats() == {"inflight": 0, "max_inflight": n}
+        assert net.endpoint_stats()["node-a"]["rpcs"] == n
+
+    def test_a_steady_state_rpc_takes_only_its_endpoint_lock(self):
+        net = LoopbackTransport()
+        server = _Echo()
+        proxy = net.proxy("client-1", "node-a", lambda: server)
+        proxy.ping(0)  # first contact creates the endpoint and the mark
+        endpoint = net.stats_for("node-a")
+        endpoint._lock = counted_endpoint = _CountingLock(endpoint._lock)
+        net._stats_lock = counted_map = _CountingLock(net._stats_lock)
+        for i in range(50):
+            assert proxy.ping(i) == i
+        assert counted_endpoint.acquired == 50
+        assert counted_map.acquired == 0
+        assert net.endpoint_stats()["node-a"]["rpcs"] == 51
+        assert counted_map.acquired == 1  # snapshots still take it
+
+
 # ---------------------------------------------------------------------------
 # fault injection mechanics
 # ---------------------------------------------------------------------------
@@ -337,6 +405,77 @@ class TestFaultyTransportMechanics:
         assert run(7) == run(7)
         assert run(7) != run(8)
 
+    def test_a_seeded_schedule_replays_as_pinned(self):
+        # Every fault knob at once, with backoff flushes: the RNG draw
+        # order per call is part of the contract, so a change to how
+        # deliveries run must leave this schedule exactly as it was.
+        net = FaultyTransport(
+            seed=11, drop_request=0.15, drop_response=0.15, duplicate=0.2,
+            reorder=0.2, max_delay=3, latency_ms=1.0,
+        )
+        server = _Echo()
+        proxy = net.proxy("c", "n", lambda: server)
+        outcomes = []
+        for i in range(30):
+            try:
+                proxy.ping(i)
+                outcomes.append("o")
+            except RpcTimeout:
+                outcomes.append("t")
+                net.backoff("c", 0)
+        net.deliver_delayed()
+        assert "".join(outcomes) == "oototottotttoottoottttttottoto"
+        assert server.calls == [
+            0, 1, 3, 2, 4, 4, 5, 6, 6, 7, 8, 8, 11, 12, 13, 13, 16, 16,
+            17, 19, 20, 21, 22, 23, 24, 25, 27, 26, 29,
+        ]
+        assert net.endpoint_stats()["n"] == {
+            "rpcs": 29, "retries": 0, "timeouts": 18, "duplicates": 5,
+            "drops": 12, "reordered": 6, "batch_rpcs": 0, "batch_offsets": 0,
+        }
+        assert round(net.simulated_latency_ms, 6) == 14.546567
+        assert net.inflight_stats() == {"inflight": 0, "max_inflight": 1}
+
+
+class TestFaultyDeliveriesEnterTheGauge:
+    """Every execution a server performs is one delivery: counted once
+    in ``rpcs`` and inside the in-flight gauge while it runs."""
+
+    def _probe(self, net):
+        seen = []
+
+        class Probe:
+            def touch(self):
+                seen.append(net.inflight_stats()["inflight"])
+
+        probe = Probe()
+        return net.proxy("client-1", "node-a", lambda: probe), seen
+
+    def test_duplicate_deliveries(self):
+        net = FaultyTransport(seed=5, duplicate=1.0)
+        proxy, seen = self._probe(net)
+        for _ in range(3):
+            proxy.touch()
+        assert len(seen) == 6  # each call executed twice
+        assert min(seen) >= 1
+        stats = net.endpoint_stats()["node-a"]
+        assert stats["rpcs"] == 6 and stats["duplicates"] == 3
+        assert net.inflight_stats()["inflight"] == 0
+
+    def test_reordered_deliveries(self):
+        net = FaultyTransport(seed=5, reorder=1.0, max_delay=1000)
+        proxy, seen = self._probe(net)
+        for _ in range(3):
+            with pytest.raises(RpcTimeout):
+                proxy.touch()
+        assert seen == []  # deferred, not executed
+        assert net.endpoint_stats()["node-a"]["rpcs"] == 0
+        assert net.deliver_delayed() == 3
+        assert len(seen) == 3 and min(seen) >= 1
+        stats = net.endpoint_stats()["node-a"]
+        assert stats["rpcs"] == 3 and stats["reordered"] == 3
+        assert net.inflight_stats()["inflight"] == 0
+
 
 # ---------------------------------------------------------------------------
 # end-to-end: the client's retry machinery over a faulty network
@@ -443,6 +582,27 @@ class TestClientOverFaultyNetwork:
         assert excinfo.value.op == "check"
         assert excinfo.value.attempts == client_mod._MAX_RETRIES
         assert isinstance(excinfo.value, CorfuError)
+
+    def test_chain_write_exhaustion_names_the_offset_and_cause(
+        self, monkeypatch
+    ):
+        # The grant succeeds, then every write to the chain head times
+        # out: the offset may hold the caller's bytes on part of the
+        # chain, so the error must say which offset and why.
+        monkeypatch.setattr(client_mod, "_TIMEOUT_FAILOVER", 10**9)
+        net = FaultyTransport(seed=0)
+        cluster = CorfuCluster(num_sets=1, replication_factor=2, transport=net)
+        client = cluster.client()
+        client.append(b"ok")
+        granted = client.check()  # the offset the next grant hands out
+        net.partition(client.name, cluster.projection.replica_sets[0].head)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            client.append(b"stuck")
+        error = excinfo.value
+        assert error.op == "append.chain_write"
+        assert error.last.startswith(f"offset {granted}: RpcTimeout")
+        assert f"offset {granted}" in str(error)
+        assert client.check() == granted + 1  # the grant did happen
 
     def test_net_counters_reach_runtime_status(self):
         net = FaultyTransport(seed=2, drop_response=0.3)
