@@ -41,7 +41,7 @@ from repro.corfu.entry import (
     MAX_STREAM_ID,
     NO_BACKPOINTER,
     LogEntry,
-    encode_append,
+    encode_run,
     encode_vector_marker,
     max_payload_bytes,
 )
@@ -539,58 +539,63 @@ class CorfuClient:
 
         Every append — one payload or a batch, called directly or by
         the pipeline leader — is rounds of this loop: take offsets from
-        the sequencer for the payloads still without one, encode each
-        entry against its granted offset and backpointers, write the
-        round down the chains, and carry the payloads that lost their
-        head race (a hole-filler got to the reserved offset first) into
-        the next round at fresh offsets. Returns the offsets in payload
-        order.
+        the sequencer for the payloads still without one, encode the
+        granted run, write it down the chains, and carry the payloads
+        that lost their head race (a hole-filler got to the reserved
+        offset first) into the next round at fresh offsets. Returns the
+        offsets in payload order.
 
         Only the grant can fail a round outright: the chain writes
         retry node-level failures themselves, at the same offset (see
         :meth:`_complete_write`). The retry budget counts consecutive
         rounds that landed nothing, so a long batch is not charged for
-        its own length.
+        its own length. When it runs out, the error names the last
+        failure and the offsets earlier rounds already landed.
         """
         k = self._cluster.k
         watchers = self._append_watchers
         offsets = [-1] * len(payloads)
         pending = list(range(len(payloads)))  # payload indices, in order
         barren = 0  # consecutive rounds that landed nothing
+        last = ""  # why the latest barren round landed nothing
         while pending:
             if barren >= _MAX_RETRIES:
-                raise RetriesExhaustedError("append", _MAX_RETRIES)
+                done = [offset for offset in offsets if offset >= 0]
+                raise RetriesExhaustedError(
+                    "append", _MAX_RETRIES,
+                    last=f"{last}; offsets already landed: {done}",
+                )
             landed = 0
             try:
-                grants = self._grant(len(pending), stream_ids)
-            except StaleGrantError:
+                first, stride, count, prior = self._grant(len(pending), stream_ids)
+            except StaleGrantError as exc:
                 # A racing single-shard append outran our vector grant;
                 # the reserved offsets are burned (holes) and the whole
                 # grant restarts from fresh reservations.
-                pass
-            except SealedError:
+                last = f"{type(exc).__name__}: {exc}"
+            except SealedError as exc:
+                last = f"{type(exc).__name__}: {exc}"
                 self.refresh_projection()
             except NodeDownError as exc:
+                last = f"{type(exc).__name__}: {exc}"
                 self._handle_node_down(exc)
             except RpcTimeout as exc:
                 # The grant may have executed (lost response): those
                 # offsets are burned and become holes for fill() to
                 # patch. Retrying with fresh offsets is always safe.
+                last = f"{type(exc).__name__}: {exc}"
                 self._handle_timeout(exc, barren)
             else:
-                entries: List[Tuple[int, bytes]] = []
+                run = pending[:count]
                 # The entries as encoded, built only if someone observes.
                 keep = bool(watchers)
-                built: List[Optional[LogEntry]] = []
-                for idx, (offset, backpointers) in zip(pending, grants):
-                    raw, entry = encode_append(
-                        offset, stream_ids, backpointers, payloads[idx], k, keep
-                    )
-                    entries.append((offset, raw))
-                    built.append(entry)
+                entries, built = encode_run(
+                    first, stride, stream_ids, prior,
+                    [payloads[idx] for idx in run], k, keep,
+                )
                 lost = self._write_entries(entries)
                 retry = []
-                for idx, (offset, _) in zip(pending, entries):
+                for idx, (offset, _) in zip(run, entries):
                     if offset in lost:
                         # Stream membership is preserved (walkers skip
                         # the junk-filled offset); only the position
@@ -598,7 +603,7 @@ class CorfuClient:
                         retry.append(idx)
                     else:
                         offsets[idx] = offset
-                landed = len(entries) - len(retry)
+                landed = count - len(retry)
                 with self._counter_lock:  # the count and _note_success, one hold
                     self.appends += landed
                     if self._timeout_streaks:
@@ -612,43 +617,44 @@ class CorfuClient:
                         if offset not in lost:
                             for callback in watchers:
                                 callback(offset, entry)
-                pending = retry + pending[len(entries):]
+                if not landed:
+                    last = f"hole-fillers took offsets {sorted(lost)}"
+                pending = retry + pending[count:]
             barren = 0 if landed else barren + 1
         return offsets
 
     def _grant(
         self, count: int, stream_ids: Sequence[int]
-    ) -> List[Tuple[int, Dict[int, Tuple[int, ...]]]]:
+    ) -> Tuple[int, int, int, Dict[int, Tuple[int, ...]]]:
         """Take offsets for up to *count* entries joining *stream_ids*.
 
-        Returns ``(offset, {stream id: backpointers, newest first})``
-        per granted entry, in offset order. The general case is one
+        Returns the granted run ``(first, stride, count, prior)``: entry
+        j of the run sits at ``first + j * stride``, and ``prior`` maps
+        each stream to its live tail before the run, newest first (the
+        entries backpoint through their batch predecessors into it; see
+        :func:`~repro.corfu.entry.encode_run`). The general case is one
         ``increment(count=n)`` on the shard owning the streams
-        (streamless appends go to shard 0): offsets one shard-count
-        stride apart, each entry backpointing through its batch
-        predecessors into the streams' prior tails. Streams spanning
-        shard groups need one vector grant per entry, so that case
-        grants a single entry and the caller comes back for the rest.
+        (streamless appends go to shard 0), the stride the shard count.
+        Streams spanning shard groups need one vector grant per entry,
+        so that case grants a run of one and the caller comes back for
+        the rest.
         """
         proj = self._projection
         shards = proj.sequencer_shards
         groups = sorted({sid % len(shards) for sid in stream_ids})
         if len(groups) > 1:
-            return [self._grant_vector(proj, stream_ids, groups)]
-        stride = len(shards)
-        seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
-        first, backpointers = seq.increment(
-            stream_ids, epoch=proj.epoch, count=count
-        )
+            count = 1
+            first, backpointers = self._grant_vector(proj, stream_ids, groups)
+        else:
+            seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
+            first, backpointers = seq.increment(
+                stream_ids, epoch=proj.epoch, count=count
+            )
         prior = {
             sid: tuple(p for p in backpointers[sid] if p != NO_BACKPOINTER)
             for sid in stream_ids
         }
-        grants = []
-        for offset in range(first, first + count * stride, stride):
-            batch = tuple(range(offset - stride, first - 1, -stride))
-            grants.append((offset, {sid: batch + prior[sid] for sid in stream_ids}))
-        return grants
+        return first, len(shards), count, prior
 
     def _grant_vector(
         self,

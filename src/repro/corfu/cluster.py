@@ -110,6 +110,14 @@ class CorfuCluster:
         """Look up a sequencer (defaults to the current projection's)."""
         if name is None:
             name = self.projection.sequencer
+        # Hot path, once per in-process grant: a known sequencer is
+        # returned without the lock. The map is add-only and a dict
+        # lookup is atomic under the GIL, so the read sees either no
+        # entry (and falls through to the locked create) or the one
+        # instance that will ever exist for *name*.
+        seq = self._sequencers.get(name)  # tangolint: disable=TL010
+        if seq is not None:
+            return seq
         # Lazy creation happens under the lock: two clients racing to
         # reach a fresh sequencer after failover must agree on one
         # instance, or grants from the loser's copy duplicate offsets.

@@ -26,7 +26,7 @@ packs and unpacks in one call.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import TooManyStreamsError
 from repro.util.encoding import (
@@ -300,7 +300,9 @@ def encode_append(
     payload).encode(own_offset, k)``, packed straight from each stream's
     pointer list. The :class:`LogEntry` is built only when *keep* is
     set (someone observes the append), from the same pointer lists. The
-    caller has validated the stream ids and their count.
+    caller has validated the stream ids and their count. This is
+    :func:`encode_run`'s per-entry fallback and the sequencer
+    checkpoint writer's encoder.
     """
     parts = [ENTRY_PREFIX.pack(0, len(stream_ids))]
     headers = []
@@ -311,6 +313,63 @@ def encode_append(
             headers.append(_new(StreamHeader, (sid, ptrs, is_absolute)))
     parts += (U32.pack(len(payload)), payload)
     return b"".join(parts), _new(LogEntry, (tuple(headers), payload, False)) if keep else None
+
+
+def encode_run(
+    first: int, stride: int, stream_ids: Sequence[int],
+    prior: Mapping[int, Tuple[int, ...]], payloads: Sequence[bytes], k: int,
+    keep: bool = False,
+) -> Tuple[List[Tuple[int, bytes]], List[Optional[LogEntry]]]:
+    """Encode a granted run: ``([(offset, raw)], [entry or None])``.
+
+    Entry j sits at ``first + j * stride`` and joins every stream in
+    *stream_ids*. Its pointers for a stream are its batch predecessors,
+    newest first, then ``prior[sid]`` (the stream's live tail before the
+    run, newest first, without sentinels), first K; its bytes are those
+    of :func:`encode_append` with those pointers, and with *keep* set
+    its :class:`LogEntry` is built from them. While every delta is in
+    1..0xFFFF an entry's head is one :func:`entry_head` pack. From
+    position K on every pointer is a batch predecessor at the same
+    multiples of the stride, so a run without *keep* computes its head
+    fields at most K + 1 times. An entry with a delta out of range
+    takes :func:`encode_append`, whose header format rule decides.
+    """
+    head = entry_head(len(stream_ids), k)
+    nones = (NO_BACKPOINTER,) * k
+    entries: List[Tuple[int, bytes]] = []
+    built: List[Optional[LogEntry]] = []
+    batch: Tuple[int, ...] = ()  # the entry's batch predecessors, at most K
+    fields: Optional[List[int]] = None
+    headers: List[StreamHeader] = []
+    offset = first
+    for j, payload in enumerate(payloads):
+        if j <= k or keep:
+            fields, headers = [0, len(stream_ids)], []
+            for sid in stream_ids:
+                window = (batch + prior[sid])[:k]
+                deltas = [offset - p for p in window]
+                if deltas and not (0 < min(deltas) and max(deltas) <= _MAX_RELATIVE_DELTA):
+                    fields = None
+                    break
+                fields.append(sid << 1)
+                fields += deltas
+                fields += [0] * (k - len(deltas))
+                if keep:
+                    headers.append(_new(StreamHeader, (sid, window + nones[len(window):], False)))
+        if fields is None:
+            raw, entry = encode_append(
+                offset, stream_ids, {sid: batch + prior[sid] for sid in stream_ids},
+                payload, k, keep,
+            )
+        else:
+            raw = head.pack(*fields, len(payload)) + payload
+            entry = _new(LogEntry, (tuple(headers), payload, False)) if keep else None
+        entries.append((offset, raw))
+        built.append(entry)
+        if j < k or keep or fields is None:  # else no later entry reads it
+            batch = (offset,) + batch[: k - 1]
+        offset += stride
+    return entries, built
 
 
 # -- vector-grant markers ----------------------------------------------------

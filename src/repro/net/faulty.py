@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ReproError, RpcTimeout
@@ -125,12 +126,14 @@ class FaultyTransport(LoopbackTransport):
             for knob in _RATE_KNOBS:
                 setattr(self, knob, 0.0)
             self._partitions.clear()
-            self._flush_deferred_locked(everything=True)
+            due = self._take_due_locked(everything=True)
+        self._run(due)
 
     def deliver_delayed(self) -> int:
         """Deliver every deferred request now; returns how many."""
         with self._lock:
-            return self._flush_deferred_locked(everything=True)
+            due = self._take_due_locked(everything=True)
+        return self._run(due)
 
     # -- delivery ------------------------------------------------------------
 
@@ -143,49 +146,62 @@ class FaultyTransport(LoopbackTransport):
         args: tuple,
         kwargs: dict,
     ):
-        # Request-side faults are drawn under the lock (one RNG, one
-        # deterministic schedule); the server execution itself happens
-        # OUTSIDE it, so concurrent callers — client threads sharing
-        # the deployment — genuinely overlap their in-flight
-        # deliveries, exactly as on a real fabric. Per-call draw order
-        # is fixed (request faults before execution, response faults
-        # after), so single-threaded seeded fault schedules repeat.
+        # Every fault draw and every change to the deferred queue
+        # happens under the lock (one RNG, one deterministic schedule);
+        # the lock is released for every delivery — the call's own, its
+        # duplicate and the due deferred ones — and for the counter
+        # bumps, so it is a leaf above the clock: concurrent callers
+        # genuinely overlap their in-flight deliveries, exactly as on a
+        # real fabric, and no server or stats lock is ever taken under
+        # it. Per-call draw order is fixed (request faults before
+        # execution, response faults after), so single-threaded seeded
+        # fault schedules repeat.
         with self._lock:
             self.clock.advance()
-            self._flush_deferred_locked()
-            stats = self.stats_for(target)
+            due = self._take_due_locked()
             if self.latency_ms:
                 self.simulated_latency_ms += self._rng.uniform(0, self.latency_ms)
             if frozenset((source, target)) in self._partitions:
-                stats.note_timeout()
-                raise RpcTimeout(target, op)
-            if self.drop_request and self._rng.random() < self.drop_request:
-                stats.note_drop()
-                stats.note_timeout()
-                raise RpcTimeout(target, op)
-            if self.reorder and self._rng.random() < self.reorder:
+                lost = "partitioned"
+            elif self.drop_request and self._rng.random() < self.drop_request:
+                lost = "dropped"
+            elif self.reorder and self._rng.random() < self.reorder:
+                lost = "reordered"
                 self._defer_locked(source, target, op, resolve, args, kwargs)
-                stats.note_timeout()
-                raise RpcTimeout(target, op)
-        result = self.deliver(source, target, op, resolve, args, kwargs)
-        with self._lock:
-            # Post-execution faults apply only to calls the server
-            # completed: a duplicate of a rejected request is a no-op,
-            # and there is no response to lose.
-            if self.duplicate and self._rng.random() < self.duplicate:
-                stats.note_duplicate()
-                try:
-                    self.deliver(source, target, op, resolve, args, kwargs)
-                except ReproError:
-                    # The retransmission bounced off an idempotence
-                    # check (WrittenError, SealedError, ...) — exactly
-                    # what those checks are for. The original response
-                    # is the one the caller sees.
-                    pass
-            if self.drop_response and self._rng.random() < self.drop_response:
+            else:
+                lost = ""
+        # Traffic that came due reaches its nodes before this call's own
+        # delivery, whether or not this call is lost.
+        self._run(due)
+        stats = self.stats_for(target)
+        if lost:
+            if lost == "dropped":
                 stats.note_drop()
-                stats.note_timeout()
-                raise RpcTimeout(target, op)
+            elif lost == "reordered":
+                stats.note_reordered()
+            stats.note_timeout()
+            raise RpcTimeout(target, op)
+        result = self.deliver(source, target, op, resolve, args, kwargs)
+        # Post-execution faults apply only to calls the server
+        # completed: a duplicate of a rejected request is a no-op, and
+        # there is no response to lose.
+        with self._lock:
+            duplicate = self.duplicate and self._rng.random() < self.duplicate
+            dropped = self.drop_response and self._rng.random() < self.drop_response
+        if duplicate:
+            stats.note_duplicate()
+            try:
+                self.deliver(source, target, op, resolve, args, kwargs)
+            except ReproError:
+                # The retransmission bounced off an idempotence check
+                # (WrittenError, SealedError, ...) — exactly what those
+                # checks are for. The original response is the one the
+                # caller sees.
+                pass
+        if dropped:
+            stats.note_drop()
+            stats.note_timeout()
+            raise RpcTimeout(target, op)
         return result
 
     def backoff(self, source: str, attempt: int) -> None:
@@ -193,7 +209,8 @@ class FaultyTransport(LoopbackTransport):
         with self._lock:
             self.backoffs += 1
             self.clock.advance()
-            self._flush_deferred_locked()
+            due = self._take_due_locked()
+        self._run(due)
 
     # -- deferred (reordered) traffic ---------------------------------------
 
@@ -208,30 +225,43 @@ class FaultyTransport(LoopbackTransport):
     ) -> None:
         due = int(self.clock.now()) + self._rng.randint(1, self.max_delay)
         self._defer_seq += 1
-        self.stats_for(target).note_reordered()
+        late = partial(self._deliver_late, source, target, op, resolve, args, kwargs)
+        self._deferred.append((due, self._defer_seq, target, late))
 
-        def deliver_late() -> None:
-            try:
-                self.deliver(source, target, op, resolve, args, kwargs)
-            except ReproError:
-                # Late delivery bounced (sealed epoch, already-written
-                # offset, node down). Nobody is waiting for the answer.
-                return
+    def _deliver_late(
+        self,
+        source: str,
+        target: str,
+        op: str,
+        resolve: Callable[[], object],
+        args: tuple,
+        kwargs: dict,
+    ) -> None:
+        try:
+            self.deliver(source, target, op, resolve, args, kwargs)
+        except ReproError:
+            # Late delivery bounced (sealed epoch, already-written
+            # offset, node down). Nobody is waiting for the answer.
+            return
 
-        self._deferred.append((due, self._defer_seq, target, deliver_late))
-
-    def _flush_deferred_locked(self, everything: bool = False) -> int:
+    def _take_due_locked(self, everything: bool = False) -> List[Callable[[], None]]:
+        """Remove the deferred requests due now from the queue; return
+        their deliveries in (due tick, deferral) order, to be run after
+        the lock is released."""
         if not self._deferred:
-            return 0
+            return []
         now = int(self.clock.now())
         ready = [
             item
             for item in self._deferred
             if everything or item[0] <= now
         ]
-        if not ready:
-            return 0
-        self._deferred = [i for i in self._deferred if i not in ready]
-        for _due, _seq, _target, deliver in sorted(ready, key=lambda i: (i[0], i[1])):
+        if ready:
+            self._deferred = [i for i in self._deferred if i not in ready]
+        return [item[3] for item in sorted(ready, key=lambda i: (i[0], i[1]))]
+
+    @staticmethod
+    def _run(due: List[Callable[[], None]]) -> int:
+        for deliver in due:
             deliver()
-        return len(ready)
+        return len(due)

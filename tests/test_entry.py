@@ -14,6 +14,7 @@ from repro.corfu.entry import (
     LogEntry,
     StreamHeader,
     encode_append,
+    encode_run,
     header_bytes,
     make_header,
     max_payload_bytes,
@@ -457,6 +458,72 @@ class TestOnePassEncoder:
         with pytest.raises(ValueError):
             encode_append(10, (3,), {3: (pointer, 9)}, b"x", 4)
 
+
+
+@st.composite
+def _runs(draw):
+    """(k, first offset, stride, stream ids, prior tails, payloads): a
+    granted run of 1-40 entries, each stream's live prior tail newest
+    first below the run, with deltas on both sides of 0xFFFF."""
+    k = draw(st.sampled_from((1, 2, 4, 8)))
+    first = draw(st.integers(min_value=0, max_value=1 << 34))
+    stride = draw(st.integers(min_value=1, max_value=3))
+    sids = tuple(draw(st.lists(st.integers(0, MAX_STREAM_ID), max_size=3, unique=True)))
+    prior = {sid: tuple(_walk(draw, first, k)) for sid in sids}
+    payloads = draw(st.lists(st.binary(max_size=16), min_size=1, max_size=40))
+    return k, first, stride, sids, prior, payloads
+
+
+def _run_example(k, first, stride, prior, length):
+    return {
+        "run": (k, first, stride, tuple(prior), prior, [b"p%d" % j for j in range(length)])
+    }
+
+
+class TestRunEncoder:
+    """``encode_run`` against the frozen codec's ``make_header`` +
+    ``LogEntry.encode`` at each entry's offset, and the entries it
+    builds for an observer against ``LogEntry.decode`` of its bytes."""
+
+    @given(run=_runs())
+    # Every path on every pass: one pack per head, a prior delta that
+    # overflows while the window still reaches it (j < K), every delta
+    # overflowing (absolute), K = 8, three streams, stride 2, a run of
+    # one, runs longer than K + 1, and a streamless run.
+    @example(**_run_example(4, 1000, 1, {5: (990, 980)}, 7))
+    @example(**_run_example(4, 100_000, 1, {5: (99_990, 20_000)}, 6))
+    @example(**_run_example(4, 100_000, 1, {5: (20_000, 10_000)}, 3))
+    @example(**_run_example(8, 500, 1, {1: tuple(range(499, 489, -1))}, 12))
+    @example(**_run_example(4, 700, 1, {1: (699,), 2: (), 3: (650, 600, 550, 500)}, 7))
+    @example(**_run_example(4, 901, 2, {2: (899, 897)}, 8))
+    @example(**_run_example(4, 50, 1, {9: (40,)}, 1))
+    @example(**_run_example(1, 70_000, 3, {4: (1,)}, 4))
+    @example(**_run_example(4, 10, 1, {}, 3))
+    def test_every_entry_is_the_frozen_codecs(self, run):
+        k, first, stride, sids, prior, payloads = run
+        entries, built = encode_run(first, stride, sids, prior, payloads, k, keep=True)
+        assert len(entries) == len(built) == len(payloads)
+        for j, ((offset, raw), entry, payload) in enumerate(zip(entries, built, payloads)):
+            assert offset == first + j * stride
+            batch = tuple(range(offset - stride, first - 1, -stride))
+            reference = frozen.LogEntry(
+                headers=tuple(
+                    frozen.make_header(sid, batch + prior[sid], offset, k) for sid in sids
+                ),
+                payload=payload,
+            ).encode(offset, k, 16)
+            assert raw == reference
+            assert type(entry) is LogEntry
+            assert entry == LogEntry.decode(raw, offset, k)
+            assert all(type(h.backpointers) is tuple for h in entry.headers)
+        assert encode_run(first, stride, sids, prior, payloads, k) == (
+            entries, [None] * len(payloads)
+        )
+
+    @pytest.mark.parametrize("pointer", [10, 11])
+    def test_a_pointer_not_before_its_entry_is_refused(self, pointer):
+        with pytest.raises(ValueError):
+            encode_run(10, 1, (3,), {3: (pointer, 9)}, [b"x"], 4)
 
 class TestValueSemantics:
     def test_equal_to_a_plain_tuple_of_its_fields(self):

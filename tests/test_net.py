@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.net import FaultyTransport, LoopbackTransport
 from repro.objects import TangoMap
 from repro.tango.runtime import TangoRuntime
+from repro.tools import lockcheck
 
 
 class _Echo:
@@ -267,6 +268,23 @@ class TestDeliveryHotPath:
         assert net.endpoint_stats()["node-a"]["rpcs"] == 51
         assert counted_map.acquired == 1  # snapshots still take it
 
+    def test_a_steady_state_append_takes_no_map_lock(self):
+        # The grant resolves its sequencer through CorfuCluster.sequencer
+        # and every RPC its endpoint's stats: both hit add-only maps.
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        client = cluster.client()
+        for _ in range(2):  # first contact with both chains' endpoints
+            client.append(b"warm", (1,))
+        cluster._lock = counted_cluster = _CountingLock(cluster._lock)
+        net = cluster.transport
+        net._stats_lock = counted_map = _CountingLock(net._stats_lock)
+        for i in range(20):
+            client.append(b"x%d" % i, (1,))
+        client.append_batch([b"b"] * 4, (1,))
+        assert counted_cluster.acquired == 0
+        assert counted_map.acquired == 0
+        assert client.appends == 26
+
 
 # ---------------------------------------------------------------------------
 # fault injection mechanics
@@ -437,6 +455,40 @@ class TestFaultyTransportMechanics:
         assert net.inflight_stats() == {"inflight": 0, "max_inflight": 1}
 
 
+class TestFaultyTransportLockOrder:
+    def test_a_faulty_schedule_holds_only_the_clock_under_its_lock(self):
+        # docs/CONCURRENCY.md orders FaultyTransport._lock after the
+        # stats and cluster locks and before the servers' locks: the
+        # fault lock must never be held across a delivery or a counter
+        # bump, only across its draws and the clock's tick.
+        preinstalled = lockcheck.monitor() is not None
+        monitor = lockcheck.install()
+        try:
+            net = FaultyTransport(
+                seed=5, drop_request=0.1, drop_response=0.1, duplicate=0.25,
+                reorder=0.25, max_delay=3,
+            )
+            cluster = CorfuCluster(num_sets=2, replication_factor=2, transport=net)
+            client = cluster.client()
+            offsets = [client.append(b"p%d" % i, (1,)) for i in range(40)]
+            offsets += client.append_batch([b"b%d" % i for i in range(8)], (1,))
+            net.calm()
+            assert client.read(offsets[-1]).payload == b"b7"
+            stats = net.endpoint_stats()
+        finally:
+            if not preinstalled:
+                lockcheck.uninstall()
+        assert sum(s["duplicates"] for s in stats.values()) > 0
+        assert sum(s["reordered"] for s in stats.values()) > 0
+        assert sum(s["drops"] for s in stats.values()) > 0
+        held_under_faulty = {
+            dst.split("@")[0]
+            for src, dst in monitor.edges()
+            if src.startswith("FaultyTransport@faulty.py")
+        }
+        assert held_under_faulty <= {"LogicalClock"}
+        monitor.assert_acyclic()
+
 class TestFaultyDeliveriesEnterTheGauge:
     """Every execution a server performs is one delivery: counted once
     in ``rpcs`` and inside the in-flight gauge while it runs."""
@@ -603,6 +655,36 @@ class TestClientOverFaultyNetwork:
         assert error.last.startswith(f"offset {granted}: RpcTimeout")
         assert f"offset {granted}" in str(error)
         assert client.check() == granted + 1  # the grant did happen
+
+    def test_grant_exhaustion_names_the_cause_and_what_landed(self, monkeypatch):
+        # The batch's first round lands two of three entries (a
+        # hole-filler takes the middle reservation), then the client is
+        # cut off from the sequencer: every later grant round times out,
+        # and the error must say why and which offsets already landed.
+        monkeypatch.setattr(client_mod, "_TIMEOUT_FAILOVER", 10**9)
+        net = FaultyTransport(seed=0)
+        cluster = CorfuCluster(num_sets=1, replication_factor=2, transport=net)
+        client = cluster.client()
+        grant, runs = client._grant, []
+
+        def raced(count, stream_ids):
+            run = grant(count, stream_ids)
+            first, stride, _, _ = run
+            runs.append(run)
+            cluster.client().fill(first + stride)
+            net.partition(client.name, cluster.projection.sequencer)
+            return run
+
+        monkeypatch.setattr(client, "_grant", raced)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            client.append_batch([b"a", b"b", b"c"], (1,))
+        error = excinfo.value
+        (first, stride, count, _), = runs
+        assert error.op == "append" and count == 3
+        assert error.last.startswith("RpcTimeout")
+        landed = [first, first + 2 * stride]
+        assert error.last.endswith(f"offsets already landed: {landed}")
+        assert f"offsets already landed: {landed}" in str(error)
 
     def test_net_counters_reach_runtime_status(self):
         net = FaultyTransport(seed=2, drop_response=0.3)

@@ -178,12 +178,13 @@ class TestWriteThrough:
         grant, junked = corfu._grant, []
 
         def raced(count, stream_ids):
-            grants = grant(count, stream_ids)
+            run = grant(count, stream_ids)
             if not junked:
                 # A hole-filler gets to the middle reservation first.
-                junked.append(grants[1][0])
+                first, stride, _, _ = run
+                junked.append(first + stride)
                 cluster.client().fill(junked[0])
-            return grants
+            return run
 
         monkeypatch.setattr(corfu, "_grant", raced)
         offsets = streams.append_batch([b"a", b"b", b"c"], (1,))
