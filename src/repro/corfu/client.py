@@ -8,25 +8,25 @@ backpointers from the sequencer and prepends stream headers to the
 payload before running chain replication.
 
 Every node interaction goes through the cluster's transport
-(:mod:`repro.net`), and the client owns all retry logic:
+(:mod:`repro.net`), and the client owns all retry logic. Each bounded
+operation is one attempt (a *body*) run by one retry driver,
+``CorfuClient._retry``; between attempts, ``_recover`` reacts:
 
-- losing an append race (:class:`~repro.errors.WrittenError` at the
-  chain head) fetches a fresh offset and tries again;
 - a stale epoch (:class:`~repro.errors.SealedError`) refreshes the
-  projection from the cluster and retries;
-- a dead node (:class:`~repro.errors.NodeDownError`) triggers
-  reconfiguration (ejecting the node or replacing the sequencer) and
-  retries against the new projection;
+  projection;
+- a dead node (:class:`~repro.errors.NodeDownError`) drives
+  reconfiguration (ejecting the node or replacing the sequencer);
 - an RPC timeout (:class:`~repro.errors.RpcTimeout`) backs off,
-  re-checks the projection (a reconfiguration may have raced the lost
-  message), and retries; enough consecutive timeouts against one node
-  and the client treats it as dead and reconfigures around it.
+  refreshes the projection and feeds the failure detector, which
+  treats a node that stays silent long enough as dead.
 
-Timeout retries respect each RPC's idempotence: a lost sequencer
-``increment`` response burns an offset, which the hole-filling
-machinery absorbs; a lost chain-write response is retried against the
-*same* offset with the same bytes, and the chain treats the client's
-own earlier (invisible) success as success.
+Each body says why a re-run is safe: a lost chain-write response is
+retried at the *same* offset with the same bytes, and the chain treats
+the client's own earlier (invisible) success as success; losing the
+head race (:class:`~repro.errors.WrittenError`) or a lost ``increment``
+response costs an offset, which hole-filling absorbs. An exhausted
+budget raises :class:`~repro.errors.RetriesExhaustedError` naming the
+last failure and, for an append, every offset it already landed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.entry import (
@@ -63,6 +63,8 @@ from repro.errors import (
 #: error *instance* (not raised) describing why the offset has none.
 ReadOutcome = Union[LogEntry, UnwrittenError, TrimmedError]
 
+_T = TypeVar("_T")
+
 #: Retry budget per bounded-retry path. Sized for the chaos suite's
 #: worst fault mix (10% request drops + 10% response drops + 10%
 #: reordering): a 3-hop chain write fails ~70% of attempts there, so a
@@ -71,6 +73,11 @@ ReadOutcome = Union[LogEntry, UnwrittenError, TrimmedError]
 #: cannot find a losing run, while a genuinely dead node still
 #: surfaces through the failure detector long before the budget.
 _MAX_RETRIES = 64
+
+#: Operations whose success clears the failure-detector streaks in a
+#: ``_counter_lock`` hold of its own (the read's count, the append
+#: round's), so the retry driver takes no second hold for them.
+_SELF_NOTED = frozenset({"read", "append.chain_write"})
 
 #: Consecutive timeouts against one node before the client stops
 #: treating them as transient and drives reconfiguration around it
@@ -95,6 +102,12 @@ _PIPELINE_CHUNK = 32
 #: exiting between the follower's enqueue and the leader's last queue
 #: check — the follower then takes over rather than sleeping forever).
 _FOLLOWER_WAIT_SLICE = 0.005
+
+
+def _exhausted_at(offset: int, exc: RetriesExhaustedError) -> RetriesExhaustedError:
+    """*exc* from the chain write of *offset*, naming that offset: it
+    may hold the caller's bytes on part of its chain."""
+    return RetriesExhaustedError(exc.op, exc.attempts, last=f"offset {offset}: {exc.last}")
 
 
 class AppendFuture:
@@ -375,81 +388,107 @@ class CorfuClient:
         """Fetch the latest projection from the auxiliary."""
         self._projection = self._cluster.projection
 
-    def _handle_node_down(self, exc: NodeDownError) -> None:
-        """React to a dead node by driving reconfiguration, then refresh."""
-        from repro.corfu import reconfig
+    def _recover(self, exc: Exception, attempt: int) -> None:
+        """The one reaction to a failed attempt, before the next one.
 
-        # Another client may have reconfigured already; check the latest
-        # projection before driving a redundant epoch change.
-        self.refresh_projection()
-        proj = self._projection
-        if exc.node == proj.sequencer and not proj.seq_shards:
-            reconfig.replace_sequencer(self._cluster, source=self.name)
-        elif exc.node in proj.sequencer_shards:
-            # Per-shard failover: only the dead shard is replaced; the
-            # surviving shards keep their soft state and keep issuing.
-            reconfig.replace_sequencer_shard(
-                self._cluster,
-                proj.sequencer_shards.index(exc.node),
-                source=self.name,
-            )
-        elif exc.node in proj.all_nodes():
-            reconfig.eject_storage_node(self._cluster, exc.node, source=self.name)
-        self.refresh_projection()
-
-    def _handle_timeout(self, exc: RpcTimeout, attempt: int) -> None:
-        """Epoch-safe timeout reaction: backoff, refresh, maybe fail over.
-
-        A timeout is ambiguous — the node may be slow, partitioned from
-        us, or dead, and a reconfiguration may have completed while our
-        message was in flight. So: record the retry, let the transport
-        advance (delayed traffic gets delivered during backoff), refetch
-        the projection, and once the per-node streak crosses the
-        failure-detector threshold, treat the node as down and
-        reconfigure around it.
+        A sealed epoch refetches the projection. A timeout is ambiguous
+        — the node may be slow, partitioned from us, or dead, and a
+        reconfiguration may have completed while our message was in
+        flight — so it records the retry, lets the transport advance
+        (delayed traffic lands during backoff), refetches the projection
+        and feeds the failure detector, which may declare the node dead.
+        A dead node drives reconfiguration around it. A lost
+        vector-grant race (:class:`StaleGrantError`) needs no repair:
+        the next round reserves afresh.
         """
-        self._net.record_retry(exc.node)
-        self._net.backoff(self.name, attempt)
-        self.refresh_projection()
-        # A node that executed *anything* since our last timeout against
-        # it is alive — we are losing responses, not talking to a corpse
-        # — so the streak restarts. Only a silent node (partitioned or
-        # dead: no deliveries at all) accumulates toward failover;
-        # ejecting a node that is demonstrably executing calls would let
-        # a lossy network shrink healthy chains one retry at a time.
-        delivered = self._net.stats_for(exc.node).rpcs
-        cluster_delivered = sum(
-            s["rpcs"] for s in self._net.endpoint_stats().values()
-        )
-        with self._counter_lock:
-            streak, seen, progress_base = self._timeout_streaks.get(
-                exc.node, (0, -1, cluster_delivered)
+        if isinstance(exc, RpcTimeout):
+            self._net.record_retry(exc.node)
+            self._net.backoff(self.name, attempt)
+            self.refresh_projection()
+            # A node that executed *anything* since our last timeout
+            # against it is alive — we are losing responses, not talking
+            # to a corpse — so the streak restarts. Only a silent node
+            # (partitioned or dead: no deliveries at all) accumulates
+            # toward failover; ejecting a node that is demonstrably
+            # executing calls would let a lossy network shrink healthy
+            # chains one retry at a time.
+            delivered = self._net.stats_for(exc.node).rpcs
+            cluster_delivered = sum(
+                s["rpcs"] for s in self._net.endpoint_stats().values()
             )
-            if delivered != seen:
-                streak = 0
-                progress_base = cluster_delivered
-            streak += 1
-            self._timeout_streaks[exc.node] = (streak, delivered, progress_base)
-            # Down-signals: (a) enough consecutive silent timeouts, or
-            # (b) the node stayed silent across substantial cluster-wide
-            # progress — a partitioned chain tail behind lossy live hops
-            # gets probed too rarely for (a) alone to ever trip.
-            failover = streak >= _TIMEOUT_FAILOVER or (
-                streak > 1
-                and cluster_delivered - progress_base
-                >= _SILENT_PROGRESS_FAILOVER
-            )
-            if failover:
-                del self._timeout_streaks[exc.node]
-        # Reconfiguration drives RPCs of its own; never under the lock.
-        if failover:
-            self._handle_node_down(NodeDownError(exc.node))
+            with self._counter_lock:
+                streak, seen, progress_base = self._timeout_streaks.get(
+                    exc.node, (0, -1, cluster_delivered)
+                )
+                if delivered != seen:
+                    streak = 0
+                    progress_base = cluster_delivered
+                streak += 1
+                self._timeout_streaks[exc.node] = (streak, delivered, progress_base)
+                # Down-signals: (a) enough consecutive silent timeouts, or
+                # (b) the node stayed silent across substantial cluster-wide
+                # progress — a partitioned chain tail behind lossy live hops
+                # gets probed too rarely for (a) alone to ever trip.
+                failover = streak >= _TIMEOUT_FAILOVER or (
+                    streak > 1
+                    and cluster_delivered - progress_base
+                    >= _SILENT_PROGRESS_FAILOVER
+                )
+                if failover:
+                    del self._timeout_streaks[exc.node]
+            if not failover:
+                return
+            # Reconfiguration drives RPCs of its own; never under the lock.
+            exc = NodeDownError(exc.node)
+        if isinstance(exc, SealedError):
+            self.refresh_projection()
+        elif isinstance(exc, NodeDownError):
+            from repro.corfu import reconfig
 
-    def _note_success(self) -> None:
-        """An RPC round completed: clear the failure-detector streaks."""
-        with self._counter_lock:
-            if self._timeout_streaks:
-                self._timeout_streaks.clear()
+            # Another client may have reconfigured already; check the
+            # latest projection before driving a redundant epoch change.
+            self.refresh_projection()
+            proj = self._projection
+            if exc.node == proj.sequencer and not proj.seq_shards:
+                reconfig.replace_sequencer(self._cluster, source=self.name)
+            elif exc.node in proj.sequencer_shards:
+                # Per-shard failover: only the dead shard is replaced; the
+                # surviving shards keep their soft state and keep issuing.
+                reconfig.replace_sequencer_shard(
+                    self._cluster,
+                    proj.sequencer_shards.index(exc.node),
+                    source=self.name,
+                )
+            elif exc.node in proj.all_nodes():
+                reconfig.eject_storage_node(self._cluster, exc.node, source=self.name)
+            self.refresh_projection()
+
+    def _retry(self, op: str, body: Callable[..., _T], *args: object) -> _T:
+        """The retry driver: run ``body(*args)`` until an attempt completes.
+
+        A body is one attempt of a bounded operation under the current
+        projection, and says why a re-run is safe. It runs up to
+        ``_MAX_RETRIES`` times, with :meth:`_recover` between attempts,
+        then :class:`RetriesExhaustedError` names *op* and the last
+        failure. Success clears the failure-detector streaks (unless
+        *op* is in ``_SELF_NOTED``). Hot bodies are bound methods: a
+        call builds no closure.
+        """
+        for attempt in range(_MAX_RETRIES):
+            try:
+                result = body(*args)
+            except (SealedError, NodeDownError, RpcTimeout) as exc:
+                last = exc
+                self._recover(exc, attempt)
+            else:
+                if op not in _SELF_NOTED:
+                    with self._counter_lock:
+                        if self._timeout_streaks:
+                            self._timeout_streaks.clear()
+                return result
+        raise RetriesExhaustedError(
+            op, _MAX_RETRIES, last=f"{type(last).__name__}: {last}"
+        )
 
     # -- append path ---------------------------------------------------------
 
@@ -547,10 +586,11 @@ class CorfuClient:
 
         Only the grant can fail a round outright: the chain writes
         retry node-level failures themselves, at the same offset (see
-        :meth:`_complete_write`). The retry budget counts consecutive
+        :meth:`_write_at`). The retry budget counts consecutive
         rounds that landed nothing, so a long batch is not charged for
-        its own length. When it runs out, the error names the last
-        failure and the offsets earlier rounds already landed.
+        its own length. An append that runs out of retries — the grant
+        rounds' budget or one chain write's — raises an error naming
+        the last failure and every offset the append already landed.
         """
         k = self._cluster.k
         watchers = self._append_watchers
@@ -558,69 +598,58 @@ class CorfuClient:
         pending = list(range(len(payloads)))  # payload indices, in order
         barren = 0  # consecutive rounds that landed nothing
         last = ""  # why the latest barren round landed nothing
-        while pending:
-            if barren >= _MAX_RETRIES:
-                done = [offset for offset in offsets if offset >= 0]
-                raise RetriesExhaustedError(
-                    "append", _MAX_RETRIES,
-                    last=f"{last}; offsets already landed: {done}",
-                )
-            landed = 0
-            try:
-                first, stride, count, prior = self._grant(len(pending), stream_ids)
-            except StaleGrantError as exc:
-                # A racing single-shard append outran our vector grant;
-                # the reserved offsets are burned (holes) and the whole
-                # grant restarts from fresh reservations.
-                last = f"{type(exc).__name__}: {exc}"
-            except SealedError as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                self.refresh_projection()
-            except NodeDownError as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                # The grant may have executed (lost response): those
-                # offsets are burned and become holes for fill() to
-                # patch. Retrying with fresh offsets is always safe.
-                last = f"{type(exc).__name__}: {exc}"
-                self._handle_timeout(exc, barren)
-            else:
-                run = pending[:count]
-                # The entries as encoded, built only if someone observes.
-                keep = bool(watchers)
-                entries, built = encode_run(
-                    first, stride, stream_ids, prior,
-                    [payloads[idx] for idx in run], k, keep,
-                )
-                lost = self._write_entries(entries)
-                retry = []
-                for idx, (offset, _) in zip(run, entries):
-                    if offset in lost:
-                        # Stream membership is preserved (walkers skip
-                        # the junk-filled offset); only the position
-                        # moves.
-                        retry.append(idx)
-                    else:
-                        offsets[idx] = offset
-                landed = count - len(retry)
-                with self._counter_lock:  # the count and _note_success, one hold
-                    self.appends += landed
-                    if self._timeout_streaks:
-                        self._timeout_streaks.clear()
-                # Write-once => write-through: what landed is known
-                # without reading it back. A lost offset holds someone
-                # else's junk; its payload is reported by the round
-                # that lands it.
-                if keep:
-                    for (offset, _), entry in zip(entries, built):
-                        if offset not in lost:
-                            for callback in watchers:
-                                callback(offset, entry)
-                if not landed:
-                    last = f"hole-fillers took offsets {sorted(lost)}"
-                pending = retry + pending[count:]
-            barren = 0 if landed else barren + 1
+        try:
+            while pending:
+                if barren >= _MAX_RETRIES:
+                    raise RetriesExhaustedError("append", _MAX_RETRIES, last=last)
+                landed = 0
+                try:
+                    first, stride, count, prior = self._grant(
+                        len(pending), stream_ids
+                    )
+                except (StaleGrantError, SealedError, NodeDownError, RpcTimeout) as exc:
+                    # Retrying with fresh offsets is always safe: a grant
+                    # that executed unseen (lost response) or lost a
+                    # vector-grant race burned its offsets, and those
+                    # holes are for fill() to patch.
+                    last = f"{type(exc).__name__}: {exc}"
+                    self._recover(exc, barren)
+                else:
+                    run = pending[:count]
+                    # The entries as encoded, built only if someone observes.
+                    keep = bool(watchers)
+                    entries, built = encode_run(
+                        first, stride, stream_ids, prior,
+                        [payloads[idx] for idx in run], k, keep,
+                    )
+                    # A payload whose offset a hole-filler took keeps its
+                    # stream membership (walkers skip the junk-filled
+                    # offset); only its position moves.
+                    retry = self._write_entries(entries, run, offsets)
+                    landed = count - len(retry)
+                    with self._counter_lock:  # the count and the streak reset, one hold
+                        self.appends += landed
+                        if self._timeout_streaks:
+                            self._timeout_streaks.clear()
+                    # Write-once => write-through: what landed is known
+                    # without reading it back. A lost offset holds someone
+                    # else's junk; its payload is reported by the round
+                    # that lands it.
+                    if keep:
+                        for idx, (offset, _), entry in zip(run, entries, built):
+                            if offsets[idx] == offset:
+                                for callback in watchers:
+                                    callback(offset, entry)
+                    if not landed:
+                        last = f"hole-fillers took offsets {[o for o, _ in entries]}"
+                    pending = retry + pending[count:]
+                barren = 0 if landed else barren + 1
+        except RetriesExhaustedError as exc:
+            done = [offset for offset in offsets if offset >= 0]
+            raise RetriesExhaustedError(
+                exc.op, exc.attempts,
+                last=f"{exc.last}; offsets already landed: {done}",
+            ) from None
         return offsets
 
     def _grant(
@@ -711,37 +740,38 @@ class CorfuClient:
                 reserved, self._cluster.k, self._cluster.max_streams
             )
             try:
-                self._complete_write(reserved, raw)
+                self._retry("append.chain_write", self._write_at, [reserved, raw, False])
             except WrittenError:
                 # A hole-filler junked the reservation first. The live
                 # shard already recorded the grant; only a later crash
                 # of that shard loses this one advisory backpointer,
                 # which K-redundancy absorbs.
                 pass
+            except RetriesExhaustedError as exc:
+                raise _exhausted_at(reserved, exc) from None
         return offset, backpointers
 
-    def _write_entries(self, entries: Sequence[Tuple[int, bytes]]) -> Set[int]:
-        """Chain-write granted ``(offset, raw)`` entries; return the losers.
+    def _write_entries(
+        self, entries: Sequence[Tuple[int, bytes]], run: List[int], offsets: List[int]
+    ) -> List[int]:
+        """Chain-write a granted run, recording in *offsets* what lands.
 
-        Entries are grouped by the replica chain they stripe onto and
-        each group goes down its chain as one batch
-        (:meth:`ChainReplicator.write_pipelined`); a chain that
-        received a single entry has nothing to batch and takes the
-        one-address write. Whatever a batch left unfinished — a
-        node-level error with the entry possibly part-way down the
-        chain — is re-driven at the *same* offset, with ``maybe_mine``
-        so the earlier partial delivery cannot count twice. The offsets
-        returned are the ones whose head holds someone else's bytes (a
-        hole-filler patched the reservation before our write landed):
-        those payloads need fresh offsets, everything else is durable.
+        ``entries[j]`` is the encoded ``(offset, raw)`` of payload
+        ``run[j]``. Each chain's entries go down it as one batch
+        (:meth:`ChainReplicator.write_pipelined`); a lone entry takes
+        the one-address write, and so does whatever a batch left
+        unfinished (see :meth:`_write_at`). An entry is recorded
+        the moment it is durable, so an append that fails later still
+        names it. Returns, in run order, the payloads whose offset a
+        hole-filler took first: they need fresh offsets.
         """
         proj = self._projection
         n = len(proj.replica_sets)
-        chains: Dict[int, List[Tuple[int, bytes]]] = {}
-        for offset, raw in entries:
-            chains.setdefault(offset % n, []).append((offset, raw))
-        lost: Set[int] = set()
-        unfinished: List[Tuple[int, bytes, bool]] = []  # (..., batch tried it)
+        chains: Dict[int, List[Tuple[int, int, bytes]]] = {}
+        for idx, (offset, raw) in zip(run, entries):
+            chains.setdefault(offset % n, []).append((idx, offset, raw))
+        lost: List[int] = []
+        unfinished: List[Tuple[int, int, bytes, bool]] = []  # (..., batch tried it)
         for set_index in sorted(chains):
             group = chains[set_index]
             if len(group) == 1:
@@ -749,68 +779,49 @@ class CorfuClient:
                 continue
             outcomes = self._chain.write_pipelined(
                 proj.replica_sets[set_index],
-                [(offset // n, raw) for offset, raw in group],
+                [(offset // n, raw) for _, offset, raw in group],
                 proj.epoch,
             )
-            for offset, raw in group:
+            for idx, offset, raw in group:
                 outcome = outcomes[offset // n]
-                if isinstance(outcome, AssertionError):
+                if outcome is None:
+                    offsets[idx] = offset
+                elif isinstance(outcome, AssertionError):
                     raise outcome  # chain divergence: a bug, not a retry
-                if isinstance(outcome, WrittenError):
-                    lost.add(offset)
-                elif outcome is not None:
-                    unfinished.append((offset, raw, True))
-        for offset, raw, tried in unfinished:
+                elif isinstance(outcome, WrittenError):
+                    lost.append(idx)
+                else:
+                    unfinished.append((idx, offset, raw, True))
+        for idx, offset, raw, tried in unfinished:
             try:
-                self._complete_write(offset, raw, maybe_mine_from_start=tried)
+                self._retry("append.chain_write", self._write_at, [offset, raw, tried])
             except WrittenError:
-                lost.add(offset)
+                lost.append(idx)
+                continue
+            except RetriesExhaustedError as exc:
+                raise _exhausted_at(offset, exc) from None
+            offsets[idx] = offset
+        lost.sort()
         return lost
 
-    def _complete_write(
-        self, offset: int, raw: bytes, maybe_mine_from_start: bool = False
-    ) -> None:
-        """Drive the chain write for an offset this client owns.
+    def _write_at(self, write: List) -> None:
+        """One attempt at the chain write ``[offset, raw, maybe_mine]``.
 
-        Once the head write may have landed (any failed attempt), the
-        offset must not be abandoned on a timeout — the invisible
-        earlier success would otherwise surface as a duplicate entry
-        when the client appends the payload again elsewhere. Retries
-        therefore target the *same* offset with the same bytes and tell
-        the chain that a head ``WrittenError`` over identical bytes is
-        our own write (``maybe_mine``). A genuine race loss (different
-        bytes at the head) propagates ``WrittenError`` to the append
-        routine, which takes a fresh offset.
-
-        *maybe_mine_from_start* is set when the first delivery attempt
-        already happened elsewhere (in a batched chain write), so even
-        attempt zero here is a retry of an ambiguous write.
+        The offset is this client's. Once its head write may have
+        landed it must not be abandoned — the invisible earlier success
+        would surface as a duplicate when the payload is appended again
+        elsewhere — so every later attempt re-drives the *same* offset
+        with the same bytes and ``maybe_mine`` set: a head holding our
+        bytes is our own earlier delivery, not a lost race. A genuine
+        race loss (different bytes at the head) raises ``WrittenError``.
+        ``maybe_mine`` starts set when a batched chain write already
+        tried the offset.
         """
-        last: Optional[Exception] = None
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                self._chain.write(
-                    rset, address, raw, proj.epoch,
-                    maybe_mine=maybe_mine_from_start or attempt > 0,
-                )
-                return
-            except SealedError as exc:
-                # Reconfigured mid-write: finish the chain under the
-                # new projection; the offset is still ours.
-                last = exc
-                self.refresh_projection()
-            except NodeDownError as exc:
-                last = exc
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                last = exc
-                self._handle_timeout(exc, attempt)
-        raise RetriesExhaustedError(
-            "append.chain_write", _MAX_RETRIES,
-            last=f"offset {offset}: {type(last).__name__}: {last}",
-        )
+        offset, raw, maybe_mine = write
+        write[2] = True
+        proj = self._projection
+        rset, address = proj.map_offset(offset)
+        self._chain.write(rset, address, raw, proj.epoch, maybe_mine=maybe_mine)
 
     # -- read path ------------------------------------------------------------
 
@@ -820,26 +831,24 @@ class CorfuClient:
         Raises :class:`UnwrittenError` for holes and
         :class:`TrimmedError` for reclaimed offsets.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                raw = self._chain.read(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-                continue
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-                continue
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-                continue
-            with self._counter_lock:  # the count and _note_success, one hold
-                self.reads += 1
-                if self._timeout_streaks:
-                    self._timeout_streaks.clear()
-            return LogEntry.decode(raw, offset, self._cluster.k)
-        raise RetriesExhaustedError("read", _MAX_RETRIES)
+        return self._retry("read", self._read_at, offset)
+
+    def _read_at(self, offset: int) -> LogEntry:
+        """One attempt at :meth:`read`; a read is idempotent."""
+        proj = self._projection
+        rset, address = proj.map_offset(offset)
+        raw = self._chain.read(rset, address, proj.epoch)
+        with self._counter_lock:  # the count and the streak reset, one hold
+            self.reads += 1
+            if self._timeout_streaks:
+                self._timeout_streaks.clear()
+        return LogEntry.decode(raw, offset, self._cluster.k)
+
+    def _at_offset(self, chain_op: Callable[..., _T], offset: int) -> _T:
+        """One attempt at ``is_written`` or ``trim``: both idempotent."""
+        proj = self._projection
+        rset, address = proj.map_offset(offset)
+        return chain_op(rset, address, proj.epoch)
 
     def read_many(self, offsets: Sequence[int]) -> Dict[int, ReadOutcome]:
         """Batched read: one storage round trip per replica node.
@@ -852,83 +861,57 @@ class CorfuClient:
         holes and reclaimed offsets — per-offset conditions are data and
         never fail the batch.
 
-        The full retry discipline of the single read applies (sealed
-        epoch → refresh, dead node → reconfigure, timeout → backoff /
-        failure-detect), and results already collected are retained
-        across retries: a reconfiguration halfway through the groups
-        re-reads only what is still missing. A negative offset raises
+        Retries run as for :meth:`read`, and keep the results already
+        collected: a reconfiguration halfway through the groups re-reads
+        only what is still missing. A negative offset raises
         ``ValueError`` before any RPC, as it does for :meth:`read`.
         """
         results: Dict[int, ReadOutcome] = {}
-        remaining = sorted(set(offsets))
-        if not remaining:
+        wanted = sorted(set(offsets))
+        if not wanted:
             return results
-        if remaining[0] < 0:
-            raise ValueError(f"negative offset {remaining[0]}")
+        if wanted[0] < 0:
+            raise ValueError(f"negative offset {wanted[0]}")
         k = self._cluster.k
         decode = LogEntry.decode
-        for attempt in range(_MAX_RETRIES):
+
+        def body() -> Dict[int, ReadOutcome]:
+            # Reads are idempotent; a re-run reads only what earlier
+            # attempts left out, grouped under the current projection.
             proj = self._projection
-            # Group the missing offsets by replica set under the current
-            # projection; the grouping is redone per attempt because a
-            # reconfiguration changes the mapping.
-            groups: Dict[int, List[int]] = {}
             n = len(proj.replica_sets)
-            for offset in remaining:
+            groups: Dict[int, List[int]] = {}
+            for offset in [o for o in wanted if o not in results] if results else wanted:
                 groups.setdefault(offset % n, []).append(offset)
-            try:
-                for set_index in sorted(groups):
-                    batch = groups[set_index]
-                    rset = proj.replica_sets[set_index]
-                    addresses = [offset // n for offset in batch]
-                    raw_map = self._chain.read_many(
-                        rset, addresses, proj.epoch
-                    )
-                    served = 0
-                    for offset, address in zip(batch, addresses):
-                        status, data = raw_map[address]
-                        if status == "ok":
-                            results[offset] = decode(data, offset, k)
-                            served += 1
-                        elif status == "trimmed":
-                            results[offset] = TrimmedError(offset)
-                        else:
-                            results[offset] = UnwrittenError(offset)
-                    with self._counter_lock:
-                        self.reads += served
-                        self.batched_reads += 1
-                        self.batched_read_offsets += len(batch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return results
-            # Only a failed attempt comes back round: it re-reads what
-            # the groups before the failure did not serve.
-            remaining = [o for o in remaining if o not in results]
-        raise RetriesExhaustedError("read_many", _MAX_RETRIES)
+            for set_index in sorted(groups):
+                batch = groups[set_index]
+                addresses = [offset // n for offset in batch]
+                raw_map = self._chain.read_many(
+                    proj.replica_sets[set_index], addresses, proj.epoch
+                )
+                served = 0
+                for offset, address in zip(batch, addresses):
+                    status, data = raw_map[address]
+                    if status == "ok":
+                        results[offset] = decode(data, offset, k)
+                        served += 1
+                    elif status == "trimmed":
+                        results[offset] = TrimmedError(offset)
+                    else:
+                        results[offset] = UnwrittenError(offset)
+                with self._counter_lock:
+                    self.reads += served
+                    self.batched_reads += 1
+                    self.batched_read_offsets += len(batch)
+            return results
+
+        return self._retry("read_many", body)
 
     def is_written(self, offset: int) -> bool:
         """True if *offset* is owned by some append (even one in flight)."""
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                written = self._chain.is_written(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return written
-        raise RetriesExhaustedError("is_written", _MAX_RETRIES)
+        return self._retry(
+            "is_written", self._at_offset, self._chain.is_written, offset
+        )
 
     # -- check ---------------------------------------------------------------
 
@@ -941,25 +924,7 @@ class CorfuClient:
         (tens of milliseconds), and works with no sequencer at all.
         """
         if fast:
-            for attempt in range(_MAX_RETRIES):
-                proj = self._projection
-                try:
-                    tail = 0
-                    for name in proj.sequencer_shards:
-                        shard_tail, _ = self._sequencer_rpc(name).query(
-                            (), epoch=proj.epoch
-                        )
-                        tail = max(tail, shard_tail)
-                except SealedError:
-                    self.refresh_projection()
-                except NodeDownError as exc:
-                    self._handle_node_down(exc)
-                except RpcTimeout as exc:
-                    self._handle_timeout(exc, attempt)
-                else:
-                    self._note_success()
-                    return tail
-            raise RetriesExhaustedError("check", _MAX_RETRIES)
+            return self._retry("check", self._query_shards, ())[0]
         from repro.corfu import reconfig
 
         return reconfig.slow_check_tail(
@@ -977,33 +942,27 @@ class CorfuClient:
         the queried shards. With no stream ids, every shard is queried
         (a full tail check).
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            shards = proj.sequencer_shards
-            per_shard: Dict[str, List[int]] = {}
-            for sid in stream_ids:
-                per_shard.setdefault(shards[sid % len(shards)], []).append(sid)
-            if not per_shard:
-                per_shard = {name: [] for name in shards}
-            try:
-                tail = 0
-                merged: Dict[int, Tuple[int, ...]] = {}
-                for name, sids in per_shard.items():
-                    shard_tail, tails = self._sequencer_rpc(name).query(
-                        sids, epoch=proj.epoch
-                    )
-                    tail = max(tail, shard_tail)
-                    merged.update(tails)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return tail, merged
-        raise RetriesExhaustedError("query_streams", _MAX_RETRIES)
+        return self._retry("query_streams", self._query_shards, stream_ids)
+
+    def _query_shards(
+        self, stream_ids: Sequence[int]
+    ) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
+        """One attempt at :meth:`query_streams`; queries are read-only."""
+        proj = self._projection
+        shards = proj.sequencer_shards
+        per_shard: Dict[str, List[int]] = {}
+        for sid in stream_ids:
+            per_shard.setdefault(shards[sid % len(shards)], []).append(sid)
+        queries = per_shard or dict.fromkeys(shards, stream_ids)
+        tail = 0
+        merged: Dict[int, Tuple[int, ...]] = {}
+        for name, sids in queries.items():
+            shard_tail, tails = self._sequencer_rpc(name).query(
+                sids, epoch=proj.epoch
+            )
+            tail = max(tail, shard_tail)
+            merged.update(tails)
+        return tail, merged
 
     # -- hole filling and reclamation -----------------------------------------
 
@@ -1017,51 +976,29 @@ class CorfuClient:
         are identical no matter who writes them.
         """
         junk = LogEntry.junk().encode(offset, self._cluster.k, self._cluster.max_streams)
-        for attempt in range(_MAX_RETRIES):
+
+        def body() -> None:  # converges: junk is junk, whoever wrote it
             proj = self._projection
             rset, address = proj.map_offset(offset)
             try:
                 self._chain.write(rset, address, junk, proj.epoch)
-                with self._counter_lock:
-                    self.fills += 1
-                self._note_success()
-                return
             except WrittenError:
-                self._note_success()
                 return  # no longer a hole — either filled or completed
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-        raise RetriesExhaustedError("fill", _MAX_RETRIES)
+            with self._counter_lock:
+                self.fills += 1
+
+        self._retry("fill", body)
 
     def trim(self, offset: int) -> None:
         """Mark one offset as reclaimable.
 
-        Trim is idempotent on every replica, so the standard retry path
-        (sealed epoch → refresh; dead node → reconfigure; timeout →
-        backoff and retry) applies without any at-most-once caveats. A
-        trim racing a reconfiguration must not leak ``SealedError`` to
-        the application — the GC driving it has no projection to refresh.
+        Trim is idempotent on every replica, so the retry driver applies
+        without any at-most-once caveats. A trim racing a
+        reconfiguration must not leak ``SealedError`` to the
+        application — the GC driving it has no projection to refresh.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                self._chain.trim(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                self._notify_trim(offset, False)
-                return
-        raise RetriesExhaustedError("trim", _MAX_RETRIES)
+        self._retry("trim", self._at_offset, self._chain.trim, offset)
+        self._notify_trim(offset, False)
 
     def trim_prefix(self, offset: int) -> None:
         """Reclaim every offset strictly below *offset* (sequential trim).
@@ -1069,27 +1006,16 @@ class CorfuClient:
         Idempotent per replica set; a retry after a partial pass simply
         re-trims already-trimmed prefixes.
         """
-        for attempt in range(_MAX_RETRIES):
+
+        def body() -> None:
             proj = self._projection
             n = len(proj.replica_sets)
-            try:
-                for set_index, rset in enumerate(proj.replica_sets):
-                    if offset > set_index:
-                        local_count = (offset - set_index + n - 1) // n
-                    else:
-                        local_count = 0
-                    self._chain.trim_prefix(rset, local_count, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                self._notify_trim(offset, True)
-                return
-        raise RetriesExhaustedError("trim_prefix", _MAX_RETRIES)
+            for set_index, rset in enumerate(proj.replica_sets):
+                local_count = max(0, (offset - set_index + n - 1) // n)
+                self._chain.trim_prefix(rset, local_count, proj.epoch)
+
+        self._retry("trim_prefix", body)
+        self._notify_trim(offset, True)
 
     # -- storage-admin plane ---------------------------------------------------
 
@@ -1100,17 +1026,7 @@ class CorfuClient:
         ``{"error": ...}`` entry instead of failing the whole survey —
         operators want the view of whatever is up.
         """
-        proj = self._projection
-        nodes: Dict[str, Dict[str, object]] = {}
-        for rset in proj.replica_sets:
-            for node in rset:
-                if node in nodes:
-                    continue
-                try:
-                    nodes[node] = self._storage_rpc(node).store_status()
-                except (SealedError, NodeDownError, RpcTimeout) as exc:
-                    nodes[node] = {"error": type(exc).__name__}
-        return nodes
+        return self._survey("store_status")
 
     def compact(self) -> Dict[str, Dict[str, object]]:
         """Trigger one compaction sweep on every reachable storage node.
@@ -1120,14 +1036,17 @@ class CorfuClient:
         Down nodes report ``{"error": ...}`` entries like
         :meth:`store_status`.
         """
-        proj = self._projection
+        return self._survey("compact")
+
+    def _survey(self, op: str) -> Dict[str, Dict[str, object]]:
+        """Call storage op *op* once on every node, best effort."""
         nodes: Dict[str, Dict[str, object]] = {}
-        for rset in proj.replica_sets:
+        for rset in self._projection.replica_sets:
             for node in rset:
                 if node in nodes:
                     continue
                 try:
-                    nodes[node] = self._storage_rpc(node).compact()
+                    nodes[node] = getattr(self._storage_rpc(node), op)()
                 except (SealedError, NodeDownError, RpcTimeout) as exc:
                     nodes[node] = {"error": type(exc).__name__}
         return nodes

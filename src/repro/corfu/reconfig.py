@@ -316,6 +316,7 @@ def recover_sequencers(
             except SealedError:
                 return False
             except RpcTimeout as exc:
+                cluster.transport.record_retry(exc.node)
                 cluster.transport.backoff(source, attempt)
                 if attempt == _MAX_RETRIES - 1:
                     raise NodeDownError(exc.node)

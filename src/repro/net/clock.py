@@ -1,6 +1,6 @@
 """Pluggable time sources for transports.
 
-The retry/failure-detector path (``CorfuClient._handle_timeout``,
+The retry/failure-detector path (``CorfuClient._recover``,
 ``Transport.backoff``) was written against :class:`FaultyTransport`'s
 *logical* clock: "time" advanced one tick per delivery attempt, and
 "backing off" meant letting deferred traffic land. A socket transport
@@ -18,8 +18,10 @@ their deterministic schedule. The transport therefore owns a
   apply log entries).
 
 ``backoff_delay`` is the shared retry schedule: deterministic
-exponential growth, capped so a 32-attempt retry budget cannot stall a
-client for more than a few seconds against a dead deployment.
+exponential growth from 5 ms, capped at 0.25 s. An operation that
+exhausts the client's 64-attempt budget against a dead deployment
+therefore backs off for about 0.3 + 58 × 0.25 ≈ 15 s of wall time on a
+:class:`MonotonicClock`.
 """
 
 from __future__ import annotations

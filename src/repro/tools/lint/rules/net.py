@@ -75,7 +75,9 @@ class RpcErrorDiscipline(Rule):
         "infrastructure events to the application as exceptions — a "
         "trim racing a reconfiguration must not abort the caller's GC. "
         "Private helpers may propagate (their public caller holds the "
-        "retry loop); public entry points may not."
+        "retry loop); public entry points may not. A retry driver — a "
+        "method that runs a body it is handed — owns the handling for "
+        "every body passed to it, so it must handle all three itself."
     )
 
     def check(self, module: ParsedModule) -> Iterable[Diagnostic]:
@@ -84,72 +86,95 @@ class RpcErrorDiscipline(Rule):
         ):
             if not _is_rpc_client(cls):
                 continue
-            for name, fn in class_methods(cls).items():
-                if name.startswith("_"):
+            methods = class_methods(cls)
+            drivers = {n: p for n, p in map(_driver_params, methods.values()) if p}
+            for name, fn in methods.items():
+                if name in drivers:
+                    sites = _calls_with_tries(fn, (), drivers[name], ())
+                    what = "runs its body"
+                elif name.startswith("_"):
                     continue  # helpers propagate to the public retry loop
-                yield from self._unguarded_rpcs(module, cls, name, fn)
-
-    def _unguarded_rpcs(
-        self,
-        module: ParsedModule,
-        cls: ast.ClassDef,
-        name: str,
-        fn: ast.FunctionDef,
-    ) -> Iterable[Diagnostic]:
-        for call, enclosing_tries in _rpc_calls_with_tries(fn):
-            covered: Set[str] = set()
-            for try_node in enclosing_tries:
-                for handler in try_node.handlers:
-                    covered |= _handler_names(handler.type)
-            if covered & _CATCH_ALLS:
-                continue
-            missing = sorted(_REQUIRED - covered)
-            if missing:
-                yield self.diag(
-                    module,
-                    call,
-                    f"{cls.name}.{name} issues RPC "
-                    f"'{call.func.attr}' without handling "
-                    f"{'/'.join(missing)}; public client operations "
-                    f"must absorb sealed epochs, dead nodes, and "
-                    f"timeouts via the standard retry path",
-                )
+                else:
+                    sites = _calls_with_tries(fn, _RPC_OPS, (), drivers)
+                    what = "issues RPC"
+                for call, enclosing_tries in sites:
+                    covered: Set[str] = set()
+                    for try_node in enclosing_tries:
+                        for handler in try_node.handlers:
+                            covered |= _handler_names(handler.type)
+                    missing = sorted(_REQUIRED - covered)
+                    if missing and not covered & _CATCH_ALLS:
+                        yield self.diag(
+                            module,
+                            call,
+                            f"{cls.name}.{name} {what} "
+                            f"'{_callee(call)}' without handling "
+                            f"{'/'.join(missing)}; public client operations "
+                            f"must absorb sealed epochs, dead nodes, and "
+                            f"timeouts via the standard retry path",
+                        )
 
 
-def _rpc_calls_with_tries(fn: ast.FunctionDef):
-    """Yield ``(call, [enclosing Try nodes])`` for each RPC-op call.
+def _driver_params(fn: ast.FunctionDef):
+    """``(name, parameters it calls in a loop)``: a method that calls a
+    parameter attempt after attempt is a retry driver."""
+    called = {
+        node.func.id
+        for loop in ast.walk(fn)
+        if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    return fn.name, frozenset(a.arg for a in fn.args.args[1:]) & called
 
-    Only calls through an attribute receiver count (``x.write(...)``);
-    plain-name calls (``write(...)``) are local functions, not RPCs.
+
+def _callee(call: ast.Call) -> str:
+    """``write`` for ``x.write(...)``, ``body`` for ``body(...)``."""
+    return getattr(call.func, "attr", getattr(call.func, "id", ""))
+
+
+def _calls_with_tries(fn: ast.FunctionDef, ops, bodies, drivers):
+    """``(call, [enclosing Try nodes])`` for each RPC or body call.
+
+    RPCs are calls through an attribute receiver (``x.write(...)``) of
+    an op in *ops*; plain-name calls (``write(...)``) are local
+    functions, not RPCs, unless they run a parameter in *bodies*
+    (``body(...)``). A nested ``def`` or ``lambda`` is its own scope —
+    the tries around its definition do not guard its body — and is
+    skipped when handed to one of the retry *drivers*
+    (``self._retry(..., body)``), which owns its handling.
     """
-    stack: List[ast.Try] = []
+    handed = {
+        arg.id if isinstance(arg, ast.Name) else arg
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in drivers
+        for arg in node.args
+    }
+    sites: List = []
 
-    def visit(node: ast.AST):
+    def visit(node: ast.AST, stack: List[ast.Try]) -> None:
+        if node is not fn and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            if node in handed or getattr(node, "name", None) in handed:
+                return
+            stack = []
         if isinstance(node, ast.Try):
-            stack.append(node)
             for child in node.body:
-                visit(child)
-            stack.pop()
+                visit(child, [*stack, node])
             # Handler/else/finally bodies are NOT covered by their own
             # try: an exception raised there propagates.
-            for handler in node.handlers:
-                for child in handler.body:
-                    visit(child)
-            for child in node.orelse + node.finalbody:
-                visit(child)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, stack)
             return
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _RPC_OPS
+        if isinstance(node, ast.Call) and _callee(node) in (
+            ops if isinstance(node.func, ast.Attribute) else bodies
         ):
-            yield_sites.append((node, list(stack)))
+            sites.append((node, stack))
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # nested functions get their own analysis scope
-            visit(child)
+            visit(child, stack)
 
-    yield_sites: List = []
-    for stmt in fn.body:
-        visit(stmt)
-    return yield_sites
+    visit(fn, [])
+    return sites

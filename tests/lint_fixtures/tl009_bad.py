@@ -30,6 +30,31 @@ class Client:
                 # Handles the seal but not dead nodes or timeouts.
                 self.refresh_projection()
 
+    def read(self, offset):
+        # Handed to the driver, so the body itself is not flagged: the
+        # driver below is, for running it without handling timeouts.
+        return self._retry(lambda: self._chain.read(offset, self._projection.epoch))
+
+    def fill(self, offset):
+        def body():
+            self._chain.fill(offset, self._projection.epoch)
+
+        # Called directly, never handed to the driver: the RPC inside
+        # is unguarded.
+        return body()
+
+    def _retry(self, body):
+        for _ in range(32):
+            try:
+                return body()
+            except (SealedError, NodeDownError):
+                self.refresh_projection()
+        raise RuntimeError("retries exhausted")
+
 
 class SealedError(Exception):
+    pass
+
+
+class NodeDownError(Exception):
     pass

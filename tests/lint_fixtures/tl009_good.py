@@ -45,6 +45,30 @@ class Client:
             except CorfuError:
                 self.refresh_projection()
 
+    def read(self, offset):
+        # A body handed to the retry driver: the driver owns the
+        # handling of every RPC inside it.
+        def body():
+            rset, address = self._projection.map_offset(offset)
+            return self._chain.read(rset, address, self._projection.epoch)
+
+        return self._retry(body)
+
+    def fill(self, offset):
+        return self._retry(lambda: self._chain.fill(offset, self._projection.epoch))
+
+    def _retry(self, body, *args):
+        # The retry driver runs every body it is handed, so it handles
+        # all three protocol errors itself.
+        for attempt in range(32):
+            try:
+                return body(*args)
+            except (SealedError, NodeDownError):
+                self.refresh_projection()
+            except RpcTimeout:
+                self._backoff(attempt)
+        raise RuntimeError("retries exhausted")
+
     def _append_once(self, payload):
         # Private helpers may propagate: the public retry loop that
         # calls them owns the error handling.

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 import repro.corfu.client as client_mod
-from repro.corfu import CorfuCluster
+from repro.corfu import CorfuCluster, reconfig
 from repro.corfu.storage import FlashUnit
 from repro.errors import (
     CorfuError,
@@ -620,20 +620,34 @@ class TestClientOverFaultyNetwork:
 
     def test_retries_exhausted_surfaces_as_typed_error(self, monkeypatch):
         # With the failure detector disabled, a persistent partition
-        # exhausts the retry budget instead of reconfiguring — the
-        # bounded-retry paths must raise RetriesExhaustedError, never
-        # the old sentinel values.
+        # exhausts the retry budget instead of reconfiguring — every
+        # bounded-retry path must raise RetriesExhaustedError, never
+        # the old sentinel values, naming its op and its last failure.
         monkeypatch.setattr(client_mod, "_TIMEOUT_FAILOVER", 10**9)
         net = FaultyTransport(seed=0)
         cluster = CorfuCluster(num_sets=1, replication_factor=2, transport=net)
         client = cluster.client()
         client.append(b"ok")
         net.partition(client.name, cluster.projection.sequencer)
-        with pytest.raises(RetriesExhaustedError) as excinfo:
-            client.check()
-        assert excinfo.value.op == "check"
-        assert excinfo.value.attempts == client_mod._MAX_RETRIES
-        assert isinstance(excinfo.value, CorfuError)
+        for node in cluster.projection.all_nodes():
+            net.partition(client.name, node)
+        ops = {
+            "check": client.check,
+            "query_streams": lambda: client.query_streams((1,)),
+            "read": lambda: client.read(0),
+            "read_many": lambda: client.read_many([0]),
+            "is_written": lambda: client.is_written(0),
+            "fill": lambda: client.fill(5),
+            "trim": lambda: client.trim(0),
+            "trim_prefix": lambda: client.trim_prefix(1),
+        }
+        for op, call in ops.items():
+            with pytest.raises(RetriesExhaustedError) as excinfo:
+                call()
+            assert excinfo.value.op == op
+            assert excinfo.value.attempts == client_mod._MAX_RETRIES
+            assert excinfo.value.last.startswith("RpcTimeout"), op
+            assert isinstance(excinfo.value, CorfuError)
 
     def test_chain_write_exhaustion_names_the_offset_and_cause(
         self, monkeypatch
@@ -655,6 +669,30 @@ class TestClientOverFaultyNetwork:
         assert error.last.startswith(f"offset {granted}: RpcTimeout")
         assert f"offset {granted}" in str(error)
         assert client.check() == granted + 1  # the grant did happen
+
+    def test_batch_chain_write_exhaustion_names_what_landed(self, monkeypatch):
+        # A batch striped over two chains: the chain the client can
+        # reach lands its entries in one batched write, the other
+        # chain's lone entry times out until the budget runs out. The
+        # entries that landed hold the caller's payloads, so the error
+        # must name them — a caller that retries would duplicate them.
+        monkeypatch.setattr(client_mod, "_TIMEOUT_FAILOVER", 10**9)
+        net = FaultyTransport(seed=0)
+        cluster = CorfuCluster(num_sets=2, replication_factor=2, transport=net)
+        client = cluster.client()
+        granted = client.check()
+        net.partition(client.name, cluster.projection.replica_sets[1].head)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            client.append_batch([b"a", b"b", b"c"], (1,))
+        error = excinfo.value
+        stuck = next(o for o in range(granted, granted + 3) if o % 2 == 1)
+        landed = [o for o in range(granted, granted + 3) if o % 2 == 0]
+        assert error.op == "append.chain_write"
+        assert error.last.startswith(f"offset {stuck}: RpcTimeout")
+        assert error.last.endswith(f"offsets already landed: {landed}")
+        net.calm()
+        payloads = {o: cluster.client().read(o).payload for o in landed}
+        assert sorted(payloads.values()) == [b"a", b"c"]
 
     def test_grant_exhaustion_names_the_cause_and_what_landed(self, monkeypatch):
         # The batch's first round lands two of three entries (a
@@ -685,6 +723,32 @@ class TestClientOverFaultyNetwork:
         landed = [first, first + 2 * stride]
         assert error.last.endswith(f"offsets already landed: {landed}")
         assert f"offsets already landed: {landed}" in str(error)
+
+    def test_lost_bootstrap_replies_count_as_retries(self):
+        # The replacement sequencer executes each bootstrap but the
+        # first three replies are lost: the failover retries through
+        # them, and each retry shows in the transport's counters like
+        # any other client or reconfiguration retry.
+        class LosesBootstrapReplies(FaultyTransport):
+            lost = 0
+
+            def call(self, source, target, op, resolve, args, kwargs):
+                result = super().call(source, target, op, resolve, args, kwargs)
+                if op == "bootstrap" and self.lost:
+                    self.lost -= 1
+                    raise RpcTimeout(target, op)
+                return result
+
+        net = LosesBootstrapReplies(seed=0)
+        cluster = CorfuCluster(num_sets=2, replication_factor=2, transport=net)
+        client = cluster.client()
+        client.append(b"one", stream_ids=(4,))
+        net.lost = 3
+        reconfig.replace_sequencer(cluster)
+        new_seq = cluster.projection.sequencer
+        assert net.lost == 0
+        assert client.net_stats()[new_seq]["retries"] == 3
+        assert client.append(b"two", stream_ids=(4,)) == 1
 
     def test_net_counters_reach_runtime_status(self):
         net = FaultyTransport(seed=2, drop_response=0.3)
