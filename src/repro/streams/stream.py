@@ -227,10 +227,6 @@ class StreamClient:
         with self._lock:
             return stream_id in self._streams
 
-    def open_streams(self) -> Tuple[int, ...]:
-        with self._lock:
-            return tuple(self._streams)
-
     def _state(self, stream_id: int) -> _StreamState:
         try:
             return self._streams[stream_id]

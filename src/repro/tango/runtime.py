@@ -14,11 +14,11 @@ Core mechanics implemented here:
   linearizability.
 - **merged playback**: the runtime plays all hosted streams in global
   offset order, so when a multi-object commit record is encountered at
-  position X, every involved hosted stream has already been played to X
-  — the "consistent snapshot of all the objects touched by the
+  position X, every stream that delivers it has already been played to
+  X — the "consistent snapshot of all the objects touched by the
   transaction as of X" of section 4.1. There is one loop:
   ``StreamClient.play`` merges the hosted streams a window at a time,
-  and query playback and late-stream catch-up both consume it; each
+  and query playback and late registration both consume it; each
   entry is decoded once (``_decode_payload``), or never by the runtime
   that appended it (its records go into the cache slot with the
   write), but versions are bumped entry by entry, so a commit record
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     NestedTransactionError,
@@ -82,6 +82,23 @@ MAX_DELTA_CHAIN = 8
 def _decode_payload(entry) -> Tuple[Record, ...]:
     """An entry's record batch, as the stream cache remembers it."""
     return tuple(decode_records(entry.payload))
+
+
+def _decide(
+    record: CommitRecord, versions: VersionTable, standing: Collection[int]
+) -> Optional[bool]:
+    """The one commit rule (section 4.1): decide *record* from *versions*.
+
+    *standing* holds the objects whose versions in *versions* stand as
+    of the record's offset. A read set reaching outside it cannot be
+    decided from versions, and None is returned; a forced abort needs
+    no versions.
+    """
+    if record.forced_abort:
+        return False
+    if not all(e.oid in standing for e in record.read_set):
+        return None
+    return not any(versions.is_stale(e.oid, e.key, e.version) for e in record.read_set)
 
 
 class TangoRuntime:
@@ -139,9 +156,6 @@ class TangoRuntime:
         self._awaiting: Dict[int, PendingTx] = {}
         self._blocked_streams: Set[int] = set()
         self._deferred: List[Tuple[int, Tuple[Record, ...], Tuple[int, ...]]] = []
-        # Commit records we generated with decision_expected, retained so
-        # the decision can be (re)published after a crash of a peer.
-        self._own_commits: Dict[int, Tuple[int, CommitRecord]] = {}
         # (offset, record) for every commit this client has decided, so
         # that publish_decision can reconstruct the decision's streams.
         self._pending_records: Dict[int, Tuple[int, CommitRecord]] = {}
@@ -159,7 +173,6 @@ class TangoRuntime:
         self._dirty_keys: Dict[int, Set[bytes]] = {}
         self._dirty_full: Set[int] = set()
         self._checkpoint_chains: Dict[int, Tuple[int, int]] = {}
-        self.max_delta_chain = MAX_DELTA_CHAIN
 
         # Memory-bounded mode.
         if memory_budget is not None and memory_budget <= 0:
@@ -228,8 +241,9 @@ class TangoRuntime:
         one is loaded and playback resumes above its cover point —
         mandatory when the log below has been trimmed. A stream
         registered after the runtime has already played other streams is
-        caught up to the current watermark before joining merged
-        playback.
+        played up to the current watermark, by the same merged playback
+        (its entries' commits are decided, and wait for decision
+        records, as there).
         """
         oid = obj.oid
         with self._play_lock:
@@ -245,8 +259,9 @@ class TangoRuntime:
             self._streams.sync(oid)
             if from_checkpoint:
                 self._maybe_load_checkpoint(oid, obj)
-            if self._watermark != NO_VERSION:
-                self._catch_up(oid, self._watermark)
+            # Every other hosted stream stands at the watermark, so this
+            # pass delivers the new stream's history alone, scope (oid,).
+            self._play_until(self._watermark)
 
     def deregister_object(self, oid: int) -> None:
         """Drop the local view of *oid* (the log is unaffected).
@@ -499,10 +514,7 @@ class TangoRuntime:
             return True  # empty transaction
         with self._play_lock:
             if not allow_stale:
-                markers = self._streams.sync_many(tuple(self._objects))
-                live = [m for m in markers.values() if m != NO_VERSION]
-                if live:
-                    self._play_until(max(live))
+                self._play_to_tail()
             ok = not any(
                 self._versions.is_stale(e.oid, e.key, e.version)
                 for e in ctx.read_set
@@ -534,10 +546,7 @@ class TangoRuntime:
         stuck_rounds = 0
         while outcome is None and stuck_rounds < _MAX_DECISION_WAIT_ROUNDS:
             watermark = self._watermark
-            markers = self._streams.sync_many(tuple(self._objects))
-            live = [m for m in markers.values() if m != NO_VERSION]
-            if live:
-                self._play_until(max(live))
+            self._play_to_tail()
             outcome = self._decided.get(ctx.tx_id)
             if self._watermark == watermark and not self._deferred:
                 stuck_rounds += 1
@@ -549,7 +558,6 @@ class TangoRuntime:
                 f"resolve it with publish_decision/force_abort"
             )
         if record.decision_expected:
-            self._own_commits[ctx.tx_id] = (commit_offset, record)
             self._append_decision(ctx.tx_id, outcome, record)
         self.stats["commits" if outcome else "aborts"] += 1
         return outcome
@@ -579,7 +587,7 @@ class TangoRuntime:
             getattr(self._objects.get(e.oid), "needs_decision_record", False)
             for e in ctx.read_set
         )
-        registry = getattr(self, "_hosting_registry", None)
+        registry = self._hosting_registry
         if registry is not None and not decision_expected:
             decision_expected = bool(registry.needs_decision(
                 [e.oid for e in ctx.read_set], ctx.write_oids, self.name
@@ -670,10 +678,7 @@ class TangoRuntime:
         if not ctx.read_set:
             return False
         with self._play_lock:
-            markers = self._streams.sync_many(tuple(self._objects))
-            live = [m for m in markers.values() if m != NO_VERSION]
-            if live:
-                self._play_until(max(live))
+            self._play_to_tail()
             return any(
                 self._versions.is_stale(e.oid, e.key, e.version)
                 for e in ctx.read_set
@@ -792,7 +797,7 @@ class TangoRuntime:
             use_delta = (
                 self._supports_delta(obj)
                 and chain is not None
-                and chain[1] < self.max_delta_chain
+                and chain[1] < MAX_DELTA_CHAIN
                 and oid not in self._dirty_full
             )
         covers = self._streams.position(oid)
@@ -916,11 +921,17 @@ class TangoRuntime:
             for tx_id in doomed:
                 del self._pending_records[tx_id]
                 self._decided.pop(tx_id, None)
-                self._own_commits.pop(tx_id, None)
 
     # ------------------------------------------------------------------
     # merged playback
     # ------------------------------------------------------------------
+
+    def _play_to_tail(self) -> None:
+        """Sync every hosted stream and play to the newest marker."""
+        markers = self._streams.sync_many(tuple(self._objects))
+        live = [m for m in markers.values() if m != NO_VERSION]
+        if live:
+            self._play_until(max(live))
 
     def _play_until(self, upto: int) -> None:
         """Apply every pending entry with offset <= *upto*, in log order.
@@ -941,16 +952,16 @@ class TangoRuntime:
     ) -> None:
         """Play one log entry's records into the objects in *scope*.
 
-        Every reader of payloads (checkpoint hunt, catch-up,
-        reconstruction, decision hunts, playback) decodes with
-        :func:`_decode_payload`, through the stream iterators, and the cache
-        keeps them beside the raw entry until playback, its last reader,
-        takes them: one decode per entry, none of what this runtime
-        appended. With no transaction parked, a plain update is applied
-        straight away; every other record goes through :meth:`_dispatch`,
-        and while a transaction awaits its decision the entry goes
-        through :meth:`_process_records`, which defers what is blocked
-        (junk, with no records, is not deferred).
+        Every reader of payloads (checkpoint hunt, reconstruction,
+        decision hunts, playback) decodes with :func:`_decode_payload`,
+        through the stream iterators, and the cache keeps them beside
+        the raw entry until playback, its last reader, takes them: one
+        decode per entry, none of what this runtime appended. With no
+        transaction parked, a plain update is applied straight away;
+        every other record goes through :meth:`_dispatch`, and while a
+        transaction awaits its decision the entry goes through
+        :meth:`_process_records`, which defers what is blocked (junk,
+        with no records, is not deferred).
         """
         if self._awaiting or self._blocked_streams:
             if records:
@@ -1050,21 +1061,17 @@ class TangoRuntime:
     ) -> None:
         tx_id = record.tx_id
         if tx_id in self._decided:
-            # Re-encounter during late-stream catch-up: apply only the
-            # newly scoped objects' updates.
+            # Re-encounter on a stream registered late (or reloaded):
+            # apply only the newly scoped objects' updates.
             self._finalize_tx(offset, record, self._decided[tx_id], scope)
             return
-        if record.forced_abort:
-            outcome = False
-        elif all(e.oid in self._objects for e in record.read_set):
-            outcome = not any(
-                self._versions.is_stale(e.oid, e.key, e.version)
-                for e in record.read_set
-            )
-        elif record.decision_expected:
-            self._park_for_decision(offset, record, scope)
-            return
-        else:
+        # Only the streams delivering the entry stand as of its offset;
+        # a hosted object outside them passed it (a checkpoint covered it).
+        outcome = _decide(record, self._versions, scope)
+        if outcome is None:
+            if record.decision_expected:
+                self._park_for_decision(offset, record, scope)
+                return
             # Last-resort path (paper section 4.1, "Failure Handling"):
             # "any client in the system can reconstruct local views of
             # each object in the read set synced up to the commit offset
@@ -1087,6 +1094,7 @@ class TangoRuntime:
         pending = self._pending.setdefault(record.tx_id, PendingTx(record.tx_id))
         pending.commit_offset = offset
         pending.commit_record = record
+        pending.commit_scope = scope
         self._awaiting[record.tx_id] = pending
         self._blocked_streams.update(self._hosted_streams_of(record))
 
@@ -1105,7 +1113,7 @@ class TangoRuntime:
             pending.commit_offset,
             pending.commit_record,
             decision.committed,
-            tuple(self._objects),
+            pending.commit_scope,
         )
         self._drain_deferred()
 
@@ -1166,8 +1174,8 @@ class TangoRuntime:
         """Decide a commit record by rebuilding read-set version state.
 
         For every object in the read set, replay its stream up to (but
-        excluding) the commit record and track versions; then run the
-        ordinary staleness check. Deterministic on every client, since
+        excluding) the commit record and track versions; then decide by
+        the one commit rule. Deterministic on every client, since
         it reads only the shared history.
         """
         if depth > self._MAX_RECONSTRUCTION_DEPTH:
@@ -1177,26 +1185,25 @@ class TangoRuntime:
                 f"undecidable commit records; mark read-set objects "
                 f"with needs_decision_record"
             )
-        if record.forced_abort:
-            return False
-        tables: Dict[int, VersionTable] = {}
-        for entry in record.read_set:
-            if entry.oid not in tables:
-                tables[entry.oid] = self._reconstruct_versions(
-                    entry.oid, commit_offset, depth
-                )
-        return not any(
-            tables[e.oid].is_stale(e.oid, e.key, e.version)
-            for e in record.read_set
-        )
+        table = VersionTable()
+        rebuilt = dict.fromkeys(e.oid for e in record.read_set)
+        for oid in rebuilt:
+            self._reconstruct_versions(oid, commit_offset, depth, table)
+        return _decide(record, table, rebuilt)
 
     def _reconstruct_versions(
-        self, oid: int, upto: int, depth: int
-    ) -> VersionTable:
-        """Version table of *oid* as of log offset *upto* (exclusive)."""
+        self, oid: int, upto: int, depth: int, table: VersionTable
+    ) -> None:
+        """Rebuild *oid*'s versions as of log offset *upto* (exclusive)
+        into *table*.
+
+        A commit met on the way is decided by the same rule as in
+        playback, with this stream standing as of its offset; failing
+        that, by its decision record further down the stream when one is
+        expected, and otherwise by a nested reconstruction.
+        """
         self._streams.open_stream(oid)
         self._streams.sync(oid)
-        table = VersionTable()
         pending: Dict[int, List[Tuple[int, UpdateRecord]]] = {}
         below = [o for o in self._streams.known_offsets(oid) if o < upto]
         for offset, records in self._streams.scan(below, _decode_payload):
@@ -1211,17 +1218,22 @@ class TangoRuntime:
                     else:
                         table.bump(oid, offset, record.key)
                 elif isinstance(record, CommitRecord):
-                    outcome = self._decided.get(record.tx_id)
+                    tx_id = record.tx_id
+                    outcome = self._decided.get(tx_id)
                     if outcome is None:
-                        outcome = self._reconstructed_outcome(
-                            oid, offset, record, table, depth
-                        )
-                        self._decided[record.tx_id] = outcome
-                        self._pending_records[record.tx_id] = (offset, record)
+                        outcome = _decide(record, table, (oid,))
+                        if outcome is None and record.decision_expected:
+                            outcome = self._hunt_decision(oid, offset, tx_id)
+                        if outcome is None:
+                            outcome = self._decide_by_reconstruction(
+                                offset, record, depth + 1
+                            )
+                        self._decided[tx_id] = outcome
+                        self._pending_records[tx_id] = (offset, record)
                     if not outcome:
-                        pending.pop(record.tx_id, None)
+                        pending.pop(tx_id, None)
                         continue
-                    for _spec, update in pending.pop(record.tx_id, []):
+                    for _spec, update in pending.pop(tx_id, []):
                         table.bump(oid, offset, update.key)
                     for update in record.inline_updates:
                         if update.oid == oid:
@@ -1242,77 +1254,6 @@ class TangoRuntime:
                             record.version_floor,
                             record.evicted_filter,
                         )
-        return table
-
-    def _reconstructed_outcome(
-        self,
-        oid: int,
-        offset: int,
-        record: CommitRecord,
-        table: VersionTable,
-        depth: int,
-    ) -> bool:
-        """Outcome of a nested commit record met during reconstruction."""
-        if record.forced_abort:
-            return False
-        if all(e.oid == oid for e in record.read_set):
-            return not any(
-                table.is_stale(e.oid, e.key, e.version) for e in record.read_set
-            )
-        if record.decision_expected:
-            for _off, records in self._streams.lookahead(oid, offset, _decode_payload):
-                for rec in records:
-                    if (
-                        isinstance(rec, DecisionRecord)
-                        and rec.tx_id == record.tx_id
-                    ):
-                        return rec.committed
-        return self._decide_by_reconstruction(offset, record, depth + 1)
-
-    # ------------------------------------------------------------------
-    # late-stream catch-up
-    # ------------------------------------------------------------------
-
-    def _catch_up(self, oid: int, upto: int) -> None:
-        """Replay *oid*'s stream alone up to the global watermark.
-
-        Commit decisions encountered here are resolved from (in order):
-        the local decision cache, a read set confined to this object
-        (versions are reconstructed historically during the replay), or
-        a decision record found further down the stream.
-        """
-        for offset, records, _ in self._streams.play((oid,), upto, _decode_payload):
-            for record in records:
-                if isinstance(record, UpdateRecord):
-                    if record.is_speculative:
-                        pending = self._pending.setdefault(
-                            record.tx_id, PendingTx(record.tx_id)
-                        )
-                        pending.speculative.append((offset, record))
-                    elif record.oid == oid:
-                        self._apply_update(offset, record)
-                elif isinstance(record, CommitRecord):
-                    self._catch_up_commit(oid, offset, record)
-
-    def _catch_up_commit(self, oid: int, offset: int, record: CommitRecord) -> None:
-        tx_id = record.tx_id
-        if tx_id in self._decided:
-            self._finalize_tx(offset, record, self._decided[tx_id], (oid,))
-            return
-        if record.forced_abort:
-            outcome = False
-        elif all(e.oid == oid for e in record.read_set):
-            outcome = not any(
-                self._versions.is_stale(e.oid, e.key, e.version)
-                for e in record.read_set
-            )
-        else:
-            outcome = self._hunt_decision(oid, offset, tx_id)
-            if outcome is None:
-                outcome = self._decide_by_reconstruction(offset, record, depth=0)
-        self._decided[tx_id] = outcome
-        self._pending_records[tx_id] = (offset, record)
-        self._finalize_tx(offset, record, outcome, (oid,))
 
     def _hunt_decision(self, oid: int, offset: int, tx_id: int) -> Optional[bool]:
         """Scan forward in the stream for the transaction's decision record."""

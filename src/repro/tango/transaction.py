@@ -89,6 +89,10 @@ class PendingTx:
         # decided locally (awaiting a decision record).
         self.commit_offset: int = -1
         self.commit_record: Optional[CommitRecord] = None
+        # The hosted streams that delivered the commit record: the views
+        # its decision applies to (one that had passed it already holds
+        # the writes, through a checkpoint).
+        self.commit_scope: Tuple[int, ...] = ()
 
     @property
     def awaiting_decision(self) -> bool:

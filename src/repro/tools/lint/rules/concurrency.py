@@ -28,7 +28,8 @@ The shared engine here is a *lock-set analysis* over each class:
    ``__init__`` run before the object is shared and are exempt.
 3. **Guarded attributes** (TL010): any attribute *written* under a
    lock is guarded by that lock; every other read/write of it must
-   hold the guard.
+   hold the guard. A ``*_locked`` helper with intra-class call sites
+   writes under the locks held there, not under every class lock.
 4. **Lock-order graph** (TL011): acquiring B while holding A adds the
    edge ``A -> B``. Edges follow intra-class calls and — where
    ``__init__`` makes the attribute type inferable (direct
@@ -360,6 +361,7 @@ class _ClassAnalysis:
     attr_types: Dict[str, str] = dataclasses.field(default_factory=dict)
     guarded: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
     held: Dict[str, FrozenSet[str]] = dataclasses.field(default_factory=dict)
+    write_held: Dict[str, FrozenSet[str]] = dataclasses.field(default_factory=dict)
     construction_only: Set[str] = dataclasses.field(default_factory=set)
 
     def is_entry(self, method: str) -> bool:
@@ -536,43 +538,49 @@ class _Program:
                     sites.setdefault(call.method, []).append((caller, call.locks))
         return sites
 
+    @staticmethod
+    def _held_fixpoint(
+        cls: _ClassAnalysis,
+        sites: Dict[str, List[Tuple[str, FrozenSet[str]]]],
+        pin_locked: bool,
+    ) -> Dict[str, FrozenSet[str]]:
+        """Locks held on entry to each method; a ``*_locked`` method with
+        call sites is inferred from them unless *pin_locked*."""
+        all_locks = frozenset(cls.lock_attrs)
+        inferred: List[str] = []
+        held: Dict[str, FrozenSet[str]] = {}
+        for name in cls.methods:
+            if name.endswith(HELD_SUFFIX) and (pin_locked or name not in sites):
+                held[name] = all_locks
+            elif cls.is_entry(name) or name not in sites:
+                held[name] = _EMPTY
+            else:
+                held[name] = all_locks  # optimistic; fixed point shrinks
+                inferred.append(name)
+        changed = True
+        while changed:
+            changed = False
+            for name in inferred:
+                merged: Optional[FrozenSet[str]] = None
+                for caller, locks in sites[name]:
+                    effective = locks | held.get(caller, _EMPTY)
+                    merged = effective if merged is None else merged & effective
+                merged = merged if merged is not None else _EMPTY
+                if merged != held[name]:
+                    held[name] = merged
+                    changed = True
+        return held
+
     def _infer_held_sets(self) -> None:
         for cls in self.classes:
             if not cls.scans:
                 continue
-            all_locks = frozenset(cls.lock_attrs)
             sites = self._call_sites(cls)
-            held: Dict[str, FrozenSet[str]] = {}
-            for name in cls.methods:
-                if name.endswith(HELD_SUFFIX):
-                    held[name] = all_locks
-                elif cls.is_entry(name) or name not in sites:
-                    held[name] = _EMPTY
-                else:
-                    held[name] = all_locks  # optimistic; fixed point shrinks
-            changed = True
-            while changed:
-                changed = False
-                for name in cls.methods:
-                    if (
-                        cls.is_entry(name)
-                        or name.endswith(HELD_SUFFIX)
-                        or name not in sites
-                    ):
-                        continue
-                    merged: Optional[FrozenSet[str]] = None
-                    for caller, locks in sites[name]:
-                        effective = locks | held.get(caller, _EMPTY)
-                        merged = (
-                            effective
-                            if merged is None
-                            else merged & effective
-                        )
-                    merged = merged if merged is not None else _EMPTY
-                    if merged != held[name]:
-                        held[name] = merged
-                        changed = True
-            cls.held = held
+            cls.held = self._held_fixpoint(cls, sites, pin_locked=True)
+            # Guard inference credits a write only with the locks held at
+            # it: a ``*_locked`` helper runs under its callers' locks, not
+            # every lock the class has (an inherited one it never takes).
+            cls.write_held = self._held_fixpoint(cls, sites, pin_locked=False)
             # Helpers reachable only from construction run pre-sharing.
             construction: Set[str] = set()
             changed = True
@@ -598,7 +606,7 @@ class _Program:
         def own_guards(cls: _ClassAnalysis) -> Dict[str, Set[str]]:
             guards: Dict[str, Set[str]] = {}
             for name, scan in cls.scans.items():
-                base_held = cls.held.get(name, _EMPTY)
+                base_held = cls.write_held.get(name, _EMPTY)
                 for access in scan.accesses:
                     if not access.write or access.attr in cls.lock_attrs:
                         continue

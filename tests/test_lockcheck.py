@@ -159,6 +159,65 @@ def test_hold_stats_accumulate():
 
 
 # ---------------------------------------------------------------------------
+# guard inference across a class hierarchy
+# ---------------------------------------------------------------------------
+
+_SUBCLASS_LOCKS = """
+import threading
+
+
+class Base:
+    def __init__(self):
+        self._stats_lock = threading.Lock()
+        self._count = 0
+
+    def note(self):
+        with self._stats_lock:
+            self._count += 1
+
+
+class Sub(Base):
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self._deferred = []
+        self._seq = 0
+
+    def defer(self, item):
+        with self._lock:
+            self._defer_locked(item)
+
+    def _defer_locked(self, item):
+        self._seq += 1
+        self._deferred.append((self._seq, item))
+
+    def peek(self):
+        with self._stats_lock:
+            return len(self._deferred)
+"""
+
+
+def test_subclass_attribute_is_guarded_by_the_lock_held_at_its_writes(tmp_path):
+    """A ``*_locked`` helper's writes are credited to the locks its callers
+    hold: ``Sub._deferred`` is written only under ``Sub._lock``, so the
+    inherited ``Base._stats_lock`` does not guard it, and a read under
+    that lock alone is flagged."""
+    from repro.tools.lint.engine import parse_module
+    from repro.tools.lint.rules.concurrency import build_lock_graph
+
+    path = tmp_path / "hierarchy.py"
+    path.write_text(_SUBCLASS_LOCKS)
+    module, _ = parse_module(str(path))
+    guards = build_lock_graph([module]).guards
+    assert guards["Base._stats_lock"] == {"Base._count", "Sub._count"}
+    assert guards["Sub._lock"] == {"Sub._deferred", "Sub._seq"}
+    findings = lint_paths([str(path)], select=["TL010"])
+    peek = _SUBCLASS_LOCKS.splitlines().index("            return len(self._deferred)")
+    assert [(d.rule_id, d.line) for d in findings] == [("TL010", peek + 1)]
+    assert "Sub._deferred" in findings[0].message
+
+
+# ---------------------------------------------------------------------------
 # install(): wrapping the real repro lock sites
 # ---------------------------------------------------------------------------
 

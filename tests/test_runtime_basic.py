@@ -157,6 +157,73 @@ class TestLateRegistration:
         late = TangoMap(rt2, oid=1)
         assert late.get("a") == 1
 
+    def test_late_registration_emits_commit_and_abort_events(self, make_runtime):
+        """A late stream's history is played like any other: every
+        transaction it decides reaches the commit/abort subscribers."""
+
+        def record_decisions(rt):
+            events = []
+            for event in ("commit", "abort"):
+                rt.subscribe(event, lambda p, e=event: events.append((e, p)))
+            return events
+
+        rt1, rt2, rt3 = make_runtime(), make_runtime(), make_runtime()
+        writer_events = record_decisions(rt1)
+        m, other = TangoMap(rt1, oid=1), TangoMap(rt2, oid=1)
+        m.put("k", 0)
+        m.get("k")
+        rt1.begin_tx()
+        m.get("k")
+        m.put("out", 1)
+        assert rt1.end_tx()
+        rt1.begin_tx()
+        m.get("k")
+        other.put("k", 2)
+        m.put("out", 2)
+        assert not rt1.end_tx()
+
+        reg = TangoRegister(rt3, oid=9)
+        reg.write("noise")
+        reg.read()
+        late_events = record_decisions(rt3)
+        TangoMap(rt3, oid=1)  # caught up to the watermark on registration
+        assert [e for e, _ in late_events] == ["commit", "abort"]
+        assert late_events == writer_events
+
+    def test_late_registration_decides_by_the_decision_record(
+        self, make_runtime, monkeypatch
+    ):
+        """A late stream holding a commit that expects a decision record
+        waits for that record, as playback does; nothing is rebuilt."""
+
+        class Marked(TangoMap):
+            needs_decision_record = True
+
+        rt1 = make_runtime()
+        r, w = Marked(rt1, oid=1), TangoMap(rt1, oid=2)
+        r.put("k", 0)
+        r.get("k")
+        rt1.begin_tx()
+        r.get("k")
+        w.put("out", "committed")
+        assert rt1.end_tx()
+
+        rt2 = make_runtime()
+        reg = TangoRegister(rt2, oid=9)
+        reg.write("noise")
+        reg.read()
+        calls = []
+        rebuild = rt2._decide_by_reconstruction
+        monkeypatch.setattr(
+            rt2,
+            "_decide_by_reconstruction",
+            lambda *a: calls.append(a) or rebuild(*a),
+        )
+        late = TangoMap(rt2, oid=2)
+        assert late.get("out") == "committed"
+        assert calls == []
+        assert rt2.status()["awaiting_decisions"] == []
+
 
 class TestHistory:
     def test_historical_view(self, make_runtime):
@@ -245,6 +312,71 @@ class TestCheckpoints:
         fresh = TangoMap(rt2, oid=1)
         fresh.get("a")
         assert rt2.version_of(1, b"a") == rt1.version_of(1, b"a")
+
+    @pytest.mark.parametrize("order", ["read_first", "write_first", "write_late"])
+    def test_commit_below_a_checkpoint_is_decided_as_of_its_offset(
+        self, make_runtime, order
+    ):
+        """A checkpoint of a read-set object taken after a commit does not
+        re-decide that commit for a fresh consumer: the read set's
+        versions as of the commit's offset decide it, not the newer ones
+        the checkpoint installs, in whatever order the consumer
+        registers the objects."""
+        rt = make_runtime()
+        r, w = TangoMap(rt, oid=1), TangoMap(rt, oid=2)
+        r.put("k", 0)
+        r.get("k")
+
+        def tx():
+            if r.get("k") == 0:
+                w.put("out", "committed")
+
+        rt.run_transaction(tx)
+        r.put("k", 1)
+        r.get("k")
+        rt.checkpoint(1, "full")
+        assert w.get("out") == "committed"
+
+        fresh = make_runtime()
+        if order == "write_first":
+            fw, fr = TangoMap(fresh, oid=2), TangoMap(fresh, oid=1)
+        else:
+            fr = TangoMap(fresh, oid=1)
+            if order == "write_late":
+                assert fr.get("k") == 1
+            fw = TangoMap(fresh, oid=2)
+        assert fw.get("out") == w.get("out")
+        assert fr.get("k") == 1
+
+    def test_decision_record_below_a_checkpoint_leaves_the_reloaded_view(
+        self, make_runtime
+    ):
+        """A commit that expects a decision record, met below a reloaded
+        checkpoint of one of its objects, waits for the record and then
+        applies its writes only to the views that had not yet passed it."""
+
+        class Marked(TangoMap):
+            needs_decision_record = True
+
+        rt = make_runtime()
+        r, w = Marked(rt, oid=1), TangoMap(rt, oid=2)
+        r.put("k", 0)
+        r.get("k")
+        rt.begin_tx()
+        r.get("k")
+        r.put("seen", "tx")
+        w.put("out", "committed")
+        assert rt.end_tx()
+        r.put("k", 1)
+        r.put("seen", "later")
+        r.get("k")
+        rt.checkpoint(1, "full")
+
+        fresh = make_runtime()
+        fr, fw = Marked(fresh, oid=1), TangoMap(fresh, oid=2)
+        assert fw.get("out") == "committed"
+        assert fr.get("seen") == "later"
+        assert fr.get("k") == 1
 
     def test_checkpoint_unhosted_rejected(self, make_runtime):
         rt = make_runtime()
