@@ -370,8 +370,10 @@ def replace_sequencer_shard(
 
 
 #: Stream id reserved for sequencer state checkpoints. Stream ids are
-#: 31-bit; Tango object ids in practice stay tiny, so the top of the
-#: space is free for infrastructure streams.
+#: 31-bit and the upper half is infrastructure: Tango object ids stop at
+#: ``(1 << 30) - 2``, ``(1 << 30) | oid`` is object ``oid``'s checkpoint
+#: stream (``repro.tango.records.checkpoint_stream``), and this, the
+#: last id, is the one id that neither range reaches.
 SEQUENCER_CHECKPOINT_STREAM = (1 << 31) - 1
 
 _SEQ_CKPT_MAGIC = b"SEQCKPT1"

@@ -127,12 +127,17 @@ class _StreamState:
         self.offsets: List[int] = []  # ascending offsets known to belong here
         self.known: set = set()
         self.read_ptr = 0  # index into `offsets` of the next entry to deliver
-        # Highest offset forgotten to a prefix trim (memory-bounded
-        # mode); everything at or below it was delivered-or-reclaimed.
-        self.trim_floor = NO_BACKPOINTER
+        # Everything at or below the floor counts as delivered, listed
+        # or not: it was forgotten to a prefix trim (memory-bounded
+        # mode), or a seek past the list moved it there (a checkpoint
+        # covers it). A walk stops at the floor.
+        self.floor = NO_BACKPOINTER
+        # True after a seek past the list: the stream's offsets at or
+        # below the floor are not listed, though they are in the log.
+        self.covered = False
 
     def highest_known(self) -> int:
-        return self.offsets[-1] if self.offsets else self.trim_floor
+        return self.offsets[-1] if self.offsets else self.floor
 
     def forget_below(self, horizon: int) -> int:
         """Drop linked-list entries below *horizon* (a trimmed prefix).
@@ -146,8 +151,8 @@ class _StreamState:
             self.known.difference_update(self.offsets[:k])
             del self.offsets[:k]
             self.read_ptr = max(0, self.read_ptr - k)
-        if horizon - 1 > self.trim_floor:
-            self.trim_floor = horizon - 1
+        if horizon - 1 > self.floor:
+            self.floor = horizon - 1
         return k
 
     def extend(self, new_offsets: Sequence[int]) -> None:
@@ -222,6 +227,13 @@ class StreamClient:
         with self._lock:
             if stream_id not in self._streams:
                 self._streams[stream_id] = _StreamState(stream_id)
+
+    def close_stream(self, stream_id: int) -> None:
+        """Stop tracking *stream_id* (idempotent): its linked list and
+        iterator are dropped, and a later :meth:`open_stream` starts
+        afresh. Cached entries stay."""
+        with self._lock:
+            self._streams.pop(stream_id, None)
 
     def is_open(self, stream_id: int) -> bool:
         with self._lock:
@@ -671,7 +683,7 @@ class StreamClient:
         linearizable semantics (section 5).
         """
         _tail, last_offsets = self._corfu.query_streams((stream_id,))
-        return self._sync_from(stream_id, last_offsets.get(stream_id, ()))
+        return self.sync_from(stream_id, last_offsets.get(stream_id, ()))
 
     def sync_many(self, stream_ids: Sequence[int]) -> Dict[int, int]:
         """Sync several streams with a single sequencer query.
@@ -717,13 +729,16 @@ class StreamClient:
             headers = [slot.entry.header_for(sid) for sid in stream_ids]
             if None not in headers:
                 return {
-                    sid: self._sync_from(sid, (offset,) + header.backpointers)
+                    sid: self.sync_from(sid, (offset,) + header.backpointers)
                     for sid, header in zip(stream_ids, headers)
                 }
         return self.sync_many(stream_ids)
 
-    def _sync_from(self, stream_id: int, recent_offsets: Sequence[int]) -> int:
-        """Walk backpointers from the sequencer's last-K offsets."""
+    def sync_from(self, stream_id: int, recent_offsets: Sequence[int]) -> int:
+        """:meth:`sync` from a sequencer answer the caller already has:
+        walk backpointers from the stream's last-K *recent_offsets*
+        down to what is listed (or to the floor). Returns the stream's
+        last offset."""
         with self._lock:
             return self._sync_from_locked(stream_id, recent_offsets)
 
@@ -970,11 +985,55 @@ class StreamClient:
         """Move the iterator past every offset <= *after_offset*.
 
         Used after loading a checkpoint: playback resumes at the first
-        entry the checkpoint does not cover.
+        entry the checkpoint does not cover. A seek past everything
+        listed (registration seeks before it walks) covers the stream:
+        the list is dropped and the floor moves to *after_offset*, so a
+        walk stops there and what lies below stays unlisted until
+        :meth:`uncover`.
         """
         with self._lock:
             state = self._state(stream_id)
+            if after_offset > state.highest_known():
+                state.known.clear()
+                state.offsets.clear()
+                state.floor = after_offset
+                state.covered = True
             state.read_ptr = bisect_right(state.offsets, after_offset)
+
+    def uncover(self, stream_id: int) -> None:
+        """List the offsets a covering :meth:`seek` left unlisted.
+
+        For a reader that needs a covered stream's whole history (a
+        reconstruction of its versions). Walks from the lowest listed
+        offset, or from a fresh sequencer answer when nothing is listed,
+        to the start of the stream; the walk fills a state of its own,
+        swapped in under the iterator lock so no reader sees it. The
+        iterator keeps its logical position: what the walk adds at or
+        below the floor counts as delivered. No-op on a stream that is
+        not covered.
+        """
+        with self._lock:
+            state = self._state(stream_id)
+            if not state.covered:
+                return
+            start = state.offsets[:1]
+        if not start:
+            _tail, recent = self._corfu.query_streams((stream_id,))
+            start = list(recent.get(stream_id, ()))
+        with self._lock:
+            state = self._state(stream_id)
+            if not state.covered:
+                return
+            walked = self._streams[stream_id] = _StreamState(stream_id)
+            try:
+                self.sync_from(stream_id, start)
+            finally:
+                self._streams[stream_id] = state
+            found = [off for off in walked.offsets if off not in state.known]
+            state.read_ptr += sum(1 for off in found if off <= state.floor)
+            state.offsets = sorted(state.offsets + found)
+            state.known.update(found)
+            state.covered = False
 
     def known_offsets(self, stream_id: int) -> Tuple[int, ...]:
         """The stream's current linked list (ascending), without fetching."""
@@ -1001,14 +1060,15 @@ class StreamClient:
     def position(self, stream_id: int) -> int:
         """Offset of the last delivered entry (NO_BACKPOINTER before any).
 
-        After a prefix trim forgot delivered offsets (memory-bounded
-        mode), the trim floor stands in for them: everything at or
-        below it is part of the delivered history.
+        When no listed offset was delivered, the floor stands in: a
+        prefix trim forgot the delivered offsets (memory-bounded mode),
+        or a seek past the list skipped them (a checkpoint covers them),
+        and everything at or below it is part of the delivered history.
         """
         with self._lock:
             state = self._state(stream_id)
             if state.read_ptr == 0:
-                return state.trim_floor
+                return state.floor
             return state.offsets[state.read_ptr - 1]
 
     def pending(self, stream_id: int) -> int:
@@ -1021,7 +1081,9 @@ class StreamClient:
         """Rewind the iterator to the beginning of the stream.
 
         Combined with ``readnext(upto=...)`` this instantiates a view
-        from a prefix of the history (time travel, section 3.1).
+        from a prefix of the history (time travel, section 3.1). A
+        covered stream rewinds to its floor; :meth:`uncover` it first
+        to replay what lies below.
         """
         with self._lock:
             self._state(stream_id).read_ptr = 0

@@ -21,6 +21,9 @@ kinds exist:
   the keys changed since a base checkpoint, chained via ``base_offset``
   so hot objects stop serializing full state every checkpoint.
 
+A checkpoint entry joins two streams: the object's own and the object's
+checkpoint stream (:func:`checkpoint_stream`).
+
 Every record is an immutable tuple value: equal (and hashing equal) to
 any record, or plain tuple, with the same fields. The byte layouts live
 in :mod:`repro.util.encoding`; each record's fixed-width prefix packs
@@ -58,6 +61,30 @@ _VERSION_NONE = 0xFFFFFFFFFFFFFFFF
 
 #: tx_id value meaning "not part of any transaction".
 NO_TX = 0
+
+#: Base of the per-object checkpoint streams. Every checkpoint entry of
+#: object ``oid`` is multiappended to ``oid``'s stream and to
+#: ``CHECKPOINT_STREAMS | oid``, so one sequencer query names an
+#: object's newest checkpoints (section 5: the sequencer keeps each
+#: stream's last K offsets).
+CHECKPOINT_STREAMS = 1 << 30
+
+#: Largest object id. Object ids stay below ``CHECKPOINT_STREAMS``, and
+#: ``CHECKPOINT_STREAMS | MAX_OID`` is the last id below the sequencer's
+#: own checkpoint stream, ``(1 << 31) - 1``.
+MAX_OID = CHECKPOINT_STREAMS - 2
+
+
+def checkpoint_stream(oid: int) -> int:
+    """The stream every checkpoint entry of object *oid* also joins."""
+    return CHECKPOINT_STREAMS | oid
+
+
+def checkpointed_oid(stream_id: int) -> Optional[int]:
+    """The object whose checkpoint stream *stream_id* is, or None."""
+    if CHECKPOINT_STREAMS <= stream_id <= CHECKPOINT_STREAMS | MAX_OID:
+        return stream_id - CHECKPOINT_STREAMS
+    return None
 
 # Decoders build values straight from their fields.
 _new = tuple.__new__

@@ -31,15 +31,18 @@ Core mechanics implemented here:
   decision records for consumers that host a write-set object but not
   the whole read set.
 - **checkpoints and forget** (section 3.1): object-provided snapshots
-  stored in the log, and GC driven by per-object forget offsets.
+  stored in the log, each also in its object's checkpoint stream so
+  registration finds the newest with one sequencer query, and GC
+  driven by per-object forget offsets.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.corfu.entry import NO_BACKPOINTER
 from repro.errors import (
     NestedTransactionError,
     NoActiveTransaction,
@@ -52,6 +55,7 @@ from repro.errors import (
 )
 from repro.streams.stream import StreamClient
 from repro.tango.records import (
+    MAX_OID,
     NO_TX,
     NO_VERSION,
     CheckpointRecord,
@@ -60,6 +64,7 @@ from repro.tango.records import (
     DeltaCheckpointRecord,
     Record,
     UpdateRecord,
+    checkpoint_stream,
     decode_records,
     encode_records,
 )
@@ -237,15 +242,23 @@ class TangoRuntime:
     def register_object(self, obj, from_checkpoint: bool = True) -> None:
         """Host a local view of *obj*, catching it up with the log.
 
-        If the object's stream contains a checkpoint record, the newest
-        one is loaded and playback resumes above its cover point —
-        mandatory when the log below has been trimmed. A stream
-        registered after the runtime has already played other streams is
-        played up to the current watermark, by the same merged playback
-        (its entries' commits are decided, and wait for decision
-        records, as there).
+        One sequencer query names the object's stream and its checkpoint
+        stream (:func:`~repro.tango.records.checkpoint_stream`). With
+        *from_checkpoint*, the newest checkpoint whose chain loads is
+        installed — mandatory when the log below has been trimmed — and
+        the object's stream is walked only down to its cover; without
+        one, the whole stream is walked and played. A stream registered
+        after the runtime has already played other streams is played up
+        to the current watermark, by the same merged playback (its
+        entries' commits are decided, and wait for decision records, as
+        there).
+
+        Object ids run from 0 to :data:`~repro.tango.records.MAX_OID`;
+        the ids above are checkpoint and infrastructure streams.
         """
         oid = obj.oid
+        if not 0 <= oid <= MAX_OID:
+            raise ValueError(f"object id {oid} outside [0, {MAX_OID}]")
         with self._play_lock:
             if oid in self._objects:
                 raise ObjectExistsError(f"object {oid} already registered")
@@ -256,9 +269,13 @@ class TangoRuntime:
                 )
             self._objects[oid] = obj
             self._streams.open_stream(oid)
-            self._streams.sync(oid)
+            ckpt = checkpoint_stream(oid)
+            _tail, recent = self._streams.corfu.query_streams((oid, ckpt))
             if from_checkpoint:
-                self._maybe_load_checkpoint(oid, obj)
+                self._load_newest_checkpoint(oid, obj, recent.get(ckpt, ()))
+            # A loaded checkpoint moved the stream's floor to its cover:
+            # the walk stops there.
+            self._streams.sync_from(oid, recent.get(oid, ()))
             # Every other hosted stream stands at the watermark, so this
             # pass delivers the new stream's history alone, scope (oid,).
             self._play_until(self._watermark)
@@ -266,9 +283,10 @@ class TangoRuntime:
     def deregister_object(self, oid: int) -> None:
         """Drop the local view of *oid* (the log is unaffected).
 
-        The stream iterator rewinds so that a future registration
-        replays the stream from the start (or its newest checkpoint)
-        into the fresh view.
+        The stream's linked list goes with it, so a future registration
+        walks and replays the stream afresh, from its newest checkpoint
+        or from the start: nothing a checkpoint's cover left unlisted
+        is missed.
         """
         with self._play_lock:
             self._objects.pop(oid, None)
@@ -276,8 +294,7 @@ class TangoRuntime:
             self._dirty_keys.pop(oid, None)
             self._dirty_full.discard(oid)
             self._checkpoint_chains.pop(oid, None)
-            if self._streams.is_open(oid):
-                self._streams.reset(oid)
+            self._streams.close_stream(oid)
 
     def is_hosted(self, oid: int) -> bool:
         with self._play_lock:
@@ -292,27 +309,35 @@ class TangoRuntime:
         with self._play_lock:
             return tuple(self._objects)
 
-    def _maybe_load_checkpoint(self, oid: int, obj) -> None:
-        """Find and load the newest checkpoint record in *oid*'s stream.
+    def _load_newest_checkpoint(self, oid: int, obj, recent: Sequence[int]) -> None:
+        """Load *oid*'s newest checkpoint whose chain loads, if any.
 
-        Scans newest-first, a batched round of known offsets at a time
-        (lazily: a checkpoint near the tail ends the scan after one
-        round). Without a checkpoint the scan visits the whole stream;
-        what it fetched and decoded is what playback then consumes from
-        the cache. A delta checkpoint is loaded by walking its
-        ``base_offset`` chain back to a full checkpoint; a chain that
-        cannot be reconstructed (trimmed base, hole) is skipped and the
-        scan continues with older candidates.
+        *recent* is the sequencer's answer for the object's checkpoint
+        stream: its last K offsets, tried newest first in one batched
+        round. Only when none of them loads (a trimmed base, a hole) is
+        the checkpoint stream walked further back; it holds checkpoint
+        entries and nothing else.
         """
-        newest_first = reversed(self._streams.known_offsets(oid))
-        for offset, records in self._streams.scan(newest_first, _decode_payload):
+        newest = sorted((off for off in recent if off != NO_BACKPOINTER), reverse=True)
+        if not newest or self._load_first_checkpoint(oid, obj, newest):
+            return
+        ckpt = checkpoint_stream(oid)
+        self._streams.open_stream(ckpt)
+        self._streams.sync_from(ckpt, newest)
+        older = [off for off in self._streams.known_offsets(ckpt) if off < newest[-1]]
+        self._load_first_checkpoint(oid, obj, reversed(older))
+
+    def _load_first_checkpoint(self, oid: int, obj, offsets: Iterable[int]) -> bool:
+        """Load the first checkpoint of *oid* among *offsets* whose chain loads."""
+        for offset, records in self._streams.scan(offsets, _decode_payload):
             for record in records:
                 if (
                     isinstance(record, (CheckpointRecord, DeltaCheckpointRecord))
                     and record.oid == oid
                 ):
                     if self._load_checkpoint_chain(oid, obj, offset, record):
-                        return
+                        return True
+        return False
 
     def _load_checkpoint_chain(self, oid: int, obj, offset: int, newest) -> bool:
         """Install *newest* (plus its delta chain, if any) into *obj*.
@@ -828,7 +853,9 @@ class TangoRuntime:
                 version_floor=floor,
                 evicted_filter=evicted,
             )
-        offset = self._streams.append(encode_records([record]), (oid,))
+        offset = self._streams.append(
+            encode_records([record]), (oid, checkpoint_stream(oid))
+        )
         depth = chain[1] + 1 if use_delta else 0
         self._checkpoint_chains[oid] = (offset, depth)
         self._dirty_keys.pop(oid, None)
@@ -952,7 +979,7 @@ class TangoRuntime:
     ) -> None:
         """Play one log entry's records into the objects in *scope*.
 
-        Every reader of payloads (checkpoint hunt, reconstruction,
+        Every reader of payloads (checkpoint load, reconstruction,
         decision hunts, playback) decodes with :func:`_decode_payload`,
         through the stream iterators, and the cache keeps them beside
         the raw entry until playback, its last reader, takes them: one
@@ -1078,6 +1105,13 @@ class TangoRuntime:
             # and then check for conflicts." We reconstruct version
             # tables, which is all a conflict check needs.
             outcome = self._decide_by_reconstruction(offset, record, depth=0)
+        self._note_decision(offset, record, outcome)
+        self._finalize_tx(offset, record, outcome, scope)
+
+    def _note_decision(self, offset: int, record: CommitRecord, outcome: bool) -> None:
+        """Remember *outcome* for the commit record at *offset* (what
+        :meth:`publish_decision` republishes) and tell subscribers."""
+        tx_id = record.tx_id
         self._decided[tx_id] = outcome
         self._pending_records[tx_id] = (offset, record)
         if self._subscribers:
@@ -1085,7 +1119,6 @@ class TangoRuntime:
                 "commit" if outcome else "abort",
                 {"tx_id": tx_id, "offset": offset},
             )
-        self._finalize_tx(offset, record, outcome, scope)
 
     def _park_for_decision(
         self, offset: int, record: CommitRecord, scope: Tuple[int, ...]
@@ -1108,7 +1141,9 @@ class TangoRuntime:
         pending = self._awaiting.pop(decision.tx_id, None)
         if pending is None:
             return
-        self._decided[decision.tx_id] = decision.committed
+        self._note_decision(
+            pending.commit_offset, pending.commit_record, decision.committed
+        )
         self._finalize_tx(
             pending.commit_offset,
             pending.commit_record,
@@ -1204,6 +1239,9 @@ class TangoRuntime:
         """
         self._streams.open_stream(oid)
         self._streams.sync(oid)
+        # A stream registered from a checkpoint is listed only above its
+        # cover; the versions need all of it.
+        self._streams.uncover(oid)
         pending: Dict[int, List[Tuple[int, UpdateRecord]]] = {}
         below = [o for o in self._streams.known_offsets(oid) if o < upto]
         for offset, records in self._streams.scan(below, _decode_payload):

@@ -10,12 +10,16 @@ tools. This module provides three, all read-only:
   header's pointers land on earlier entries of the same stream),
   transaction completeness (no speculative updates without a commit, no
   commit awaiting a decision that never arrived), and hole accounting.
+
+:func:`dump_log` and :func:`stream_summary` name an object's checkpoint
+stream ``ckpt:<oid>`` (:func:`stream_label`) and every other stream by
+its integer id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.entry import NO_BACKPOINTER, LogEntry
@@ -25,8 +29,18 @@ from repro.tango.records import (
     CommitRecord,
     DecisionRecord,
     UpdateRecord,
+    checkpointed_oid,
     decode_records,
 )
+
+#: How dump_log and stream_summary name a stream.
+StreamLabel = Union[int, str]
+
+
+def stream_label(stream_id: int) -> StreamLabel:
+    """``ckpt:<oid>`` for object *oid*'s checkpoint stream, else the id."""
+    oid = checkpointed_oid(stream_id)
+    return stream_id if oid is None else f"ckpt:{oid}"
 
 
 def _read_entries(cluster: CorfuCluster) -> List[Tuple[int, Optional[LogEntry], str]]:
@@ -56,7 +70,7 @@ def dump_log(cluster: CorfuCluster, decode_payloads: bool = True) -> List[dict]:
     for offset, entry, state in _read_entries(cluster):
         row: dict = {"offset": offset, "state": state}
         if entry is not None and not entry.is_junk:
-            row["streams"] = list(entry.stream_ids())
+            row["streams"] = [stream_label(sid) for sid in entry.stream_ids()]
             row["payload_bytes"] = len(entry.payload)
             if decode_payloads:
                 try:
@@ -109,15 +123,15 @@ def format_dump(rows: List[dict]) -> str:
     return "\n".join(lines)
 
 
-def stream_summary(cluster: CorfuCluster) -> Dict[int, dict]:
-    """Per-stream statistics over the whole log."""
-    summary: Dict[int, dict] = {}
+def stream_summary(cluster: CorfuCluster) -> Dict[StreamLabel, dict]:
+    """Per-stream statistics over the whole log, keyed by stream label."""
+    summary: Dict[StreamLabel, dict] = {}
     for offset, entry, state in _read_entries(cluster):
         if entry is None or entry.is_junk:
             continue
         for sid in entry.stream_ids():
             stats = summary.setdefault(
-                sid,
+                stream_label(sid),
                 {"entries": 0, "first_offset": offset, "last_offset": offset,
                  "payload_bytes": 0},
             )

@@ -131,6 +131,7 @@ class _Acquire:
     node: ast.AST
     attr: str
     locks: FrozenSet[str]  # held just outside this ``with``
+    inside: Optional[str] = None  # the nested function it sits in
 
 
 @dataclasses.dataclass
@@ -139,6 +140,7 @@ class _CallSite:
     receiver: Optional[str]  # None = self, else the self.<attr> receiver
     method: str
     locks: FrozenSet[str]
+    inside: Optional[str] = None  # the nested function it sits in
 
 
 @dataclasses.dataclass
@@ -179,11 +181,53 @@ class _MethodScan:
         #: a bound-method alias (``put = self._put; put(x)``) counts as an
         #: intra-class call made with the locks held at the call.
         self.bound: Dict[str, str] = {}
+        #: The nested function (``def``) being walked, if any.
+        self._inside: Optional[str] = None
+        #: (name, locks held, nested function it sits in) of every call
+        #: by bare name: how a nested function runs where it is called.
+        self.local_calls: List[Tuple[str, FrozenSet[str], Optional[str]]] = []
+        #: What the lock-order graph counts (filled by :meth:`scan`).
+        self.order_acquires: List[_Acquire] = []
+        self.order_calls: List[_CallSite] = []
 
     def scan(self, fn: ast.AST) -> "_MethodScan":
         for stmt in fn.body:  # type: ignore[attr-defined]
             self._visit(stmt, _EMPTY)
+        self._credit_nested()
         return self
+
+    def _credit_nested(self) -> None:
+        """What the method acquires and calls, for the lock-order graph.
+
+        A nested function's body runs where it is called, not where it
+        is defined: its acquisitions and calls count once per call by
+        name, under the locks held at that call, and nowhere if the
+        method only hands the function on (a deferred callback).
+        """
+        self.order_acquires = [a for a in self.acquires if a.inside is None]
+        self.order_calls = [c for c in self.calls if c.inside is None]
+        pending = [(name, locks) for name, locks, inside in self.local_calls if inside is None]
+        credited: Set[Tuple[str, FrozenSet[str]]] = set()
+        while pending:
+            name, held = pending.pop()
+            if (name, held) in credited:
+                continue
+            credited.add((name, held))
+            self.order_acquires.extend(
+                dataclasses.replace(a, locks=a.locks | held, inside=None)
+                for a in self.acquires
+                if a.inside == name
+            )
+            self.order_calls.extend(
+                dataclasses.replace(c, locks=c.locks | held, inside=None)
+                for c in self.calls
+                if c.inside == name
+            )
+            pending.extend(
+                (callee, locks | held)
+                for callee, locks, inside in self.local_calls
+                if inside == name
+            )
 
     # -- helpers ---------------------------------------------------------
 
@@ -221,7 +265,9 @@ class _MethodScan:
                 self._visit(item.context_expr, locks)
                 attr = self_attr(item.context_expr)
                 if attr is not None and attr in self.lock_attrs:
-                    self.acquires.append(_Acquire(item.context_expr, attr, inner))
+                    self.acquires.append(
+                        _Acquire(item.context_expr, attr, inner, self._inside)
+                    )
                     inner = inner | {attr}
                 if item.optional_vars is not None:
                     self._visit(item.optional_vars, locks)
@@ -230,10 +276,18 @@ class _MethodScan:
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             # Nested functions run later, from an unknown lock context;
-            # analyze their bodies with nothing held.
+            # analyze their bodies with nothing held. A ``def``'s body
+            # is tagged with its name, so the lock-order graph counts it
+            # only where the method calls it (_credit_nested).
             body = node.body if isinstance(node.body, list) else [node.body]
-            for stmt in body:
-                self._visit(stmt, _EMPTY)
+            outer = self._inside
+            if not isinstance(node, ast.Lambda):
+                self._inside = node.name
+            try:
+                for stmt in body:
+                    self._visit(stmt, _EMPTY)
+            finally:
+                self._inside = outer
             return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
             if isinstance(node, ast.Assign):
@@ -280,8 +334,11 @@ class _MethodScan:
         func = node.func
         if isinstance(func, ast.Name):
             if func.id in self.bound:
-                self.calls.append(_CallSite(node, None, self.bound[func.id], locks))
+                self.calls.append(
+                    _CallSite(node, None, self.bound[func.id], locks, self._inside)
+                )
                 return
+            self.local_calls.append((func.id, locks, self._inside))
             target = self.aliases.get(func.id)
             if target == ("time", "sleep"):
                 self.blocking.append(_Blocking(node, "time.sleep", locks))
@@ -293,7 +350,7 @@ class _MethodScan:
         if isinstance(receiver, ast.Name) and receiver.id == "self":
             # Intra-class call: never an RPC; mutating-container methods
             # on self itself do not occur on lock-holding classes here.
-            self.calls.append(_CallSite(node, None, method, locks))
+            self.calls.append(_CallSite(node, None, method, locks, self._inside))
             return
         if (
             isinstance(receiver, ast.Call)
@@ -302,11 +359,11 @@ class _MethodScan:
         ):
             # super().m() dispatches to self via the MRO — an intra-class
             # call for lock purposes, never an RPC.
-            self.calls.append(_CallSite(node, None, method, locks))
+            self.calls.append(_CallSite(node, None, method, locks, self._inside))
             return
         recv_attr = self_attr(receiver)
         if recv_attr is not None:
-            self.calls.append(_CallSite(node, recv_attr, method, locks))
+            self.calls.append(_CallSite(node, recv_attr, method, locks, self._inside))
             if method in MUTATING_METHODS and recv_attr not in self.typed_attrs:
                 self._record_write(node, recv_attr, "call", locks)
         # Blocking classification applies to any non-self receiver.
@@ -676,7 +733,7 @@ class _Program:
             for name, scan in cls.scans.items()
         ]
         for cls, name, scan in scanned:
-            direct = {self.node_id(cls, acq.attr) for acq in scan.acquires}
+            direct = {self.node_id(cls, acq.attr) for acq in scan.order_acquires}
             acquires[(cls.name, name)] = direct
         changed = True
         while changed:
@@ -684,7 +741,7 @@ class _Program:
             for cls, name, scan in scanned:
                 current = acquires[(cls.name, name)]
                 before = len(current)
-                for call in scan.calls:
+                for call in scan.order_calls:
                     target: Optional[Tuple[str, str]] = None
                     if call.receiver is None:
                         target = self._resolve_method(cls, call.method)
@@ -715,7 +772,7 @@ class _Program:
                     ).add(f"{cls.name}.{attr}")
         for cls, name, scan in scanned:
             base_held = cls.held.get(name, _EMPTY)
-            for acq in scan.acquires:
+            for acq in scan.order_acquires:
                 effective = acq.locks | base_held
                 target_id = self.node_id(cls, acq.attr)
                 for lock in effective:
@@ -727,7 +784,7 @@ class _Program:
                             cls.module.path,
                             getattr(acq.node, "lineno", 1),
                         )
-            for call in scan.calls:
+            for call in scan.order_calls:
                 effective = call.locks | base_held
                 if not effective:
                     continue

@@ -89,7 +89,7 @@ def test_every_payload_is_decoded_exactly_once(history, monkeypatch):
     monkeypatch.setattr(runtime_module, "_decode_payload", counting)
     rt, _held = _fresh(cluster, client_id=2)
     # Every entry the catch-up looked at, whichever of the checkpoint
-    # hunt, merged playback or (for a two-map commit) a second hosted
+    # load, merged playback or (for a two-map commit) a second hosted
     # stream got there first. Map 4's prefix sits under its checkpoint
     # and is never visited at all.
     assert len(decodes) > 0.8 * N_OPS
@@ -115,7 +115,7 @@ def test_known_offsets_travel_in_exact_batches(history):
     rounds = -(-tail // 64)
     # Beyond the walk: one batched round per window of 64 known
     # offsets, one RPC per replica chain per round; a few rounds are
-    # short (each stream's hunt ends on a partial window). Windows of
+    # short (a stream's last window is partial). Windows of
     # 8 sliding by one needed ~N/3 rounds here.
     assert rpcs <= walk_rpcs + 2 * rounds + 2 * len(OIDS) + 4
 
@@ -123,6 +123,10 @@ def test_known_offsets_travel_in_exact_batches(history):
 def test_one_new_entry_costs_one_storage_read(history):
     cluster, writer, maps = history
     rt, held = _fresh(cluster, client_id=4)
+    # _fresh plays to map 1's marker; maps 2-4 may hold entries past it,
+    # which nothing has read yet. Play every map to its tail first.
+    for tmap in held.values():
+        tmap.size()
     maps[2].put(KEYS[5], "fresh")
     corfu = rt.streams.corfu
     reads, batched = _storage(cluster, corfu), _storage(cluster, corfu, "batch_rpcs")
@@ -137,7 +141,7 @@ def test_one_new_entry_costs_one_storage_read(history):
 
 #: ``_cache_lock`` holds per batched round of ``play`` or ``scan``: the
 #: claim of its misses, the insert of what the round's read returned,
-#: the collection of its entries and forms, and the hand-over (the hunt
+#: the collection of its entries and forms, and the hand-over (``scan``
 #: remembers fresh forms, playback releases delivered ones). A miss the
 #: round did not claim (a lone one) costs ``fetch``'s two more.
 HOLDS_PER_WINDOW = 4
@@ -159,7 +163,7 @@ class _CountingLock:
 
 
 def test_a_window_takes_its_entries_and_records_in_a_few_holds(history, monkeypatch):
-    """A fresh four-map runtime: the checkpoint hunt and playback take a
+    """A fresh four-map runtime: the checkpoint load and playback take a
     round's entries and records from the cache in a few lock holds, not
     in a few per entry, and leave nothing decoded behind."""
     cluster, _writer, _maps = history
@@ -198,21 +202,21 @@ def test_a_window_takes_its_entries_and_records_in_a_few_holds(history, monkeypa
     lock = streams._cache_lock = _CountingLock(streams._cache_lock)
 
     rt = TangoRuntime(streams, client_id=6, name="counted")
-    held = {oid: TangoMap(rt, oid) for oid in OIDS}  # syncs nothing new; hunts
-    hunt_holds, hunt_misses = lock.holds, len(fetched)
+    held = {oid: TangoMap(rt, oid) for oid in OIDS}  # walks nothing new; loads map 4's checkpoint
+    load_holds, load_misses = lock.holds, len(fetched)
     lock.holds = 0
     for oid in OIDS:
         held[oid].size()  # plays every hosted stream to its tail
-    play_holds, play_misses = lock.holds, len(fetched) - hunt_misses
+    play_holds, play_misses = lock.holds, len(fetched) - load_misses
 
     def rounds(calls):
         return sum(-(-len(offsets) // 64) for offsets in calls)
 
     # The window never goes back to fetch for an entry it found cached.
     assert not any(cached for _off, cached in fetched)
-    assert hunt_holds <= HOLDS_PER_WINDOW * rounds(scanned) + HOLDS_PER_MISS * hunt_misses
+    assert load_holds <= HOLDS_PER_WINDOW * rounds(scanned) + HOLDS_PER_MISS * load_misses
     assert play_holds <= HOLDS_PER_WINDOW * rounds(played) + HOLDS_PER_MISS * play_misses
-    # Every entry visited is decoded exactly once, by the hunt or playback.
+    # Every entry visited is decoded exactly once, by the load or playback.
     visited = {off for calls in (scanned, played) for offsets in calls for off in offsets}
     assert sum(decodes.values()) == len(visited) and set(decodes.values()) == {1}
     assert len({off for offsets in played for off in offsets}) > 0.8 * N_OPS

@@ -7,6 +7,7 @@ ever actually deadlocking (single-threaded interleaving produces the
 same order edges two racing threads would).
 """
 
+import json
 import os
 import re
 import threading
@@ -215,6 +216,73 @@ def test_subclass_attribute_is_guarded_by_the_lock_held_at_its_writes(tmp_path):
     peek = _SUBCLASS_LOCKS.splitlines().index("            return len(self._deferred)")
     assert [(d.rule_id, d.line) for d in findings] == [("TL010", peek + 1)]
     assert "Sub._deferred" in findings[0].message
+
+
+# ---------------------------------------------------------------------------
+# a nested function's body runs where it is called, not where it is defined
+# ---------------------------------------------------------------------------
+
+_DEFERRED_CALLBACK = """
+import threading
+
+
+class Other:
+    def __init__(self):
+        self._b = threading.Lock()
+
+    def poke(self):
+        with self._b:
+            pass
+
+
+class Holder:
+    def __init__(self, other: Other):
+        self._lock = threading.Lock()
+        self._other = other
+        self._later = []
+
+    def defer(self):
+        with self._lock:
+            self._defer_locked()
+
+    def _defer_locked(self):
+        def later():
+            self._other.poke()
+
+        self._later.append(later)
+
+    def run_deferred(self):
+        with self._lock:
+            pending, self._later = self._later, []
+        for fn in pending:
+            fn()
+"""
+
+
+def _lockcheck_edges(tmp_path, source, capsys):
+    from repro.tools.lockcheck import cli
+
+    path = tmp_path / "deferred.py"
+    path.write_text(source)
+    assert cli.main(["--json", str(path)]) == 0
+    graph = json.loads(capsys.readouterr().out)
+    return {(edge["from"], edge["to"]) for edge in graph["edges"]}
+
+
+def test_a_deferred_nested_function_adds_no_order_edge(tmp_path, capsys):
+    """``later`` is only handed on, and runs after ``_lock`` is released:
+    ``Holder._lock -> Other._b`` would be a phantom edge."""
+    assert _lockcheck_edges(tmp_path, _DEFERRED_CALLBACK, capsys) == set()
+
+
+def test_a_nested_function_called_by_name_counts_under_the_callers_locks(
+    tmp_path, capsys
+):
+    called = _DEFERRED_CALLBACK.replace(
+        "        self._later.append(later)\n", "        later()\n"
+    )
+    assert called != _DEFERRED_CALLBACK
+    assert _lockcheck_edges(tmp_path, called, capsys) == {("Holder._lock", "Other._b")}
 
 
 # ---------------------------------------------------------------------------

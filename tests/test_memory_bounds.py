@@ -219,19 +219,20 @@ class TestStreamCacheBudget:
         rt.subscribe("apply", lambda ev: peak.append(streams.resident_bytes()))
         with mock.patch.object(runtime_module, "_decode_payload", sampling):
             held = {oid: TangoMap(rt, oid) for oid in (1, 2)}
-            # What the checkpoint hunt left resident is decoded, and
-            # charged as such: twice the raw entry...
-            assert streams.resident_bytes() == 2 * raw_bytes()
-            held[1].size()
-        # ...and playback, the last reader, leaves history raw.
+            # Registration only walked the backpointers: what it left
+            # resident is raw, and nothing was decoded yet...
+            assert streams.resident_bytes() == raw_bytes()
+            assert peak == []
+            for tmap in held.values():  # every entry: one decode, one apply
+                tmap.size()
+        # ...and playback, the last reader, leaves history raw too.
         assert streams.resident_bytes() == raw_bytes()
         assert len(peak) >= 2 * n and 0 < max(peak) <= budget
         for oid in (1, 2):
             assert dict(held[oid].items()) == dict(maps[oid].items())
-        # The backpointer walk (one entry in K), the checkpoint hunt and
-        # playback: one read per entry per pass, nothing read twice in a
-        # pass.
-        assert streams.corfu.reads <= n // 4 + 2 * n + 8
+        # The backpointer walk (one entry in K) and playback: one read
+        # per entry per pass, nothing read twice in a pass.
+        assert streams.corfu.reads <= n // 4 + n + 8
 
     def test_trim_releases_stream_state(self, cluster):
         """Prefix GC shrinks per-stream offset lists in bounded mode."""

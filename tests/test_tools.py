@@ -60,6 +60,30 @@ class TestDumpLog:
         assert "update oid=1" in text
 
 
+class TestCheckpointStreamLabels:
+    def test_checkpoint_entry_joins_and_names_the_checkpoint_stream(self, cluster):
+        rt = TangoRuntime(cluster, client_id=1)
+        m = TangoMap(rt, oid=4)
+        m.put("k", 1)
+        m.size()
+        offset = rt.checkpoint(4)
+        row = dump_log(cluster)[offset]
+        assert row["streams"] == [4, "ckpt:4"]
+        assert row["records"][0].startswith("checkpoint oid=4")
+        assert "streams=[4,ckpt:4]" in format_dump(dump_log(cluster))
+        summary = stream_summary(cluster)
+        assert summary["ckpt:4"]["entries"] == 1
+        assert summary["ckpt:4"]["first_offset"] == offset
+        assert summary[4]["entries"] == 2
+
+    def test_sequencer_checkpoint_stream_keeps_its_id(self, cluster):
+        from repro.corfu.reconfig import SEQUENCER_CHECKPOINT_STREAM
+        from repro.tools.inspect import stream_label
+
+        assert stream_label(SEQUENCER_CHECKPOINT_STREAM) == SEQUENCER_CHECKPOINT_STREAM
+        assert stream_label(7) == 7
+
+
 class TestStreamSummary:
     def test_summary_counts(self, cluster):
         client = cluster.client()
@@ -160,3 +184,36 @@ class TestCheckLog:
         client.fill(1)
         report = check_log(cluster)
         assert report.bad_backpointers == []
+
+    def test_checkpoint_stream_header_is_validated(self, cluster):
+        """fsck checks a checkpoint entry's second header like its first:
+        a checkpoint-stream pointer at an entry outside that stream is a
+        bad backpointer."""
+        from repro.corfu.entry import encode_append
+        from repro.tango.records import checkpoint_stream
+
+        rt = TangoRuntime(cluster, client_id=1)
+        m = TangoMap(rt, oid=1)
+        m.put("k", 1)
+        m.size()
+        first = rt.checkpoint(1, mode="full")
+        m.put("k", 2)
+        m.size()
+        rt.checkpoint(1, mode="full")
+        assert check_log(cluster).healthy  # the second points at the first
+        # A third checkpoint entry, written by hand, whose checkpoint-stream
+        # header points at the map's first update instead.
+        ckpt = checkpoint_stream(1)
+        proj = cluster.projection
+        offset, backpointers = cluster.sequencer().increment((1, ckpt), epoch=proj.epoch)
+        assert first in backpointers[ckpt]
+        payload = cluster.client().read(first).payload
+        raw, _ = encode_append(
+            offset, (1, ckpt), {1: backpointers[1], ckpt: (0,)}, payload, cluster.k
+        )
+        rset, address = proj.map_offset(offset)
+        for node in rset.nodes:
+            cluster.storage(node).write(address, raw, proj.epoch)
+        report = check_log(cluster)
+        assert report.bad_backpointers == [(offset, ckpt, 0)]
+        assert not report.healthy

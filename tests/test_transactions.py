@@ -400,6 +400,39 @@ class TestDecisionRecords:
         assert shared2.to_list() == ("one", "two")
 
 
+class TestDecisionRecordObservers:
+    def test_a_decision_record_decides_for_subscribers_and_publish(self, cluster):
+        """A fresh runtime hosting only the write-set list of a marked
+        transaction decides it by the decision record: its subscriber
+        sees one commit event, and it can republish the decision."""
+        rt1 = TangoRuntime(cluster, client_id=1)
+
+        class MarkedMap(TangoMap):
+            needs_decision_record = True
+
+        private = MarkedMap(rt1, oid=1)
+        shared = TangoList(rt1, oid=2)
+        private.put("gate", "open")
+        private.get("gate")
+        rt1.begin_tx()
+        assert private.get("gate") == "open"
+        shared.append("allowed")
+        tx_id = rt1._current_tx().tx_id
+        assert rt1.end_tx()
+        assert rt1.stats["decisions_published"] == 1
+
+        rt2 = TangoRuntime(cluster, client_id=2)
+        events = []
+        rt2.subscribe("commit", events.append)
+        rt2.subscribe("abort", events.append)
+        consumer = TangoList(rt2, oid=2)
+        assert consumer.to_list() == ("allowed",)
+        assert [event["tx_id"] for event in events] == [tx_id]
+        assert rt2.publish_decision(tx_id) is True
+        assert consumer.to_list() == ("allowed",)
+        assert [event["tx_id"] for event in events] == [tx_id]
+
+
 class TestFailureHandling:
     def test_force_abort_orphan(self, make_runtime):
         """A dummy commit record aborts an orphaned transaction."""
