@@ -70,9 +70,9 @@ __all__ = [
     "__version__",
 ]
 
-#: The submodule each exported name comes from. Names resolve on first
-#: access, so a node process that imports only ``repro.net.server``
-#: never loads the runtime, the streams layer or the object library.
+#: The module each exported name comes from. Every package under
+#: ``repro`` resolves its names on first access, so a process loads only
+#: what it uses: a node process imports none of the client stack.
 _SOURCES = {
     "repro.corfu": ("CorfuCluster", "CorfuClient", "Projection", "ReplicaSet"),
     "repro.streams": ("StreamClient",),
@@ -85,17 +85,25 @@ _SOURCES = {
     ),
     "repro.errors": ("ReproError", "TangoError", "TransactionAborted"),
 }
-_EXPORTS = {name: module for module, names in _SOURCES.items() for name in names}
 
 
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def _lazy_exports(namespace, sources):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose globals
+    are *namespace*: each name in *sources* (module -> names) is imported
+    on first access, then cached in *namespace* so later lookups skip it."""
+    exports = {name: module for module, names in sources.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = value = getattr(import_module(module), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> List[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy_exports(globals(), _SOURCES)

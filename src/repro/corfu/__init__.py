@@ -18,21 +18,27 @@ This subpackage implements the shared-log substrate that Tango runs on
   fault injection used by tests and by the reconfiguration machinery.
 """
 
-from repro.corfu.entry import LogEntry, StreamHeader, NO_BACKPOINTER
-from repro.corfu.storage import FlashUnit
-from repro.corfu.sequencer import Sequencer
-from repro.corfu.layout import Projection, ReplicaSet
-from repro.corfu.client import CorfuClient
-from repro.corfu.cluster import CorfuCluster
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface
+    from repro.corfu.client import CorfuClient
+    from repro.corfu.cluster import CorfuCluster
+    from repro.corfu.entry import NO_BACKPOINTER, LogEntry, StreamHeader
+    from repro.corfu.layout import Projection, ReplicaSet
+    from repro.corfu.sequencer import Sequencer
+    from repro.corfu.storage import FlashUnit
 
 __all__ = [
-    "LogEntry",
-    "StreamHeader",
-    "NO_BACKPOINTER",
-    "FlashUnit",
-    "Sequencer",
-    "Projection",
-    "ReplicaSet",
-    "CorfuClient",
-    "CorfuCluster",
+    "LogEntry", "StreamHeader", "NO_BACKPOINTER", "FlashUnit", "Sequencer",
+    "Projection", "ReplicaSet", "CorfuClient", "CorfuCluster",
 ]
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.corfu.client": ("CorfuClient",),
+    "repro.corfu.cluster": ("CorfuCluster",),
+    "repro.corfu.entry": ("LogEntry", "StreamHeader", "NO_BACKPOINTER"),
+    "repro.corfu.layout": ("Projection", "ReplicaSet"),
+    "repro.corfu.sequencer": ("Sequencer",),
+    "repro.corfu.storage": ("FlashUnit",),
+})

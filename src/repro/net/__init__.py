@@ -26,24 +26,23 @@ logical ticks for the deterministic in-process transports, monotonic
 wall time for sockets.
 """
 
-from repro.net.clock import Clock, LogicalClock, MonotonicClock
-from repro.net.transport import (
-    EndpointStats,
-    LoopbackTransport,
-    RpcProxy,
-    Transport,
-)
-from repro.net.faulty import FaultyTransport
-from repro.net.socket import SocketTransport
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface
+    from repro.net.clock import Clock, LogicalClock, MonotonicClock
+    from repro.net.faulty import FaultyTransport
+    from repro.net.socket import SocketTransport
+    from repro.net.transport import EndpointStats, LoopbackTransport, RpcProxy, Transport
 
 __all__ = [
-    "Clock",
-    "EndpointStats",
-    "FaultyTransport",
-    "LogicalClock",
-    "LoopbackTransport",
-    "MonotonicClock",
-    "RpcProxy",
-    "SocketTransport",
-    "Transport",
+    "Clock", "EndpointStats", "FaultyTransport", "LogicalClock", "LoopbackTransport",
+    "MonotonicClock", "RpcProxy", "SocketTransport", "Transport",
 ]
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.net.clock": ("Clock", "LogicalClock", "MonotonicClock"),
+    "repro.net.faulty": ("FaultyTransport",),
+    "repro.net.socket": ("SocketTransport",),
+    "repro.net.transport": ("EndpointStats", "LoopbackTransport", "RpcProxy", "Transport"),
+})

@@ -77,14 +77,13 @@ def _public_callables(obj: object) -> FrozenSet[str]:
 
 def infer_ops(obj: object) -> FrozenSet[str]:
     """The op allowlist for *obj*, by node kind."""
-    # Imported here so repro.net stays importable without repro.corfu
-    # (and vice versa) — only the server loop knows about node kinds.
-    from repro.corfu.sequencer import Sequencer
-    from repro.corfu.storage import FlashUnit
-
-    if isinstance(obj, FlashUnit):
+    # *obj* is of a kind only if that kind's module is loaded, so a node
+    # process never imports the other kind's.
+    storage = sys.modules.get("repro.corfu.storage")
+    if storage is not None and isinstance(obj, storage.FlashUnit):
         return STORAGE_OPS
-    if isinstance(obj, Sequencer):
+    sequencer = sys.modules.get("repro.corfu.sequencer")
+    if sequencer is not None and isinstance(obj, sequencer.Sequencer):
         return SEQUENCER_OPS
     return _public_callables(obj)
 
@@ -269,11 +268,10 @@ def _build_node(
     shard_index: int = 0,
     num_shards: int = 1,
 ):
-    from repro.corfu.sequencer import Sequencer
-    from repro.corfu.storage import FlashUnit
-
     if kind == "storage":
         if data_dir is None:
+            from repro.corfu.storage import FlashUnit
+
             return FlashUnit(name)
         from repro.store import open_node_unit
 
@@ -282,6 +280,8 @@ def _build_node(
             unit.start_compaction(compact_interval)
         return unit
     if kind == "sequencer":
+        from repro.corfu.sequencer import Sequencer
+
         return Sequencer(
             name, k=k, shard_index=shard_index, num_shards=num_shards
         )

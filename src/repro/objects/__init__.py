@@ -13,29 +13,36 @@ back as a JSON round trip gives it. :class:`TangoBK` ledger entries and
 :class:`TangoZK` znode data are raw bytes.
 """
 
-from repro.objects.register import TangoRegister
-from repro.objects.counter import TangoCounter
-from repro.objects.map import TangoMap, TangoIndexedMap
-from repro.objects.list import TangoList
-from repro.objects.treeset import TangoTreeSet
-from repro.objects.queue import TangoQueue
-from repro.objects.lock import TangoLock
-from repro.objects.graph import TangoGraph
-from repro.objects.zookeeper import TangoZK, ZnodeStat
-from repro.objects.bookkeeper import TangoBK, Ledger
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface
+    from repro.objects.bookkeeper import Ledger, TangoBK
+    from repro.objects.counter import TangoCounter
+    from repro.objects.graph import TangoGraph
+    from repro.objects.list import TangoList
+    from repro.objects.lock import TangoLock
+    from repro.objects.map import TangoIndexedMap, TangoMap
+    from repro.objects.queue import TangoQueue
+    from repro.objects.register import TangoRegister
+    from repro.objects.treeset import TangoTreeSet
+    from repro.objects.zookeeper import TangoZK, ZnodeStat
 
 __all__ = [
-    "TangoRegister",
-    "TangoCounter",
-    "TangoMap",
-    "TangoIndexedMap",
-    "TangoList",
-    "TangoTreeSet",
-    "TangoQueue",
-    "TangoLock",
-    "TangoGraph",
-    "TangoZK",
-    "ZnodeStat",
-    "TangoBK",
-    "Ledger",
+    "TangoRegister", "TangoCounter", "TangoMap", "TangoIndexedMap", "TangoList",
+    "TangoTreeSet", "TangoQueue", "TangoLock", "TangoGraph", "TangoZK", "ZnodeStat",
+    "TangoBK", "Ledger",
 ]
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.objects.bookkeeper": ("TangoBK", "Ledger"),
+    "repro.objects.counter": ("TangoCounter",),
+    "repro.objects.graph": ("TangoGraph",),
+    "repro.objects.list": ("TangoList",),
+    "repro.objects.lock": ("TangoLock",),
+    "repro.objects.map": ("TangoMap", "TangoIndexedMap"),
+    "repro.objects.queue": ("TangoQueue",),
+    "repro.objects.register": ("TangoRegister",),
+    "repro.objects.treeset": ("TangoTreeSet",),
+    "repro.objects.zookeeper": ("TangoZK", "ZnodeStat"),
+})

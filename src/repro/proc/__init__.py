@@ -19,12 +19,16 @@ package puts each node in its own process behind
   deployment from the command line.
 """
 
-from repro.proc.remote import RemoteCluster
-from repro.proc.supervisor import NodeSpec, Supervisor, cluster_specs
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "NodeSpec",
-    "RemoteCluster",
-    "Supervisor",
-    "cluster_specs",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface
+    from repro.proc.remote import RemoteCluster
+    from repro.proc.supervisor import NodeSpec, Supervisor, cluster_specs
+
+__all__ = ["NodeSpec", "RemoteCluster", "Supervisor", "cluster_specs"]
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.proc.remote": ("RemoteCluster",),
+    "repro.proc.supervisor": ("NodeSpec", "Supervisor", "cluster_specs"),
+})

@@ -8,6 +8,12 @@ partitioning: each Tango object lives on its own stream, and a client
 only plays the streams of the objects it hosts.
 """
 
-from repro.streams.stream import StreamClient
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the typed surface
+    from repro.streams.stream import StreamClient
 
 __all__ = ["StreamClient"]
+__getattr__, __dir__ = _lazy_exports(globals(), {"repro.streams.stream": ("StreamClient",)})

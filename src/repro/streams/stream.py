@@ -163,6 +163,13 @@ class _StreamState:
                 self.known.add(off)
 
 
+class _AppendSeed(threading.local):
+    """The calling thread's append in progress: (payload, its decoded
+    form), which the append observer (on the same thread) caches."""
+
+    seed: Optional[Tuple[bytes, object]] = None
+
+
 class StreamClient:
     """Stream creation and playback over a CORFU client.
 
@@ -205,10 +212,7 @@ class StreamClient:
         # covers direct uses like indexed-map reads. Reentrant because
         # readnext fetches (and caches) entries while holding it.
         self._lock = threading.RLock()
-        # Per appending thread: (payload, its decoded form) for the
-        # append in progress, which the append observer (running on
-        # the same thread) stores beside the entry.
-        self._appending = threading.local()
+        self._appending = _AppendSeed()
         # GC must actually free client memory: evict cached entries for
         # offsets the log reclaims, whoever drives the trim. Registered
         # last — the callbacks use both locks.
@@ -639,7 +643,7 @@ class StreamClient:
                     break
             else:
                 return
-        seed = getattr(self._appending, "seed", None)
+        seed = self._appending.seed
         decoded = seed[1] if seed is not None and seed[0] is entry.payload else None
         with self._cache_lock:
             self._cache_insert_locked(offset, entry, decoded)

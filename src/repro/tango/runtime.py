@@ -106,6 +106,13 @@ def _decide(
     return not any(versions.is_stale(e.oid, e.key, e.version) for e in record.read_set)
 
 
+class _ThreadScopes(threading.local):
+    """The calling thread's open transaction and batch scope, if any."""
+
+    tx: Optional[TxContext] = None
+    batch: Optional[_UpdateBatch] = None
+
+
 class TangoRuntime:
     """Per-client runtime multiplexing Tango objects over one shared log.
 
@@ -144,7 +151,7 @@ class TangoRuntime:
             client_id = default_source().client_id()
         self._client_id = client_id & 0x7FFFFFFF
         self._tx_seq = itertools.count(1)
-        self._tls = threading.local()
+        self._tls = _ThreadScopes()
 
         self._objects: Dict[int, object] = {}  # oid -> TangoObject
         self._versions = VersionTable()
@@ -417,14 +424,14 @@ class TangoRuntime:
         remote write (section 4.1, case A).
         """
         tls = self._tls
-        ctx = getattr(tls, "tx", None)
+        ctx = tls.tx
         if ctx is not None:
             ctx.record_update(oid, payload, key)
             return None
         if type(payload) is not bytes:
             payload = bytes(payload)  # what every reader decodes
         record = UpdateRecord(oid, payload, key, NO_TX)
-        batch = getattr(tls, "batch", None)
+        batch = tls.batch
         if batch is not None:
             batch.add(record)
             return None
@@ -467,14 +474,14 @@ class TangoRuntime:
         :class:`~repro.errors.RemoteReadError` (section 4.1, case D).
         """
         tls = self._tls
-        ctx = getattr(tls, "tx", None)
+        ctx = tls.tx
         if ctx is not None:
             with self._play_lock:
                 if oid not in self._objects:
                     raise RemoteReadError(oid)
                 ctx.record_read(oid, key, self._versions.get(oid, key))
             return
-        batch = getattr(tls, "batch", None)
+        batch = tls.batch
         if batch is not None:
             # Read-your-writes inside a batch scope: flush buffered
             # updates before placing the read marker.
@@ -496,7 +503,7 @@ class TangoRuntime:
     # ------------------------------------------------------------------
 
     def _current_tx(self) -> Optional[TxContext]:
-        return getattr(self._tls, "tx", None)
+        return self._tls.tx
 
     def begin_tx(self) -> None:
         """Open a transaction context in thread-local storage."""
@@ -1266,8 +1273,7 @@ class TangoRuntime:
                             outcome = self._decide_by_reconstruction(
                                 offset, record, depth + 1
                             )
-                        self._decided[tx_id] = outcome
-                        self._pending_records[tx_id] = (offset, record)
+                        self._note_decision(offset, record, outcome)
                     if not outcome:
                         pending.pop(tx_id, None)
                         continue
@@ -1279,10 +1285,10 @@ class TangoRuntime:
                 elif isinstance(
                     record, (CheckpointRecord, DeltaCheckpointRecord)
                 ):
-                    # A full checkpoint installs its version state; a
-                    # delta overlays only its changed keys — its base
-                    # appeared earlier in the same stream, so the replay
-                    # already folded the base state in.
+                    # Versions as of the cover, which may lie below writes
+                    # replayed here (a lagging writer): folded in as maxima.
+                    # A delta carries only its changed keys; its base
+                    # appeared earlier in the same stream.
                     if record.oid == oid:
                         table.load_checkpoint(
                             oid,
@@ -1497,9 +1503,9 @@ class _BatchScope:
         self._size = size
 
     def __enter__(self) -> "_BatchScope":
-        if getattr(self._runtime._tls, "batch", None) is not None:
+        if self._runtime._tls.batch is not None:
             raise TangoError("batch scope already open on this thread")
-        self._runtime._tls.batch = _UpdateBatch(self._runtime, self._size)
+        self._batch = self._runtime._tls.batch = _UpdateBatch(self._runtime, self._size)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -1508,7 +1514,7 @@ class _BatchScope:
         # is no scope left to retry in, so that error surfaces).
         try:
             if exc_type is None:
-                self._runtime._tls.batch.flush()
+                self._batch.flush()
         finally:
             self._runtime._tls.batch = None
         return False

@@ -173,20 +173,22 @@ class VersionTable:
         version_floor: int = NO_VERSION,
         evicted_filter: bytes = b"",
     ) -> None:
-        """Install version state recovered from a checkpoint record.
+        """Fold version state recovered from a checkpoint record in.
 
         All pieces are carried exactly in the checkpoint so that a
         reloaded view makes the same commit/abort decisions as a view
         built from the full history; when the writer's table had evicted
         keys, the floor and filter make the reloaded view exactly as
-        conservative as the writer was.
+        conservative as the writer was. Versions fold in as maxima, so
+        newer ones a replay saw past the checkpoint's cover stay.
         """
-        if object_version != NO_VERSION:
+        if object_version > self._object_versions.get(oid, NO_VERSION):
             self._object_versions[oid] = object_version
-        if unkeyed_version != NO_VERSION:
+        if unkeyed_version > self._unkeyed_versions.get(oid, NO_VERSION):
             self._unkeyed_versions[oid] = unkeyed_version
         for key, version in key_versions:
-            self._key_versions[(oid, key)] = version
+            if version > self._key_versions.get((oid, key), NO_VERSION):
+                self._key_versions[(oid, key)] = version
         if evicted_filter:
             self._evicted.setdefault(oid, EvictedKeySet()).merge_bytes(
                 evicted_filter

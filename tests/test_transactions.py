@@ -522,3 +522,55 @@ class TestReconstructionFallback:
         assert rt1.end_tx() is False
         items2 = TangoList(rt2, oid=2)
         assert items2.to_list() == ()
+
+    def test_checkpoint_above_an_overwrite_does_not_roll_it_back(
+        self, make_runtime
+    ):
+        """A lagging client's checkpoint of A lands above an overwrite of
+        the key a transaction read; reconstruction must still see the
+        overwrite and abort, as the generator did."""
+        gen, lagging, writer, consumer = (make_runtime() for _ in range(4))
+        accounts = TangoMap(gen, oid=1)
+        audit = TangoMap(gen, oid=3)
+        accounts.put("k", "v0")
+        assert accounts.get("k") == "v0"
+        lagging_view = TangoMap(lagging, oid=1)  # plays up to "v0", no further
+        assert lagging_view.get("k") == "v0"
+        gen.begin_tx()
+        _ = accounts.get("k")
+        audit.put("x", 1)
+        TangoMap(writer, oid=1).put("k", "v1")
+        # Its cover sits below the overwrite; the entry sits above it.
+        lagging.checkpoint(1, mode="full")
+        assert gen.end_tx() is False
+        # Hosting only the audit map, the consumer decides the commit
+        # record by rebuilding the accounts map's versions.
+        assert TangoMap(consumer, oid=3).get("x") is None
+
+    def test_decision_made_in_reconstruction_emits_once(self, make_runtime):
+        """T1 (reads A and U) is decided by reconstruction, which decides
+        T0 (reads U, writes A) on the way; each commit is emitted once,
+        including when a later registration plays T0's write."""
+        gen, consumer = make_runtime(), make_runtime()
+        a, u, w = TangoMap(gen, oid=1), TangoMap(gen, oid=2), TangoMap(gen, oid=3)
+        generated = []
+        gen.subscribe("commit", lambda event: generated.append(event["tx_id"]))
+        u.put("u", 0)
+
+        def t0():
+            _ = u.get("u")
+            a.put("a", 1)
+
+        def t1():
+            _ = a.get("a")
+            _ = u.get("u")
+            w.put("w", 2)
+
+        gen.run_transaction(t0)
+        gen.run_transaction(t1)
+        assert len(generated) == 2
+        seen = []
+        consumer.subscribe("commit", lambda event: seen.append(event["tx_id"]))
+        assert TangoMap(consumer, oid=3).get("w") == 2
+        assert TangoMap(consumer, oid=1).get("a") == 1
+        assert sorted(seen) == sorted(generated)
