@@ -262,6 +262,19 @@ class _AppendPipeline:
             i = j
 
 
+class _Proxies(dict):
+    """Node name -> this client's transport handle on it, made on first lookup
+    (racing threads make equivalent handles), so a known node is one dict hit."""
+
+    def __init__(self, net, source: str, resolve: Callable[[str], object]) -> None:
+        super().__init__()
+        self._net, self._source, self._resolve = net, source, resolve
+
+    def __missing__(self, node: str):
+        proxy = self[node] = self._net.proxy(self._source, node, partial(self._resolve, node))
+        return proxy
+
+
 class CorfuClient:
     """One client's handle on the shared log."""
 
@@ -275,8 +288,9 @@ class CorfuClient:
         self.max_payload = max_payload_bytes(
             cluster.entry_size, cluster.max_streams, cluster.k
         )
-        self._proxies: Dict[Tuple[str, str], object] = {}
-        self._chain = ChainReplicator(self._storage_rpc)
+        self._storage = _Proxies(self._net, self.name, cluster.storage)
+        self._sequencers = _Proxies(self._net, self.name, cluster.sequencer)
+        self._chain = ChainReplicator(self._storage.__getitem__)
         # node name -> (consecutive-timeout streak, delivered-RPC count
         # at the last timeout, cluster-wide delivered count when the
         # node went silent) for failure detection: only a *silent* node
@@ -305,28 +319,6 @@ class CorfuClient:
         self._pipeline = _AppendPipeline(self)
 
     # -- transport plumbing --------------------------------------------------
-
-    def _storage_rpc(self, node: str):
-        """This client's transport handle on storage node *node*."""
-        key = ("storage", node)
-        proxy = self._proxies.get(key)
-        if proxy is None:
-            proxy = self._net.proxy(
-                self.name, node, partial(self._cluster.storage, node)
-            )
-            self._proxies[key] = proxy
-        return proxy
-
-    def _sequencer_rpc(self, node: str):
-        """This client's transport handle on sequencer *node*."""
-        key = ("sequencer", node)
-        proxy = self._proxies.get(key)
-        if proxy is None:
-            proxy = self._net.proxy(
-                self.name, node, partial(self._cluster.sequencer, node)
-            )
-            self._proxies[key] = proxy
-        return proxy
 
     def net_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-endpoint transport counters (rpcs/retries/timeouts/...).
@@ -595,14 +587,13 @@ class CorfuClient:
         k = self._cluster.k
         watchers = self._append_watchers
         offsets = [-1] * len(payloads)
-        pending = list(range(len(payloads)))  # payload indices, in order
+        pending: Sequence[int] = range(len(payloads))  # payload indices, in order
         barren = 0  # consecutive rounds that landed nothing
         last = ""  # why the latest barren round landed nothing
         try:
             while pending:
                 if barren >= _MAX_RETRIES:
                     raise RetriesExhaustedError("append", _MAX_RETRIES, last=last)
-                landed = 0
                 try:
                     first, stride, count, prior = self._grant(
                         len(pending), stream_ids
@@ -614,36 +605,38 @@ class CorfuClient:
                     # holes are for fill() to patch.
                     last = f"{type(exc).__name__}: {exc}"
                     self._recover(exc, barren)
-                else:
-                    run = pending[:count]
-                    # The entries as encoded, built only if someone observes.
-                    keep = bool(watchers)
-                    entries, built = encode_run(
-                        first, stride, stream_ids, prior,
-                        [payloads[idx] for idx in run], k, keep,
-                    )
-                    # A payload whose offset a hole-filler took keeps its
-                    # stream membership (walkers skip the junk-filled
-                    # offset); only its position moves.
-                    retry = self._write_entries(entries, run, offsets)
-                    landed = count - len(retry)
-                    with self._counter_lock:  # the count and the streak reset, one hold
-                        self.appends += landed
-                        if self._timeout_streaks:
-                            self._timeout_streaks.clear()
-                    # Write-once => write-through: what landed is known
-                    # without reading it back. A lost offset holds someone
-                    # else's junk; its payload is reported by the round
-                    # that lands it.
-                    if keep:
-                        for idx, (offset, _), entry in zip(run, entries, built):
-                            if offsets[idx] == offset:
-                                for callback in watchers:
-                                    callback(offset, entry)
-                    if not landed:
-                        last = f"hole-fillers took offsets {[o for o, _ in entries]}"
-                    pending = retry + pending[count:]
+                    barren += 1
+                    continue
+                run = pending[:count]
+                # The entries as encoded, built only if someone observes.
+                keep = bool(watchers)
+                entries, built = encode_run(
+                    first, stride, stream_ids, prior,
+                    payloads if count == len(payloads) else [payloads[idx] for idx in run],
+                    k, keep,
+                )
+                # A payload whose offset a hole-filler took keeps its
+                # stream membership (walkers skip the junk-filled
+                # offset); only its position moves.
+                lost = self._write_entries(entries, run, offsets)
+                landed = count - len(lost)
+                with self._counter_lock:  # the count and the streak reset, one hold
+                    self.appends += landed
+                    if self._timeout_streaks:
+                        self._timeout_streaks.clear()
+                # Write-once => write-through: what landed is known
+                # without reading it back. A lost offset holds someone
+                # else's junk; its payload is reported by the round
+                # that lands it.
+                if keep:
+                    for idx, (offset, _), entry in zip(run, entries, built):
+                        if offsets[idx] == offset:
+                            for callback in watchers:
+                                callback(offset, entry)
                 barren = 0 if landed else barren + 1
+                if not landed:
+                    last = f"hole-fillers took offsets {[o for o, _ in entries]}"
+                pending = [*lost, *pending[count:]]
         except RetriesExhaustedError as exc:
             done = [offset for offset in offsets if offset >= 0]
             raise RetriesExhaustedError(
@@ -670,20 +663,23 @@ class CorfuClient:
         """
         proj = self._projection
         shards = proj.sequencer_shards
-        groups = sorted({sid % len(shards) for sid in stream_ids})
+        width = len(shards)
+        groups = {sid % width for sid in stream_ids} if width > 1 else ()
         if len(groups) > 1:
             count = 1
-            first, backpointers = self._grant_vector(proj, stream_ids, groups)
+            first, backpointers = self._grant_vector(proj, stream_ids, sorted(groups))
         else:
-            seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
+            seq = self._sequencers[shards[stream_ids[0] % width if stream_ids else 0]]
             first, backpointers = seq.increment(
                 stream_ids, epoch=proj.epoch, count=count
             )
-        prior = {
-            sid: tuple(p for p in backpointers[sid] if p != NO_BACKPOINTER)
-            for sid in stream_ids
-        }
-        return first, len(shards), count, prior
+        prior: Dict[int, Tuple[int, ...]] = {}
+        for sid in stream_ids:
+            tail = tuple(backpointers[sid])
+            if NO_BACKPOINTER in tail:  # a stream with fewer than K entries
+                tail = tuple(p for p in tail if p != NO_BACKPOINTER)
+            prior[sid] = tail
+        return first, width, count, prior
 
     def _grant_vector(
         self,
@@ -715,7 +711,7 @@ class CorfuClient:
         reservations: List[Tuple[int, int]] = []  # (group, reserved offset)
         floor = 0
         for g in groups:
-            r = self._sequencer_rpc(shards[g]).reserve_group(
+            r = self._sequencers[shards[g]].reserve_group(
                 floor, epoch=proj.epoch
             )
             reservations.append((g, r))
@@ -724,7 +720,7 @@ class CorfuClient:
         backpointers: Dict[int, Tuple[int, ...]] = {}
         for g in groups:
             backpointers.update(
-                self._sequencer_rpc(shards[g]).commit_group(
+                self._sequencers[shards[g]].commit_group(
                     per_group[g], offset, epoch=proj.epoch
                 )
             )
@@ -752,7 +748,7 @@ class CorfuClient:
         return offset, backpointers
 
     def _write_entries(
-        self, entries: Sequence[Tuple[int, bytes]], run: List[int], offsets: List[int]
+        self, entries: Sequence[Tuple[int, bytes]], run: Sequence[int], offsets: List[int]
     ) -> List[int]:
         """Chain-write a granted run, recording in *offsets* what lands.
 
@@ -767,11 +763,14 @@ class CorfuClient:
         """
         proj = self._projection
         n = len(proj.replica_sets)
-        chains: Dict[int, List[Tuple[int, int, bytes]]] = {}
-        for idx, (offset, raw) in zip(run, entries):
-            chains.setdefault(offset % n, []).append((idx, offset, raw))
         lost: List[int] = []
         unfinished: List[Tuple[int, int, bytes, bool]] = []  # (..., batch tried it)
+        chains: Dict[int, List[Tuple[int, int, bytes]]] = {}
+        if len(entries) == 1:  # a lone entry is its chain's group of one
+            unfinished.append((run[0], *entries[0], False))
+        else:
+            for idx, (offset, raw) in zip(run, entries):
+                chains.setdefault(offset % n, []).append((idx, offset, raw))
         for set_index in sorted(chains):
             group = chains[set_index]
             if len(group) == 1:
@@ -820,8 +819,8 @@ class CorfuClient:
         offset, raw, maybe_mine = write
         write[2] = True
         proj = self._projection
-        rset, address = proj.map_offset(offset)
-        self._chain.write(rset, address, raw, proj.epoch, maybe_mine=maybe_mine)
+        n = len(proj.replica_sets)
+        self._chain.write(proj.replica_sets[offset % n], offset // n, raw, proj.epoch, maybe_mine)
 
     # -- read path ------------------------------------------------------------
 
@@ -957,7 +956,7 @@ class CorfuClient:
         tail = 0
         merged: Dict[int, Tuple[int, ...]] = {}
         for name, sids in queries.items():
-            shard_tail, tails = self._sequencer_rpc(name).query(
+            shard_tail, tails = self._sequencers[name].query(
                 sids, epoch=proj.epoch
             )
             tail = max(tail, shard_tail)
@@ -1046,7 +1045,7 @@ class CorfuClient:
                 if node in nodes:
                     continue
                 try:
-                    nodes[node] = getattr(self._storage_rpc(node), op)()
+                    nodes[node] = getattr(self._storage[node], op)()
                 except (SealedError, NodeDownError, RpcTimeout) as exc:
                     nodes[node] = {"error": type(exc).__name__}
         return nodes

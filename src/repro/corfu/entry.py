@@ -334,8 +334,10 @@ def encode_run(
     fields at most K + 1 times. An entry with a delta out of range
     takes :func:`encode_append`, whose header format rule decides.
     """
-    head = entry_head(len(stream_ids), k)
+    nstreams = len(stream_ids)
+    head = entry_head(nstreams, k)
     nones = (NO_BACKPOINTER,) * k
+    zeros = (0,) * k
     entries: List[Tuple[int, bytes]] = []
     built: List[Optional[LogEntry]] = []
     batch: Tuple[int, ...] = ()  # the entry's batch predecessors, at most K
@@ -344,18 +346,22 @@ def encode_run(
     offset = first
     for j, payload in enumerate(payloads):
         if j <= k or keep:
-            fields, headers = [0, len(stream_ids)], []
+            fields, headers = [0, nstreams], []
             for sid in stream_ids:
                 window = (batch + prior[sid])[:k]
-                deltas = [offset - p for p in window]
-                if deltas and not (0 < min(deltas) and max(deltas) <= _MAX_RELATIVE_DELTA):
-                    fields = None
-                    break
                 fields.append(sid << 1)
-                fields += deltas
-                fields += [0] * (k - len(deltas))
-                if keep:
-                    headers.append(_new(StreamHeader, (sid, window + nones[len(window):], False)))
+                for p in window:
+                    delta = offset - p
+                    if not 0 < delta <= _MAX_RELATIVE_DELTA:
+                        break
+                    fields.append(delta)
+                else:  # every delta fits
+                    fields += zeros[len(window):]
+                    if keep:
+                        headers.append(_new(StreamHeader, (sid, window + nones[len(window):], False)))
+                    continue
+                fields = None
+                break
         if fields is None:
             raw, entry = encode_append(
                 offset, stream_ids, {sid: batch + prior[sid] for sid in stream_ids},

@@ -15,21 +15,53 @@ replacing a failed sequencer is an ordinary projection change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 
-@dataclass(frozen=True)
-class ReplicaSet:
+class _Frozen:
+    """An immutable record: its fields are set once, in ``__init__``,
+    and it compares, hashes and prints by them (``_FIELDS``), as a
+    frozen dataclass would."""
+
+    __slots__ = ()
+    _FIELDS: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ReplicaSet(_Frozen):
     """An ordered chain of storage node names (head first, tail last)."""
+
+    __slots__ = ("nodes",)
+    _FIELDS = __slots__
 
     nodes: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    def __init__(self, nodes: Tuple[str, ...]) -> None:
+        if not nodes:
             raise ValueError("replica set must contain at least one node")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"duplicate nodes in replica set: {self.nodes}")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"duplicate nodes in replica set: {nodes}")
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def head(self) -> str:
@@ -51,8 +83,7 @@ class ReplicaSet:
         return iter(self.nodes)
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(_Frozen):
     """One epoch's view of the cluster membership.
 
     Attributes:
@@ -68,26 +99,45 @@ class Projection:
             sequencer named by ``sequencer``. Changing the shard
             *count* changes the offset striping, so it is always an
             epoch change (a new projection).
+        sequencer_shards: shard node names, in shard order;
+            ``(sequencer,)`` if unsharded. Derived from the two above,
+            once, since every grant asks for it.
     """
+
+    __slots__ = ("epoch", "replica_sets", "sequencer", "seq_shards", "sequencer_shards")
+    _FIELDS = __slots__[:4]
 
     epoch: int
     replica_sets: Tuple[ReplicaSet, ...]
     sequencer: str
-    seq_shards: Tuple[str, ...] = ()
+    seq_shards: Tuple[str, ...]
+    sequencer_shards: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.replica_sets:
+    def __init__(
+        self,
+        epoch: int,
+        replica_sets: Tuple[ReplicaSet, ...],
+        sequencer: str,
+        seq_shards: Tuple[str, ...] = (),
+    ) -> None:
+        if not replica_sets:
             raise ValueError("projection needs at least one replica set")
         seen = set()
-        for rset in self.replica_sets:
+        for rset in replica_sets:
             for node in rset:
                 if node in seen:
                     raise ValueError(f"node {node} appears in two replica sets")
                 seen.add(node)
-        if len(set(self.seq_shards)) != len(self.seq_shards):
+        if len(set(seq_shards)) != len(seq_shards):
             raise ValueError(
-                f"duplicate sequencer shard names: {self.seq_shards}"
+                f"duplicate sequencer shard names: {seq_shards}"
             )
+        init = object.__setattr__
+        init(self, "epoch", epoch)
+        init(self, "replica_sets", replica_sets)
+        init(self, "sequencer", sequencer)
+        init(self, "seq_shards", seq_shards)
+        init(self, "sequencer_shards", seq_shards or (sequencer,))
 
     def map_offset(self, offset: int) -> Tuple[ReplicaSet, int]:
         """Deterministic mapping: global offset -> (replica set, local address)."""
@@ -105,11 +155,6 @@ class Projection:
         return [node for rset in self.replica_sets for node in rset]
 
     # -- sequencer sharding -------------------------------------------------
-
-    @property
-    def sequencer_shards(self) -> Tuple[str, ...]:
-        """Shard node names, in shard order; ``(sequencer,)`` if unsharded."""
-        return self.seq_shards or (self.sequencer,)
 
     @property
     def num_seq_shards(self) -> int:

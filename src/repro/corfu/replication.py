@@ -67,7 +67,7 @@ class ChainReplicator:
         reports success instead of a lost race. This is what keeps
         at-least-once delivery of chain writes exactly-once in the log.
         """
-        for hop, node in enumerate(rset):
+        for hop, node in enumerate(rset.nodes):
             unit = self._lookup(node)
             try:
                 unit.write(address, data, epoch)

@@ -637,12 +637,15 @@ class StreamClient:
         is inside :meth:`append` with a decoded form for *entry*'s
         payload, the form goes into the slot with it.
         """
-        with self._lock:
-            for header in entry.headers:
-                if header.stream_id in self._streams:
-                    break
-            else:
-                return
+        # Membership only: a lookup in the open-stream table is atomic
+        # and needs no iterator lock (an append racing open_stream or
+        # close_stream may cache an entry or not, as if ordered either way).
+        streams = self._streams  # tangolint: disable=TL010
+        for header in entry.headers:
+            if header.stream_id in streams:
+                break
+        else:
+            return
         seed = self._appending.seed
         decoded = seed[1] if seed is not None and seed[0] is entry.payload else None
         with self._cache_lock:

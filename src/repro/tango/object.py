@@ -156,7 +156,7 @@ class TangoObject:
 
     def _op(self, name: str, *fields: Any, key: Optional[bytes] = None) -> None:
         """Mutator plumbing: send op *name* of ``OPS`` as an update."""
-        self._runtime.update_helper(self.oid, self.OPS.encode(name, fields), key=key)
+        self._runtime.update_helper(self.oid, self.OPS.encode(name, fields), key)
 
     def sync_to(self, offset: int) -> None:
         """Play this view forward only up to log position *offset*.

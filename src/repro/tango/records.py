@@ -436,6 +436,16 @@ _ONE_UPDATE = U16.pack(1) + U16.pack(_KIND_UPDATE)
 
 def encode_records(records: List[Record]) -> bytes:
     """Serialize a batch of records into one entry payload."""
+    first = records[0] if len(records) == 1 else None
+    if type(first) is UpdateRecord:
+        # What every put writes: the head in one pack, as decoded.
+        oid, payload, key, tx_id = first
+        if key is None:
+            return ONE_UPDATE_HEAD.pack(1, _KIND_UPDATE, oid, tx_id, 0, len(payload)) + payload
+        return b"".join((
+            ONE_UPDATE_HEAD.pack(1, _KIND_UPDATE, oid, tx_id, 1, len(key)),
+            key, U32.pack(len(payload)), payload,
+        ))
     buf = bytearray(U16.pack(len(records)))
     for record in records:
         buf += U16.pack(_KIND_OF[type(record)])

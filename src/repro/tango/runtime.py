@@ -83,6 +83,9 @@ _MAX_DECISION_WAIT_ROUNDS = 3
 #: a chain costs one random read per link, so this bounds reload cost.
 MAX_DELTA_CHAIN = 8
 
+#: Builds a record tuple without its constructor's Python frame.
+_new = tuple.__new__
+
 
 def _decode_payload(entry) -> Tuple[Record, ...]:
     """An entry's record batch, as the stream cache remembers it."""
@@ -430,7 +433,7 @@ class TangoRuntime:
             return None
         if type(payload) is not bytes:
             payload = bytes(payload)  # what every reader decodes
-        record = UpdateRecord(oid, payload, key, NO_TX)
+        record = _new(UpdateRecord, (oid, payload, key, NO_TX))
         batch = tls.batch
         if batch is not None:
             batch.add(record)

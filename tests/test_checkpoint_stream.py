@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -229,16 +230,22 @@ class TestWhichCheckpointLoads:
         answer = corfu.query_streams
         raced = []
 
+        def write_more():
+            for i in range(90, 110):
+                tmap.put(KEYS[i % len(KEYS)], i)
+            tmap.size()
+            writer.checkpoint(1, mode="full")
+            for i in range(110, 120):
+                tmap.put(KEYS[i % len(KEYS)], i)
+
         def racing(stream_ids):
             out = answer(stream_ids)
             if not raced:
                 raced.append(stream_ids)
-                for i in range(90, 110):
-                    tmap.put(KEYS[i % len(KEYS)], i)
-                tmap.size()
-                writer.checkpoint(1, mode="full")
-                for i in range(110, 120):
-                    tmap.put(KEYS[i % len(KEYS)], i)
+                # The writer runs on a thread of its own, as it would: on
+                # this one its play lock would nest inside the reader's.
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    pool.submit(write_more).result()
             return out
 
         monkeypatch.setattr(corfu, "query_streams", racing)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -121,6 +123,20 @@ class TestLibraryImports:
             "repro.util",
             "repro.util.encoding",
         }
+
+    @pytest.mark.parametrize(
+        "statement", ["import repro.corfu.client", "from repro.objects import TangoMap"]
+    )
+    def test_a_client_loads_neither_dataclasses_nor_inspect(self, statement):
+        loaded = run_fresh(
+            f"""
+            import json, sys
+            {statement}
+
+            print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
+            """
+        )
+        assert loaded == []
 
     def test_every_export_resolves_and_is_listed(self):
         problems = run_fresh(
