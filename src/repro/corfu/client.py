@@ -473,10 +473,11 @@ class CorfuClient:
                 last = exc
                 self._recover(exc, attempt)
             else:
-                if op not in _SELF_NOTED:
+                # An unlocked emptiness test: a streak noted meanwhile
+                # counts as noted after this success.
+                if self._timeout_streaks and op not in _SELF_NOTED:  # tangolint: disable=TL010
                     with self._counter_lock:
-                        if self._timeout_streaks:
-                            self._timeout_streaks.clear()
+                        self._timeout_streaks.clear()
                 return result
         raise RetriesExhaustedError(
             op, _MAX_RETRIES, last=f"{type(last).__name__}: {last}"
@@ -830,13 +831,15 @@ class CorfuClient:
         Raises :class:`UnwrittenError` for holes and
         :class:`TrimmedError` for reclaimed offsets.
         """
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
         return self._retry("read", self._read_at, offset)
 
     def _read_at(self, offset: int) -> LogEntry:
         """One attempt at :meth:`read`; a read is idempotent."""
         proj = self._projection
-        rset, address = proj.map_offset(offset)
-        raw = self._chain.read(rset, address, proj.epoch)
+        n = len(proj.replica_sets)
+        raw = self._chain.read(proj.replica_sets[offset % n], offset // n, proj.epoch)
         with self._counter_lock:  # the count and the streak reset, one hold
             self.reads += 1
             if self._timeout_streaks:
@@ -949,6 +952,10 @@ class CorfuClient:
         """One attempt at :meth:`query_streams`; queries are read-only."""
         proj = self._projection
         shards = proj.sequencer_shards
+        if len(shards) == 1:  # the shard's own answer, no merge
+            return self._sequencers[shards[0]].query(
+                list(stream_ids) if stream_ids else stream_ids, epoch=proj.epoch
+            )
         per_shard: Dict[str, List[int]] = {}
         for sid in stream_ids:
             per_shard.setdefault(shards[sid % len(shards)], []).append(sid)

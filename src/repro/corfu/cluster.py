@@ -204,6 +204,11 @@ class CorfuCluster:
     def total_storage_reads(self) -> int:
         return sum(u.reads for u in self._units.values())
 
+    def total_trimmed_reads(self) -> int:
+        """Reads of trimmed addresses, over every unit (not counted in
+        :meth:`total_storage_reads`, which counts pages served)."""
+        return sum(u.trimmed_reads for u in self._units.values())
+
     def total_storage_writes(self) -> int:
         return sum(u.writes for u in self._units.values())
 

@@ -304,9 +304,9 @@ class Sequencer:
         with self._lock:
             self._check(epoch)
             self.queries += 1
-            result = {
-                sid: tuple(self._stream_tails.get(sid, ())) for sid in stream_ids
-            }
+            tails, result = self._stream_tails, {}
+            for sid in stream_ids:
+                result[sid] = tuple(tails.get(sid, ()))
             return self._tail_offset_locked(), result
 
     def stream_state_bytes(self) -> int:

@@ -47,8 +47,12 @@ class FlashUnit:
         self._trimmed_sparse: set = set()
         self._epoch = 0
         self._down = False
-        # Counters exposed for tests and the performance model.
+        # Counters exposed for tests and the performance model: pages
+        # served, reads of a trimmed address (a lone read that raised
+        # TrimmedError, or one "trimmed" outcome of a batch), pages
+        # written.
         self.reads = 0
+        self.trimmed_reads = 0
         self.writes = 0
         self.trims = 0
         self._lock = threading.RLock()
@@ -192,6 +196,7 @@ class FlashUnit:
             self._check_up()
             self._check_epoch(epoch)
             if self._is_trimmed(address):
+                self.trimmed_reads += 1
                 raise TrimmedError(address)
             if address not in self._pages:
                 raise UnwrittenError(address)
@@ -216,9 +221,10 @@ class FlashUnit:
             prefix, sparse, pages = (
                 self._trimmed_prefix, self._trimmed_sparse, self._pages,
             )
-            served = 0
+            served = trimmed = 0
             for address in addresses:
                 if address < prefix or address in sparse:
+                    trimmed += 1
                     results[address] = ("trimmed", None)
                     continue
                 data = pages.get(address)
@@ -228,6 +234,7 @@ class FlashUnit:
                     served += 1
                     results[address] = ("ok", data)
             self.reads += served
+            self.trimmed_reads += trimmed
             return results
 
     def is_written(self, address: int, epoch: int) -> bool:

@@ -122,10 +122,11 @@ class _InflightFetch:
 class _StreamState:
     """Per-stream metadata: the linked list of offsets plus the iterator."""
 
+    __slots__ = ("stream_id", "offsets", "read_ptr", "floor", "covered")
+
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
         self.offsets: List[int] = []  # ascending offsets known to belong here
-        self.known: set = set()
         self.read_ptr = 0  # index into `offsets` of the next entry to deliver
         # Everything at or below the floor counts as delivered, listed
         # or not: it was forgotten to a prefix trim (memory-bounded
@@ -148,19 +149,11 @@ class _StreamState:
         """
         k = bisect_left(self.offsets, horizon)
         if k:
-            self.known.difference_update(self.offsets[:k])
             del self.offsets[:k]
             self.read_ptr = max(0, self.read_ptr - k)
         if horizon - 1 > self.floor:
             self.floor = horizon - 1
         return k
-
-    def extend(self, new_offsets: Sequence[int]) -> None:
-        """Add newly discovered offsets (all greater than the current max)."""
-        for off in sorted(new_offsets):
-            if off not in self.known:
-                self.offsets.append(off)
-                self.known.add(off)
 
 
 class _AppendSeed(threading.local):
@@ -345,7 +338,15 @@ class StreamClient:
                 # offset): loop and become the new owner.
                 continue
             try:
-                entry = self._fetch_uncached(offset)
+                try:
+                    entry = self._corfu.read(offset)
+                except UnwrittenError:
+                    self._hole_handler(offset)
+                    # A handler that chose not to fill (e.g. still inside
+                    # the timeout window) surfaces the hole to the caller.
+                    entry = self._corfu.read(offset)
+                except TrimmedError:
+                    entry = LogEntry.junk()
             except BaseException as exc:
                 with self._cache_lock:
                     self._inflight.pop(offset, None)
@@ -362,21 +363,6 @@ class StreamClient:
             if event is not None:
                 event.set()
             return entry
-
-    def _fetch_uncached(self, offset: int) -> LogEntry:
-        """The actual read RPC (plus hole handling) behind ``fetch``."""
-        try:
-            return self._corfu.read(offset)
-        except UnwrittenError:
-            self._hole_handler(offset)
-            try:
-                return self._corfu.read(offset)
-            except UnwrittenError:
-                # Handler chose not to fill (e.g. still inside the
-                # timeout window); surface the hole to the caller.
-                raise
-        except TrimmedError:
-            return LogEntry.junk()
 
     @staticmethod
     def _slot_bytes(slot: _Cached) -> int:
@@ -689,8 +675,7 @@ class StreamClient:
         Applications must call this before ``readnext`` to get
         linearizable semantics (section 5).
         """
-        _tail, last_offsets = self._corfu.query_streams((stream_id,))
-        return self.sync_from(stream_id, last_offsets.get(stream_id, ()))
+        return self.sync_many((stream_id,))[stream_id]
 
     def sync_many(self, stream_ids: Sequence[int]) -> Dict[int, int]:
         """Sync several streams with a single sequencer query.
@@ -705,11 +690,7 @@ class StreamClient:
         markers: Dict[int, int] = {}
         with self._lock:
             for sid in stream_ids:
-                floor = self._state(sid).highest_known()
-                recent = last_offsets.get(sid)
-                if recent and max(recent) > floor:
-                    floor = self._sync_from_locked(sid, recent)
-                markers[sid] = floor
+                markers[sid] = self._sync_from_locked(sid, last_offsets.get(sid, ()))
         return markers
 
     def sync_after_append(
@@ -753,22 +734,23 @@ class StreamClient:
         self, stream_id: int, recent_offsets: Sequence[int]
     ) -> int:
         state = self._state(stream_id)
-        floor = state.highest_known()
+        offsets = state.offsets
+        floor = offsets[-1] if offsets else state.floor
         # Nothing the sequencer named is news (NO_BACKPOINTER sorts
         # below every floor): the common case for all but one hosted
         # stream of a linearizable read.
         if not recent_offsets or max(recent_offsets) <= floor:
             return floor
-        recents = [o for o in recent_offsets if o != NO_BACKPOINTER]
-        discovered: set = set()
-        # Seed the walk with the sequencer's last-K offsets; they are the
-        # newest entries of the stream, newest first.
-        for off in recents:
-            if off > floor:
-                discovered.add(off)
-        cursor = min(recents)
-        if cursor <= floor:
-            cursor = None
+        named = sorted(set(recent_offsets))
+        k = bisect_right(named, floor)
+        if k and named[k - 1] != NO_BACKPOINTER:
+            # The answer reaches listed ground: it names every new
+            # offset, and there is nothing to walk.
+            offsets.extend(named[k:])
+            return offsets[-1]
+        # Every offset named is new: walk the backpointers below them.
+        discovered = set(named[k:])
+        cursor = named[k]
         while cursor is not None and cursor > floor:
             entry = self._try_fetch(cursor)
             header = entry.header_for(stream_id) if entry is not None else None
@@ -783,23 +765,15 @@ class StreamClient:
                 continue
             self.sync_reads += 1
             discovered.add(cursor)
-            ptrs = [
-                p
-                for p in header.backpointers
-                if p != NO_BACKPOINTER and p > floor and p not in discovered
-            ]
+            # The cursor is the lowest offset discovered, so a pointer
+            # not above the floor (NO_BACKPOINTER never is) is all that
+            # can end the chain: it reached listed ground or the start.
+            ptrs = [p for p in header.backpointers if p > floor and p not in discovered]
             if not ptrs:
-                # Check whether the chain genuinely ends here or the
-                # pointers merely overflowed/landed on known ground.
-                prev = [p for p in header.backpointers if p != NO_BACKPOINTER]
-                if prev and min(prev) > floor and min(prev) not in discovered:
-                    cursor = min(prev)
-                else:
-                    cursor = None
-                continue
+                break
             discovered.update(ptrs)
             cursor = min(ptrs)
-        state.extend(discovered)
+        offsets.extend(sorted(discovered))
         return state.highest_known()
 
     def _try_fetch(self, offset: int) -> Optional[LogEntry]:
@@ -859,20 +833,26 @@ class StreamClient:
         their offsets that can fall in the window and, in one hold of
         the cache lock, claims the window's cache misses; it warms
         them with one batched read per replica chain and collects the
-        window's entries in one more hold. An offset missing by then
-        goes through :meth:`fetch` (so a hole surfaces, and runs the
-        hole handler, exactly as there). Each iterator moves just
+        window's entries in one more hold. A window of one entry (a
+        read that finds one new one) is collected in the first hold
+        instead, and delivered there when cached. An offset missing by
+        then goes through :meth:`fetch` (so a hole surfaces, and runs
+        the hole handler, exactly as there). Each iterator moves just
         before its entry is yielded: a consumer that stops early, or a
         hole that raises, leaves everything not yet yielded
         undelivered. *stream_ids* is read again for every window, so a
-        live collection picks up streams opened meanwhile.
+        live collection picks up streams opened meanwhile; a window
+        that takes every stream's last pending offset is the last, and
+        what is listed, opened or rewound while it is consumed waits
+        for the next call.
 
         With *parse*, ``(offset, form, delivering)`` is yielded instead,
         the form as :meth:`scan` finds or makes it, but playback is an
         entry's last reader: a fresh parse is not remembered, and the
-        forms of the *delivered* entries are given up in one hold when
-        the window ends or is abandoned (an undelivered entry keeps its
-        own), so played history stays cached raw.
+        forms of the *delivered* entries are given up (in the one-entry
+        window's hold, or in one more when a window ends or is
+        abandoned; an undelivered entry keeps its own), so played
+        history stays cached raw.
         """
         while True:
             with self._lock:
@@ -888,27 +868,45 @@ class StreamClient:
                     return
                 state, lo, hi = heads[0]
                 if len(heads) == 1 and hi - lo == 1:
-                    # One entry (a read that finds one new one): nothing
-                    # to merge or warm.
-                    window = [state.offsets[lo]]
-                    slices = [window]
-                    claim = None
+                    offset, window, form = state.offsets[lo], None, None
+                    with self._cache_lock:
+                        slot = self._cache.get(offset)
+                        if slot is not None:
+                            self._cache.move_to_end(offset)
+                            if parse is not None and slot.decoded is not None:
+                                form, slot.decoded = slot.decoded, None
+                                self._cache_bytes -= self._slot_bytes(slot)
+                            state.read_ptr = lo + 1
+                            entry = slot.entry
                 else:
                     with self._cache_lock:
                         limit = self._warm_limit_locked()
                         slices = [
                             s.offsets[lo : min(hi, lo + limit)] for s, lo, hi in heads
                         ]
-                        if len(slices) == 1:
-                            window = slices[0]
-                        else:
-                            window = sorted(set().union(*slices))[:limit]
+                        window = slices[0] if len(slices) == 1 else sorted(set().union(*slices))
+                        drained = len(window) <= limit and all(hi - lo <= limit for _s, lo, hi in heads)
+                        window = window[:limit]
                         claim = self._claim_locked(window)
-                # A stream takes an offset only from its merged slice:
-                # one moved since the merge (seek, reset, a trim that
-                # forgot the offset) is left where it now stands.
-                claimants = [(h[0], s[0], s[-1]) for h, s in zip(heads, slices)]
-            self._fetch_many_best_effort(claim)
+                    # A stream takes an offset only from its merged slice:
+                    # one moved since the merge (seek, reset, a trim that
+                    # forgot the offset) is left where it now stands.
+                    claimants = [(h[0], s[0], s[-1]) for h, s in zip(heads, slices)]
+            if window is None:  # the one entry
+                if slot is None:
+                    entry = self.fetch(offset)
+                    with self._lock:
+                        if state.offsets[state.read_ptr : state.read_ptr + 1] != [offset]:
+                            return  # moved since: left where it now stands
+                        state.read_ptr += 1
+                if parse is None:
+                    form = entry
+                elif form is None:
+                    form = self._parsed(parse, offset, entry)
+                yield offset, form, (state.stream_id,)
+                return
+            if claim is not None:
+                self._fetch_many_best_effort(claim)
             with self._cache_lock:
                 collected = self._collect_locked(window)
             taken: List[Tuple[int, LogEntry]] = []
@@ -942,6 +940,8 @@ class StreamClient:
                                 continue
                             slot.decoded = None
                             self._cache_bytes -= self._slot_bytes(slot)
+            if drained:
+                return
 
     def readnext(
         self, stream_id: int, upto: Optional[int] = None
@@ -1001,7 +1001,6 @@ class StreamClient:
         with self._lock:
             state = self._state(stream_id)
             if after_offset > state.highest_known():
-                state.known.clear()
                 state.offsets.clear()
                 state.floor = after_offset
                 state.covered = True
@@ -1036,10 +1035,10 @@ class StreamClient:
                 self.sync_from(stream_id, start)
             finally:
                 self._streams[stream_id] = state
-            found = [off for off in walked.offsets if off not in state.known]
+            listed = set(state.offsets)
+            found = [off for off in walked.offsets if off not in listed]
             state.read_ptr += sum(1 for off in found if off <= state.floor)
             state.offsets = sorted(state.offsets + found)
-            state.known.update(found)
             state.covered = False
 
     def known_offsets(self, stream_id: int) -> Tuple[int, ...]:

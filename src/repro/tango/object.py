@@ -186,7 +186,7 @@ class TangoObject:
                 f"object {self.oid} has no local view on this client; "
                 f"accessors require host_view=True"
             )
-        self._runtime.query_helper(self.oid, key=key)
+        self._runtime.query_helper(self.oid, key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "hosted" if self._hosted else "write-only"

@@ -157,6 +157,7 @@ class TangoRuntime:
         self._tls = _ThreadScopes()
 
         self._objects: Dict[int, object] = {}  # oid -> TangoObject
+        self._hosted: Tuple[int, ...] = ()  # its keys, what a read syncs
         self._versions = VersionTable()
         # Serializes playback and registration across application
         # threads. Transaction contexts and batch scopes are
@@ -278,6 +279,7 @@ class TangoRuntime:
                     "awaiting decision records; retry after playback drains"
                 )
             self._objects[oid] = obj
+            self._hosted = tuple(self._objects)
             self._streams.open_stream(oid)
             ckpt = checkpoint_stream(oid)
             _tail, recent = self._streams.corfu.query_streams((oid, ckpt))
@@ -300,6 +302,7 @@ class TangoRuntime:
         """
         with self._play_lock:
             self._objects.pop(oid, None)
+            self._hosted = tuple(self._objects)
             self._versions.drop_object(oid)
             self._dirty_keys.pop(oid, None)
             self._dirty_full.discard(oid)
@@ -317,7 +320,7 @@ class TangoRuntime:
 
     def hosted_oids(self) -> Tuple[int, ...]:
         with self._play_lock:
-            return tuple(self._objects)
+            return self._hosted
 
     def _load_newest_checkpoint(self, oid: int, obj, recent: Sequence[int]) -> None:
         """Load *oid*'s newest checkpoint whose chain loads, if any.
@@ -490,11 +493,9 @@ class TangoRuntime:
             # updates before placing the read marker.
             batch.flush()
         with self._play_lock:
-            objects = self._objects
-            if oid not in objects:
+            if oid not in self._objects:
                 raise UnknownObjectError(f"object {oid} has no local view")
-            markers = self._streams.sync_many(tuple(objects))
-            marker = markers.get(oid, NO_VERSION)
+            marker = self._streams.sync_many(self._hosted)[oid]
             if upto is not None:
                 marker = min(marker, upto) if marker != NO_VERSION else upto
             if marker == NO_VERSION:
@@ -571,7 +572,7 @@ class TangoRuntime:
         # joined, so when those are all the streams we host, nobody is
         # asked; a hosted stream outside the transaction sends the
         # usual sequencer query (decided inside the stream layer).
-        self._streams.sync_after_append(commit_offset, tuple(self._objects))
+        self._streams.sync_after_append(commit_offset, self._hosted)
         self._play_until(commit_offset)
         outcome = self._decided.get(ctx.tx_id)
         # Our commit record may sit behind an earlier transaction that is
@@ -965,7 +966,7 @@ class TangoRuntime:
 
     def _play_to_tail(self) -> None:
         """Sync every hosted stream and play to the newest marker."""
-        markers = self._streams.sync_many(tuple(self._objects))
+        markers = self._streams.sync_many(self._hosted)
         live = [m for m in markers.values() if m != NO_VERSION]
         if live:
             self._play_until(max(live))
@@ -973,48 +974,41 @@ class TangoRuntime:
     def _play_until(self, upto: int) -> None:
         """Apply every pending entry with offset <= *upto*, in log order.
 
-        Streams currently blocked behind an awaited decision record do
-        not participate; their entries are deferred and drained when the
-        decision arrives. The iterator reads ``_objects`` itself, window
-        by window, so a stream registered mid-playback joins the merge.
-        """
-        process = self._process_entry
-        for offset, records, delivering in self._streams.play(self._objects, upto, _decode_payload):
-            process(offset, records, delivering)
-            if offset > self._watermark:
-                self._watermark = offset
-
-    def _process_entry(
-        self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
-    ) -> None:
-        """Play one log entry's records into the objects in *scope*.
-
-        Every reader of payloads (checkpoint load, reconstruction,
-        decision hunts, playback) decodes with :func:`_decode_payload`,
-        through the stream iterators, and the cache keeps them beside
-        the raw entry until playback, its last reader, takes them: one
-        decode per entry, none of what this runtime appended. With no
-        transaction parked, a plain update is applied straight away;
-        every other record goes through :meth:`_dispatch`, and while a
+        The iterator reads ``_objects`` itself, window by window, so a
+        stream registered mid-playback joins the merge at the next
+        window. Every reader of payloads (checkpoint load,
+        reconstruction, decision hunts, playback) decodes with
+        :func:`_decode_payload`, through the stream iterators, and the
+        cache keeps them beside the raw entry until playback, its last
+        reader, takes them: one decode per entry, none of what this
+        runtime appended. With no transaction parked, a plain update of
+        an object in the entry's scope is applied straight away; every
+        other record goes through :meth:`_dispatch`. While a
         transaction awaits its decision the entry goes through
-        :meth:`_process_records`, which defers what is blocked (junk,
+        :meth:`_process_records`, which defers what is blocked: streams
+        blocked behind an awaited decision record do not participate,
+        and their entries are drained when the decision arrives (junk,
         with no records, is not deferred).
         """
-        if self._awaiting or self._blocked_streams:
-            if records:
-                self._process_records(offset, records, scope)
-            return
-        for record in records:
-            if type(record) is UpdateRecord and record.tx_id == NO_TX:
-                if record.oid in scope:
-                    self._apply_update(offset, record)
+        apply, dispatch = self._apply_update, self._dispatch
+        for offset, records, scope in self._streams.play(self._objects, upto, _decode_payload):
+            if self._awaiting or self._blocked_streams:
+                if records:
+                    self._process_records(offset, records, scope)
             else:
-                self._dispatch(offset, record, scope)
+                for record in records:
+                    if type(record) is UpdateRecord and record.tx_id == NO_TX:
+                        if record.oid in scope:
+                            apply(offset, record)
+                    else:
+                        dispatch(offset, record, scope)
+            if offset > self._watermark:
+                self._watermark = offset
 
     def _process_records(
         self, offset: int, records: Tuple[Record, ...], scope: Tuple[int, ...]
     ) -> None:
-        """What :meth:`_process_entry` does with the decoded records while
+        """What :meth:`_play_until` does with the decoded records while
         a transaction is parked; a deferred entry comes back through here
         when its stream unblocks."""
         # Decision records for awaited transactions bypass stream
@@ -1070,28 +1064,22 @@ class TangoRuntime:
         compares against) — they differ only for speculative updates,
         whose data precedes their commit record in the log.
         """
-        obj = self._objects.get(record.oid)
+        oid, payload, key, _tx_id = record
+        obj = self._objects.get(oid)
         if obj is None:
             return
-        obj.apply(record.payload, offset)
-        self._versions.bump(
-            record.oid,
-            offset if version_offset is None else version_offset,
-            record.key,
-        )
-        if record.oid in self._checkpoint_chains:
+        obj.apply(payload, offset)
+        self._versions.bump(oid, offset if version_offset is None else version_offset, key)
+        if oid in self._checkpoint_chains:
             # What the next delta checkpoint must carry; an object with
             # no chain yet can only take a full one, which reads neither.
-            if record.key is None:
-                self._dirty_full.add(record.oid)
+            if key is None:
+                self._dirty_full.add(oid)
             else:
-                self._dirty_keys.setdefault(record.oid, set()).add(record.key)
+                self._dirty_keys.setdefault(oid, set()).add(key)
         self.stats["applied_updates"] += 1
         if self._subscribers:
-            self._emit(
-                "apply",
-                {"oid": record.oid, "offset": offset, "key": record.key},
-            )
+            self._emit("apply", {"oid": oid, "offset": offset, "key": key})
 
     def _process_commit(
         self, offset: int, record: CommitRecord, scope: Tuple[int, ...]

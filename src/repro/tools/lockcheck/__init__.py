@@ -53,14 +53,20 @@ _INSTALL_MU = _real_lock()
 
 
 class LockSite:
-    """Where a lock was created: the graph-node identity at runtime."""
+    """Where a lock was created: the graph-node identity at runtime.
 
-    __slots__ = ("label", "filename", "lineno")
+    *path* is the creating code's file as the interpreter names it, so a
+    site can be matched with the static graph's ``Class.attr`` nodes
+    (each recorded at its creation line).
+    """
 
-    def __init__(self, label: str, filename: str, lineno: int) -> None:
+    __slots__ = ("label", "filename", "lineno", "path")
+
+    def __init__(self, label: str, filename: str, lineno: int, path: str = "") -> None:
         self.label = label
         self.filename = filename
         self.lineno = lineno
+        self.path = path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LockSite {self.label}>"
@@ -75,13 +81,14 @@ def _site_from_caller(label: Optional[str]) -> LockSite:
         frame = frame.f_back
     if frame is None:  # pragma: no cover - interpreter startup only
         return LockSite(label or "<unknown>", "<unknown>", 0)
-    filename = os.path.basename(frame.f_code.co_filename)
+    path = frame.f_code.co_filename
+    filename = os.path.basename(path)
     lineno = frame.f_lineno
     if label is None:
         owner = frame.f_locals.get("self")
         cls = type(owner).__name__ if owner is not None else frame.f_code.co_name
         label = f"{cls}@{filename}:{lineno}"
-    return LockSite(label, filename, lineno)
+    return LockSite(label, filename, lineno, path)
 
 
 class _Held:
@@ -102,6 +109,8 @@ class LockMonitor:
         self._held: Dict[int, List[_Held]] = {}
         # (from_label, to_label) -> first witness {thread, to_site}
         self._edges: Dict[Tuple[str, str], Dict[str, str]] = {}
+        # label -> the site it names (for mapping edges to static names)
+        self._sites: Dict[str, LockSite] = {}
         self._violations: List[Dict[str, object]] = []
         # label -> [acquisitions, total_held_s, max_held_s]
         self._stats: Dict[str, List[float]] = {}
@@ -143,6 +152,8 @@ class LockMonitor:
         key = (source.label, target.label)
         if key in self._edges:
             return
+        self._sites[source.label] = source
+        self._sites[target.label] = target
         self._edges[key] = {
             "thread": threading.current_thread().name,
             "to_site": f"{target.filename}:{target.lineno}",
@@ -180,6 +191,11 @@ class LockMonitor:
     def edges(self) -> List[Tuple[str, str]]:
         with self._mu:
             return sorted(self._edges)
+
+    def edge_sites(self) -> List[Tuple[LockSite, LockSite]]:
+        """Each witnessed edge as its (held, acquired) creation sites."""
+        with self._mu:
+            return [(self._sites[a], self._sites[b]) for a, b in sorted(self._edges)]
 
     def violations(self) -> List[Dict[str, object]]:
         with self._mu:

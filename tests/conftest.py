@@ -59,15 +59,24 @@ def _lockcheck_session():
     """Opt-in runtime lock-order sanitizer for the whole session.
 
     ``REPRO_LOCKCHECK=1 pytest`` wraps every lock the repro code
-    creates; a witnessed lock-order cycle anywhere in the run fails
-    the session at teardown (see docs/CONCURRENCY.md).
+    creates. At teardown the session fails on a witnessed lock-order
+    cycle anywhere in the run, and on a witnessed order edge that
+    docs/CONCURRENCY.md lists in neither its static edge table nor its
+    runtime edge table (each lock named ``Class.attr`` by its creation
+    site).
     """
     if os.environ.get("REPRO_LOCKCHECK") != "1":
         yield
         return
     from repro.tools import lockcheck
+    from tests.lock_hierarchy import undocumented_edges
 
     monitor = lockcheck.install()
     yield
     lockcheck.uninstall()
     monitor.assert_acyclic()
+    undocumented = undocumented_edges(monitor)
+    assert not undocumented, (
+        "lockcheck: witnessed lock-order edges docs/CONCURRENCY.md does not list:\n  "
+        + "\n  ".join(undocumented)
+    )

@@ -1,4 +1,4 @@
-"""The append path's exact RPC sequence, pinned.
+"""The append and read paths' exact RPC sequences, pinned.
 
 A seeded :class:`~repro.net.faulty.FaultyTransport` (request and
 response drops, duplicates, reordering) runs a fixed mix through one
@@ -12,6 +12,14 @@ takes some granted offsets first. The records, the offsets each call
 returned and the write-through cache slots are hashed, and the digests
 are pinned: a change to the append routine must not change one RPC,
 one byte or one cached entry.
+
+The read scenario runs two runtimes sharing a map under the same fault
+schedule through every shape of linearizable read: an idle get, a get
+after its own put, after a remote put and after a remote 3+3 commit, a
+get over offsets a hole-filler junked, a fresh four-map runtime
+catching up and a lagging reader. Its record adds the values returned
+and each view's applied ``(offset, oid, key)`` sequence, so a change to
+the read path must not change one RPC, one result or one apply.
 """
 
 import hashlib
@@ -25,6 +33,13 @@ from repro.net.faulty import FaultyTransport
 PINNED = {
     1: "f2351be8a9adc1bfaf3fc852f0626b0526abe6b5556345fa6533a7e9d24fdefc",
     2: "94d8fd79c7be3e34bd5a4b56871eec96be5287a5603385ae19ec249b7445bf72",
+}
+
+
+#: sha256 of the read scenario's record per sequencer shard count.
+READ_PINNED = {
+    1: "3839ff70744781a4797669b323572d754d16de0ffd3df0faea66639a7a7ec452",
+    2: "47cb851d6e2444772a40253058eeb63fa467ae90bf30237accf88cec174ded9e",
 }
 
 
@@ -61,15 +76,20 @@ def _cache_slots(streams):
     ]
 
 
-def _run(shards):
+def _faulty_cluster(shards, log):
     transport = FaultyTransport(
         seed=11, drop_request=0.04, drop_response=0.04, duplicate=0.05, reorder=0.05
     )
     cluster = CorfuCluster(
         num_sets=2, replication_factor=2, seq_shards=shards, transport=transport
     )
-    log = []
     _record(transport, log)
+    return cluster
+
+
+def _run(shards):
+    log = []
+    cluster = _faulty_cluster(shards, log)
 
     streams = StreamClient(cluster.client())
     for sid in (1, 2):
@@ -104,6 +124,62 @@ def _run(shards):
     log.append(f"get -> {tmap.get('k1')}")
     log.extend(_cache_slots(runtime.streams))
     return log
+
+
+def _hosting(cluster, client_id, oids, applied):
+    """A runtime hosting maps *oids*, its applies logged in *applied*."""
+    runtime = TangoRuntime(cluster, client_id=client_id)
+    runtime.subscribe(
+        "apply", lambda ev: applied.append(f"{client_id} applied {ev['offset']} {ev['oid']} {ev['key']!r}")
+    )
+    return runtime, [TangoMap(runtime, oid) for oid in oids]
+
+
+def _run_reads(shards):
+    log = []
+    cluster = _faulty_cluster(shards, log)
+    applied = []
+    a, (ma,) = _hosting(cluster, 7, (3,), applied)
+    b, (mb, *others) = _hosting(cluster, 8, (3, 4, 5, 6), applied)
+    _lagging, (lagging,) = _hosting(cluster, 9, (3,), applied)
+    for i in range(8):
+        mb.put(f"k{i}", i)
+        others[i % 3].put(f"o{i}", i)
+    log.append(f"first get -> {ma.get('k1')}")
+    log.append(f"idle get -> {ma.get('k1')}")
+    ma.put("k0", 100)
+    log.append(f"own get -> {ma.get('k0')}")
+    mb.put("k2", 200)
+    log.append(f"remote get -> {ma.get('k2')}")
+    b.begin_tx()
+    for i in range(3):
+        mb.get(f"k{i}")
+    for i in range(3):
+        mb.put(f"k{i + 3}", 300 + i)
+    log.append(f"remote commit -> {b.end_tx()}")
+    log.append(f"get after a remote commit -> {ma.get('k4')}")
+    # A hole-filler junks the next offsets: the put's head writes lose
+    # and its stream's last-K names the junk.
+    filler = cluster.client()
+    tail = filler.check()
+    for offset in range(tail, tail + 3):
+        filler.fill(offset)
+    mb.put("k6", 600)
+    log.append(f"get over junk -> {ma.get('k6')}")
+    _fresh, maps = _hosting(cluster, 10, (3, 4, 5, 6), applied)
+    log.append(f"fresh catch-up -> {[m.get('o1') for m in maps]} {maps[0].get('k6')}")
+    log.append(f"lagging get -> {lagging.get('k6')}")
+    log.extend(applied)
+    return log
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_read_rpcs_match_the_pinned_trace(shards):
+    log = _run_reads(shards)
+    assert any(line.startswith("call ") and "RpcTimeout" in line for line in log)
+    assert any(" read_many " in line for line in log)
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert digest == READ_PINNED[shards]
 
 
 @pytest.mark.parametrize("shards", [1, 2])

@@ -153,6 +153,25 @@ class TestRegistrationCost:
         assert max(rpcs) <= 1.1 * min(rpcs), rpcs
 
 
+    def test_a_trimmed_prefix_without_checkpoint_shows_as_trimmed_outcomes(self):
+        """A stream whose prefix was trimmed with no checkpoint to cover
+        it: registration still walks into the prefix (ROADMAP item 15's
+        open half), and each trimmed offset it visits is one trimmed
+        outcome at a flash unit, not a served page."""
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer = TangoRuntime(cluster, client_id=1)
+        tmap = TangoMap(writer, 1)
+        for i in range(40):
+            tmap.put(f"k{i % 8}", i)
+        writer.streams.corfu.trim_prefix(24)
+        served, trimmed = cluster.total_storage_reads(), cluster.total_trimmed_reads()
+        fresh = TangoRuntime(cluster, client_id=2)
+        held = TangoMap(fresh, 1)
+        assert dict(held.items()) == {f"k{i % 8}": i for i in range(32, 40)}
+        assert cluster.total_storage_reads() - served == 16  # the live suffix
+        assert cluster.total_trimmed_reads() - trimmed == 24  # every trimmed offset, once
+
+
 class TestWhichCheckpointLoads:
     def test_none_of_the_last_k_loads_walks_the_checkpoint_stream_back(self):
         """Deltas whose base was trimmed fill the checkpoint stream's last

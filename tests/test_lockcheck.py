@@ -9,7 +9,6 @@ same order edges two racing threads would).
 
 import json
 import os
-import re
 import threading
 
 import pytest
@@ -17,6 +16,7 @@ import pytest
 from repro.tools import lockcheck
 from repro.tools.lint import lint_paths
 from repro.tools.lockcheck import InstrumentedLock, LockMonitor
+from tests.lock_hierarchy import documented_hierarchy, static_graph, undocumented_edges
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 
@@ -320,35 +320,44 @@ def test_install_instruments_repro_locks_and_workload_is_acyclic():
 # docs/CONCURRENCY.md records the static hierarchy of src/repro
 # ---------------------------------------------------------------------------
 
-ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-_UNITS = (
-    "zero one two three four five six seven eight nine ten eleven twelve "
-    "thirteen fourteen fifteen sixteen seventeen eighteen nineteen"
-).split()
-_NUMBER_WORDS = _UNITS + ["twenty"] + [f"twenty-{u}" for u in _UNITS[1:10]]
-
-
-def _documented_hierarchy():
-    """(safe order, inferred edges, lock count) as CONCURRENCY.md has them."""
-    with open(os.path.join(ROOT, "docs", "CONCURRENCY.md"), encoding="utf-8") as f:
-        text = f.read()
-    section = text.split("\n## The lock hierarchy", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```", 2)[1]
-    order = [name.strip() for name in block.split("<")]
-    edges = set(re.findall(r"^\|\s*`([\w.]+)`\s*\|\s*`([\w.]+)`\s*\|", section, re.M))
-    count = re.search(r"(\S+) locks in all", section).group(1).lower()
-    return order, edges, _NUMBER_WORDS.index(count)
-
-
 def test_documented_lock_hierarchy_matches_the_source():
-    from repro.tools.discovery import iter_python_files
-    from repro.tools.lint.engine import parse_module
-    from repro.tools.lint.rules.concurrency import build_lock_graph
-
-    src = os.path.join(ROOT, "src", "repro")
-    modules = [parse_module(path)[0] for path in iter_python_files([src])]
-    graph = build_lock_graph([m for m in modules if m is not None])
-    order, edges, count = _documented_hierarchy()
+    graph = static_graph()
+    order, edges, count = documented_hierarchy()
     assert order == graph.topological_order()
     assert edges == set(graph.edges)
     assert count == len(graph.nodes)
+
+
+def test_witnessed_edges_are_named_from_the_static_graph_and_documented():
+    """The session teardown check (``REPRO_LOCKCHECK=1``), on one
+    workload: runtime sites map to the table's ``Class.attr`` names, and
+    an in-process get and put witness only documented edges."""
+    if lockcheck.monitor() is not None:
+        pytest.skip("sanitizer already installed for this session")
+    monitor = lockcheck.install()
+    try:
+        from repro.corfu import CorfuCluster
+        from repro.objects import TangoMap
+        from repro.tango.runtime import TangoRuntime
+
+        cluster = CorfuCluster(num_sets=2, replication_factor=2)
+        writer, reader = TangoRuntime(cluster, client_id=1), TangoRuntime(cluster, client_id=2)
+        TangoMap(writer, 1).put("k", 1)
+        assert TangoMap(reader, 1).get("k") == 1
+    finally:
+        lockcheck.uninstall()
+    assert undocumented_edges(monitor) == []
+    witnessed = {(a.label, b.label) for a, b in monitor.edge_sites()}
+    assert witnessed == set(monitor.edges())
+    held = {a.path for a, _b in monitor.edge_sites()}
+    assert any(path.endswith(os.path.join("tango", "runtime.py")) for path in held)
+
+
+def test_an_undocumented_edge_is_reported_by_its_names():
+    monitor = LockMonitor()
+    outer = InstrumentedLock(label="outer", monitor=monitor)
+    inner = InstrumentedLock(label="inner", monitor=monitor)
+    with outer, inner:
+        pass
+    # Neither site is a node of the static graph: both keep their labels.
+    assert undocumented_edges(monitor) == ["outer -> inner"]

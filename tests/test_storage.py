@@ -134,6 +134,30 @@ class TestTrim:
         with pytest.raises(TrimmedError):
             unit.read(3, epoch=0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda path: FlashUnit("flash-0"),
+            lambda path: SegmentedFlashUnit("flash-0", str(path), sync=False),
+        ],
+        ids=["flash", "segmented"],
+    )
+    def test_trimmed_outcomes_are_counted_apart_from_served_pages(self, make, tmp_path):
+        unit = make(tmp_path)
+        for addr in range(6):
+            unit.write(addr, b"x", epoch=0)
+        unit.trim_prefix(3, epoch=0)
+        unit.trim(4, epoch=0)
+        with pytest.raises(TrimmedError):
+            unit.read(1, epoch=0)
+        assert unit.read(3, epoch=0) == b"x"
+        assert (unit.reads, unit.trimmed_reads) == (1, 1)
+        outcomes = unit.read_many([0, 2, 3, 4, 5, 9], epoch=0)
+        assert [outcomes[a][0] for a in (0, 2, 3, 4, 5, 9)] == [
+            "trimmed", "trimmed", "ok", "trimmed", "ok", "unwritten",
+        ]
+        assert (unit.reads, unit.trimmed_reads) == (3, 4)
+
     def test_sparse_trims_compact_into_prefix(self, unit):
         for addr in range(5):
             unit.write(addr, b"x", epoch=0)
