@@ -20,6 +20,13 @@ hood, the streaming layer fetches the entry once from the shared log and
 caches it"). An entry this client appended itself is not fetched at
 all: an offset is write-once, so the cache is filled on the write path
 (``_on_append``) with the entry exactly as a reader would decode it.
+
+Every reader gets its entries one way, whether it wants one offset
+(``fetch``, a sync walk's cursor, a read that finds one new entry) or a
+window of them (``fetch_many``, ``readnext``'s warm, ``scan``, a window
+of ``play``, a backward scan): one cache hold takes the cached ones and
+claims the misses, one ``read`` or ``read_many`` round reads the claim
+with no lock held, and one more hold caches what came back.
 """
 
 from __future__ import annotations
@@ -95,14 +102,13 @@ class _Cached:
 
 
 class _InflightFetch:
-    """Single-flight slot for one read: an offset's fetch, or a batch.
+    """Single-flight slot for one read of the claimed *offsets*.
 
-    Exactly one thread (the owner) issues the read RPC and, for a lone
-    fetch, runs the hole handler; every concurrent fetch of an offset
-    the flight covers waits and shares the owner's entry or exception.
-    A batched round claims all its offsets with one flight. An offset
-    the flight resolved with neither (the owner obtained nothing it
-    could share, e.g. a best-effort batch skipping a hole) tells its
+    Exactly one thread (the owner) reads them and, for a lone offset,
+    runs the hole handler; every concurrent fetch of an offset the
+    flight covers waits and shares the owner's entry or exception. An
+    offset the flight resolved with neither (the owner obtained nothing
+    it could share, e.g. a batched round skipping a hole) tells its
     waiters to retry — the next one through becomes the new owner.
 
     Almost every flight has no waiter, so the event is made on demand:
@@ -111,9 +117,10 @@ class _InflightFetch:
     and sets it, if there is one, once the lock is released.
     """
 
-    __slots__ = ("event", "entries", "exc")
+    __slots__ = ("offsets", "event", "entries", "exc")
 
-    def __init__(self) -> None:
+    def __init__(self, offsets: List[int]) -> None:
+        self.offsets = offsets
         self.event: Optional[threading.Event] = None
         self.entries: Dict[int, LogEntry] = {}
         self.exc: Optional[BaseException] = None
@@ -313,56 +320,110 @@ class StreamClient:
         the cache-miss check and the cache insert lets N threads issue N
         identical RPCs — and run N hole handlers — for one offset.
         """
+        wanted = (offset,)
         while True:
             with self._cache_lock:
-                cached = self._cache.get(offset)
-                if cached is not None:
-                    self._cache.move_to_end(offset)
-                    return cached.entry
-                flight = self._inflight.get(offset)
-                if flight is None:
-                    flight = self._inflight[offset] = _InflightFetch()
-                    event = None  # we own it
-                else:
-                    event = flight.event
-                    if event is None:
-                        event = flight.event = threading.Event()
-            if event is not None:
-                event.wait()
-                if flight.exc is not None:
-                    raise flight.exc
-                shared = flight.entries.get(offset)
-                if shared is not None:
-                    return shared
-                # Unresolved slot (a best-effort batch skipped this
-                # offset): loop and become the new owner.
-                continue
-            try:
+                slots, flight = self._claim_locked(wanted)
+                waiting = None
+                if slots[0] is None and flight is None:  # another thread reads it
+                    waiting = self._inflight[offset]
+                    if waiting.event is None:
+                        waiting.event = threading.Event()
+            if waiting is None:
+                (slot,) = self._read_claim(wanted, slots, flight)
+                return slot.entry
+            waiting.event.wait()
+            if waiting.exc is not None:
+                raise waiting.exc
+            shared = waiting.entries.get(offset)
+            if shared is not None:
+                return shared
+            # Unresolved slot (a batched round skipped this offset):
+            # loop and become the new owner.
+
+    def _claim_locked(
+        self, offsets: Sequence[int]
+    ) -> Tuple[List[Optional[_Cached]], Optional[_InflightFetch]]:
+        """Step one of getting *offsets*; the caller holds ``_cache_lock``.
+
+        Returns each offset's cache slot (None: a miss), touching the
+        LRU as a hit, and one flight claiming the misses no one else is
+        reading (None: nothing claimed). A lone miss is claimed only where
+        the consumer stands, at the first offset: one further on costs the
+        same round trip when the consumer gets there, through :meth:`fetch`.
+        """
+        cache, inflight = self._cache, self._inflight
+        slots: List[Optional[_Cached]] = []
+        misses: List[int] = []
+        for off in offsets:
+            slot = cache.get(off)
+            if slot is not None:
+                cache.move_to_end(off)
+            elif off not in inflight:
+                misses.append(off)
+            slots.append(slot)
+        if not misses or (len(misses) == 1 and misses[0] != offsets[0]):
+            return slots, None
+        flight = _InflightFetch(misses)
+        for off in misses:
+            inflight[off] = flight
+        return slots, flight
+
+    def _read_claim(
+        self,
+        offsets: Sequence[int],
+        slots: List[Optional[_Cached]],
+        flight: Optional[_InflightFetch],
+    ) -> List[Optional[_Cached]]:
+        """Steps two and three: read *flight*'s claim with no lock held,
+        then cache it, resolve the flight and fill in *slots* in one hold.
+
+        A lone claimed offset is the consumer's: a ``read``, and a hole
+        runs the hole handler and is read again (a handler that chose not
+        to fill surfaces the hole); a failure is shared with the flight's
+        waiters and raised. More are one best-effort ``read_many`` round:
+        a hole ahead of the consumer is skipped, and a round failing with
+        a :class:`ReproError` reads nothing, so such an offset resolves
+        empty and goes through :meth:`fetch`. Trimmed offsets read as junk.
+        """
+        if flight is None:
+            return slots
+        claimed, got = flight.offsets, flight.entries
+        try:
+            if len(claimed) > 1:
                 try:
-                    entry = self._corfu.read(offset)
+                    outcomes: Mapping[int, object] = self._corfu.read_many(claimed)
+                except ReproError:
+                    outcomes = {}  # the per-offset path retries with full discipline
+                for off, outcome in outcomes.items():
+                    if isinstance(outcome, LogEntry):
+                        got[off] = outcome
+                    elif isinstance(outcome, TrimmedError):
+                        got[off] = LogEntry.junk()
+            else:
+                offset = claimed[0]
+                try:
+                    got[offset] = self._corfu.read(offset)
                 except UnwrittenError:
                     self._hole_handler(offset)
-                    # A handler that chose not to fill (e.g. still inside
-                    # the timeout window) surfaces the hole to the caller.
-                    entry = self._corfu.read(offset)
+                    got[offset] = self._corfu.read(offset)
                 except TrimmedError:
-                    entry = LogEntry.junk()
-            except BaseException as exc:
-                with self._cache_lock:
-                    self._inflight.pop(offset, None)
-                    flight.exc = exc
-                    event = flight.event
-                if event is not None:
-                    event.set()
-                raise
+                    got[offset] = LogEntry.junk()
+        except BaseException as exc:
+            if len(claimed) == 1:  # the consumer's offset: its waiters share it
+                flight.exc = exc
+            raise
+        finally:
             with self._cache_lock:
-                self._cache_insert_locked(offset, entry)
-                self._inflight.pop(offset, None)
-                flight.entries[offset] = entry
+                for off in claimed:
+                    self._inflight.pop(off, None)
+                for i, off in enumerate(offsets):
+                    if slots[i] is None and off in got:
+                        slots[i] = self._cache_insert_locked(off, got[off])
                 event = flight.event
             if event is not None:
                 event.set()
-            return entry
+        return slots
 
     @staticmethod
     def _slot_bytes(slot: _Cached) -> int:
@@ -371,12 +432,13 @@ class StreamClient:
 
     def _cache_insert_locked(
         self, offset: int, entry: LogEntry, decoded: object = None
-    ) -> None:
-        """Insert into the LRU cache; caller holds ``_cache_lock``."""
+    ) -> _Cached:
+        """Insert into the LRU cache and return the slot; caller holds
+        ``_cache_lock``."""
         cache = self._cache
         old = cache.get(offset)
         # A new key lands at the LRU's young end.
-        cache[offset] = _Cached(entry, decoded)
+        slot = cache[offset] = _Cached(entry, decoded)
         if old is not None:
             self._cache_bytes -= self._slot_bytes(old)
             cache.move_to_end(offset)
@@ -384,6 +446,7 @@ class StreamClient:
         self._cache_bytes += cost if decoded is None else 2 * cost
         if len(cache) > self._cache_entries or self._cache_budget is not None:
             self._cache_shrink_locked()
+        return slot
 
     def _cache_shrink_locked(self) -> None:
         """Evict LRU entries past the entry cap or the byte budget."""
@@ -396,77 +459,6 @@ class StreamClient:
             _off, victim = self._cache.popitem(last=False)
             self._cache_bytes -= self._slot_bytes(victim)
 
-    def _claim_locked(
-        self, offsets: Iterable[int]
-    ) -> Optional[Tuple[_InflightFetch, List[int]]]:
-        """Claim the *offsets* neither cached nor in flight, if two or more.
-
-        The claimed offsets share one new single-flight slot; the caller
-        holds ``_cache_lock`` and then reads the claim, outside it, with
-        :meth:`_fetch_many_best_effort`. A lone miss is left alone: it
-        costs the same round trip either way, and the ``fetch`` that
-        follows handles it with full hole semantics.
-        """
-        cache, inflight = self._cache, self._inflight
-        misses = [off for off in offsets if off not in cache and off not in inflight]
-        if len(misses) < 2:
-            return None
-        flight = _InflightFetch()
-        for off in misses:
-            inflight[off] = flight
-        return flight, misses
-
-    def _fetch_many_best_effort(
-        self, claim: Optional[Tuple[_InflightFetch, List[int]]]
-    ) -> None:
-        """Warm the cache for a claim in one batched read per chain.
-
-        Reads the claimed offsets with a single
-        :meth:`CorfuClient.read_many` round and caches the written ones
-        (trimmed offsets cache as junk, matching ``fetch``). Unwritten
-        offsets are *skipped* — no hole handling here — and resolve
-        empty, which sends any waiter (including our caller's own
-        ``fetch``) through ``fetch`` to own the hole; a round that fails
-        with a :class:`ReproError` resolves every offset that way and
-        does not raise.
-        """
-        if claim is None:
-            return
-        flight, claimed = claim
-        outcomes: Mapping[int, object] = {}
-        try:
-            outcomes = self._corfu.read_many(claimed)
-        except ReproError:
-            pass  # the per-offset path retries with full discipline
-        finally:
-            with self._cache_lock:
-                for off in claimed:
-                    outcome = outcomes.get(off)
-                    if isinstance(outcome, LogEntry):
-                        entry: Optional[LogEntry] = outcome
-                    elif isinstance(outcome, TrimmedError):
-                        entry = LogEntry.junk()
-                    else:
-                        entry = None  # hole: leave to per-offset fetch
-                    if entry is not None:
-                        self._cache_insert_locked(off, entry)
-                        flight.entries[off] = entry
-                    self._inflight.pop(off, None)
-                event = flight.event
-            if event is not None:
-                event.set()
-
-    def _prefetch(self, offsets: Iterable[int]) -> None:
-        """Best-effort batched cache warm: never fills holes, and raises
-        only for a negative offset (as ``fetch`` does).
-
-        Only spends an RPC when at least two of the offsets are actual
-        cache misses (see :meth:`_claim_locked`).
-        """
-        with self._cache_lock:
-            claim = self._claim_locked(offsets)
-        self._fetch_many_best_effort(claim)
-
     def fetch_many(self, offsets: Sequence[int]) -> Dict[int, LogEntry]:
         """Fetch several offsets, batching the storage round trips.
 
@@ -477,21 +469,26 @@ class StreamClient:
         hole handler runs exactly once per hole.
         """
         wanted = sorted(set(offsets))
-        self._prefetch(wanted)
-        return {off: self.fetch(off) for off in wanted}
+        with self._cache_lock:
+            slots, flight = self._claim_locked(wanted)
+        self._read_claim(wanted, slots, flight)
+        return {
+            off: self.fetch(off) if slot is None else slot.entry
+            for off, slot in zip(wanted, slots)
+        }
 
     def scan(self, offsets: Iterable[int], parse: _Parse = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(offset, entry)`` for each of *offsets*, in the order given.
 
         For offsets the caller already knows it will visit (a stream's
         linked list walked newest-first for a checkpoint, a suffix
-        searched for a decision record): each round warms the next
-        :data:`PLAYBACK_PREFETCH` of them with one batched read per
-        replica chain, then collects the round's cached entries in one
-        hold of the cache lock; an offset missing by then goes through
-        :meth:`fetch`, so holes and trimmed offsets behave exactly as
-        they do there. Lazy — a consumer that stops early reads at most
-        one round more than it used.
+        searched for a decision record): each round takes the next
+        :data:`PLAYBACK_PREFETCH` of them in one hold of the cache lock,
+        with its cached entries, and reads its misses with one batched
+        read per replica chain (see :meth:`_claim_locked`); an offset
+        missing by then goes through :meth:`fetch`, so holes and trimmed
+        offsets behave exactly as they do there. Lazy — a consumer that
+        stops early reads at most one round more than it used.
 
         With *parse*, ``(offset, form)`` is yielded instead: the form
         remembered in the entry's slot (by an earlier visitor or the
@@ -507,14 +504,15 @@ class StreamClient:
         while done < len(offsets):
             with self._cache_lock:
                 chunk = offsets[done : done + self._warm_limit_locked()]
-                claim = self._claim_locked(chunk)
-            self._fetch_many_best_effort(claim)
-            with self._cache_lock:
-                collected = self._collect_locked(chunk)
+                slots, flight = self._claim_locked(chunk)
+            self._read_claim(chunk, slots, flight)
             fresh: List[Tuple[int, LogEntry, Any]] = []
             try:
-                for offset, slot, form in collected:
-                    entry = self.fetch(offset) if slot is None else slot.entry
+                for offset, slot in zip(chunk, slots):
+                    if slot is None:
+                        entry, form = self.fetch(offset), None
+                    else:
+                        entry, form = slot.entry, slot.decoded
                     if parse is None:
                         form = entry
                     elif form is None:
@@ -525,20 +523,6 @@ class StreamClient:
                 if fresh:
                     self._remember(fresh)
             done += len(chunk)
-
-    def _collect_locked(self, offsets: Sequence[int]) -> List[Tuple[int, Optional[_Cached], Any]]:
-        """Each offset with its slot (None: not cached) and remembered
-        form, touching the LRU as :meth:`fetch` does."""
-        cache = self._cache
-        collected: List[Tuple[int, Optional[_Cached], Any]] = []
-        for offset in offsets:
-            slot = cache.get(offset)
-            if slot is None:
-                collected.append((offset, None, None))
-            else:
-                cache.move_to_end(offset)
-                collected.append((offset, slot, slot.decoded))
-        return collected
 
     @staticmethod
     def _parsed(parse: Callable[[LogEntry], Any], offset: int, entry: LogEntry) -> Any:
@@ -752,7 +736,10 @@ class StreamClient:
         discovered = set(named[k:])
         cursor = named[k]
         while cursor is not None and cursor > floor:
-            entry = self._try_fetch(cursor)
+            try:
+                entry: Optional[LogEntry] = self.fetch(cursor)
+            except UnwrittenError:
+                entry = None
             header = entry.header_for(stream_id) if entry is not None else None
             if entry is None or entry.is_junk or header is None:
                 # Filled hole (or an offset we cannot interpret): fall
@@ -776,13 +763,6 @@ class StreamClient:
         offsets.extend(sorted(discovered))
         return state.highest_known()
 
-    def _try_fetch(self, offset: int) -> Optional[LogEntry]:
-        """Fetch, mapping unresolvable holes to None."""
-        try:
-            return self.fetch(offset)
-        except UnwrittenError:
-            return None
-
     def _scan_backward(
         self, stream_id: int, start: int, floor: int
     ) -> Optional[int]:
@@ -793,24 +773,30 @@ class StreamClient:
         earlier valid entry for the stream").
 
         The scan examines every offset in range regardless, so it reads
-        the log in :data:`SCAN_WINDOW`-sized batches — one storage round
-        trip per replica chain per window instead of one per offset.
-        Holes inside a window are skipped by the batch and re-fetched
-        individually so hole handling stays per-offset and exactly-once.
+        the log in :data:`SCAN_WINDOW`-sized windows, newest first — one
+        storage round trip per replica chain per window instead of one
+        per offset. Holes inside a window are skipped by the batch and
+        re-fetched individually so hole handling stays per-offset and
+        exactly-once; a hole its handler leaves open is passed over.
         """
         top = start
         while top > floor:
-            lo = max(floor + 1, top - SCAN_WINDOW + 1)
-            if top > lo:
-                self._prefetch(range(lo, top + 1))
-            for offset in range(top, lo - 1, -1):
+            window = range(top, max(floor, top - SCAN_WINDOW), -1)
+            with self._cache_lock:
+                slots, flight = self._claim_locked(window)
+            try:
+                self._read_claim(window, slots, flight)
+            except UnwrittenError:  # the top, claimed alone: a hole its handler left open
+                slots[0] = _Cached(LogEntry.junk())
+            for offset, slot in zip(window, slots):
                 self.backward_scans += 1
-                entry = self._try_fetch(offset)
-                if entry is None or entry.is_junk:
+                try:
+                    entry = self.fetch(offset) if slot is None else slot.entry
+                except UnwrittenError:
                     continue
-                if entry.header_for(stream_id) is not None:
+                if not entry.is_junk and entry.header_for(stream_id) is not None:
                     return offset
-            top = lo - 1
+            top = window[-1] - 1
         return None
 
     # -- playback ---------------------------------------------------------------
@@ -831,13 +817,14 @@ class StreamClient:
         a time. Under one hold of the iterator lock it finds the
         streams with something to play (none: it returns), merges only
         their offsets that can fall in the window and, in one hold of
-        the cache lock, claims the window's cache misses; it warms
-        them with one batched read per replica chain and collects the
-        window's entries in one more hold. A window of one entry (a
-        read that finds one new one) is collected in the first hold
-        instead, and delivered there when cached. An offset missing by
-        then goes through :meth:`fetch` (so a hole surfaces, and runs
-        the hole handler, exactly as there). Each iterator moves just
+        the cache lock, takes the window's cached entries and claims
+        its misses (see :meth:`_claim_locked`), which it reads with no
+        lock held and caches in one more hold. A window of one cached
+        entry (a read that finds one new one) is delivered in the first
+        hold. An offset missing by then (a hole the batched read
+        skipped, or a lone miss past the window's first offset) goes
+        through :meth:`fetch`, so a hole surfaces, and runs the hole
+        handler, exactly as there. Each iterator moves just
         before its entry is yielded: a consumer that stops early, or a
         hole that raises, leaves everything not yet yielded
         undelivered. *stream_ids* is read again for every window, so a
@@ -867,19 +854,18 @@ class StreamClient:
                 if not heads:
                     return
                 state, lo, hi = heads[0]
-                if len(heads) == 1 and hi - lo == 1:
-                    offset, window, form = state.offsets[lo], None, None
-                    with self._cache_lock:
-                        slot = self._cache.get(offset)
-                        if slot is not None:
-                            self._cache.move_to_end(offset)
+                single = len(heads) == 1 and hi - lo == 1
+                with self._cache_lock:
+                    if single:  # a read that finds one new entry
+                        window = state.offsets[lo:hi]
+                        slots, flight = self._claim_locked(window)
+                        slot, form = slots[0], None
+                        if slot is not None:  # cached: delivered in this hold
                             if parse is not None and slot.decoded is not None:
                                 form, slot.decoded = slot.decoded, None
                                 self._cache_bytes -= self._slot_bytes(slot)
                             state.read_ptr = lo + 1
-                            entry = slot.entry
-                else:
-                    with self._cache_lock:
+                    else:
                         limit = self._warm_limit_locked()
                         slices = [
                             s.offsets[lo : min(hi, lo + limit)] for s, lo, hi in heads
@@ -887,32 +873,37 @@ class StreamClient:
                         window = slices[0] if len(slices) == 1 else sorted(set().union(*slices))
                         drained = len(window) <= limit and all(hi - lo <= limit for _s, lo, hi in heads)
                         window = window[:limit]
-                        claim = self._claim_locked(window)
+                        slots, flight = self._claim_locked(window)
+                if not single:
                     # A stream takes an offset only from its merged slice:
                     # one moved since the merge (seek, reset, a trim that
                     # forgot the offset) is left where it now stands.
                     claimants = [(h[0], s[0], s[-1]) for h, s in zip(heads, slices)]
-            if window is None:  # the one entry
+            if single:
+                offset = window[0]
                 if slot is None:
-                    entry = self.fetch(offset)
+                    slot = self._read_claim(window, slots, flight)[0]
+                    entry = self.fetch(offset) if slot is None else slot.entry
                     with self._lock:
                         if state.offsets[state.read_ptr : state.read_ptr + 1] != [offset]:
                             return  # moved since: left where it now stands
                         state.read_ptr += 1
+                else:
+                    entry = slot.entry
                 if parse is None:
                     form = entry
                 elif form is None:
                     form = self._parsed(parse, offset, entry)
                 yield offset, form, (state.stream_id,)
                 return
-            if claim is not None:
-                self._fetch_many_best_effort(claim)
-            with self._cache_lock:
-                collected = self._collect_locked(window)
+            self._read_claim(window, slots, flight)
             taken: List[Tuple[int, LogEntry]] = []
             try:
-                for offset, slot, form in collected:
-                    entry = self.fetch(offset) if slot is None else slot.entry
+                for offset, slot in zip(window, slots):
+                    if slot is None:
+                        entry, form = self.fetch(offset), None
+                    else:
+                        entry, form = slot.entry, slot.decoded
                     delivering = []
                     with self._lock:
                         for state, first, last in claimants:
@@ -955,25 +946,22 @@ class StreamClient:
         """
         with self._lock:
             state = self._state(stream_id)
-            if state.read_ptr >= len(state.offsets):
+            offsets, lo = state.offsets, state.read_ptr
+            hi = len(offsets) if upto is None else bisect_right(offsets, upto, lo)
+            if lo >= hi:
                 return None
-            offset = state.offsets[state.read_ptr]
-            if upto is not None and offset > upto:
-                return None
-            claim = None
+            offset = offsets[lo]
             with self._cache_lock:
-                if offset not in self._cache:
-                    # About to go to the log anyway: warm this offset
-                    # and the known ones behind it in the same round.
-                    # Bounded by *upto* so a held-back suffix is never
-                    # read early.
-                    lo = state.read_ptr
-                    hi = min(lo + self._warm_limit_locked(), len(state.offsets))
-                    if upto is not None:
-                        hi = bisect_right(state.offsets, upto, lo, hi)
-                    claim = self._claim_locked(state.offsets[lo:hi])
-            self._fetch_many_best_effort(claim)
-            entry = self.fetch(offset)
+                # A miss goes to the log anyway: warm the known offsets
+                # behind it in the same round (a cached entry warms
+                # nothing, so rounds do not slide by one), never past
+                # *upto*, so a held-back suffix is never read early.
+                if offset in self._cache:
+                    hi = lo + 1
+                window = offsets[lo : min(hi, lo + self._warm_limit_locked())]
+                slots, flight = self._claim_locked(window)
+            slot = self._read_claim(window, slots, flight)[0]
+            entry = self.fetch(offset) if slot is None else slot.entry
             state.read_ptr += 1
             return offset, entry
 

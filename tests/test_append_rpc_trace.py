@@ -27,7 +27,9 @@ import hashlib
 import pytest
 
 from repro import CorfuCluster, StreamClient, TangoMap, TangoRuntime
+from repro.errors import RpcTimeout
 from repro.net.faulty import FaultyTransport
+from repro.tango.records import checkpoint_stream
 
 #: sha256 of the whole record per sequencer shard count.
 PINNED = {
@@ -40,6 +42,13 @@ PINNED = {
 READ_PINNED = {
     1: "3839ff70744781a4797669b323572d754d16de0ffd3df0faea66639a7a7ec452",
     2: "47cb851d6e2444772a40253058eeb63fa467ae90bf30237accf88cec174ded9e",
+}
+
+
+#: sha256 of the hole scenario's record per sequencer shard count.
+HOLE_PINNED = {
+    1: "cd94b92255e93a5713afdfaffb3a551b2b76bd349c6bbfc5fab13de2589ca5fd",
+    2: "9905eb3fb3bfe23796bacd3adc7c772ded8abc52fafa2879e2430848ceed00a0",
 }
 
 
@@ -171,6 +180,75 @@ def _run_reads(shards):
     log.append(f"lagging get -> {lagging.get('k6')}")
     log.extend(applied)
     return log
+
+
+def _stall(writer, stream_id):
+    """Grant *writer* one offset of *stream_id* that it never writes.
+
+    A grant whose reply is lost is asked again, as an append would; the
+    offset it burned is one more hole.
+    """
+    while True:
+        try:
+            first, _stride, _count, _prior = writer._grant(1, (stream_id,))
+            return first
+        except RpcTimeout:
+            pass
+
+
+def _logging_holes(runtime, label, log):
+    """Log each hole *runtime*'s default handler fills, then fill it."""
+    handler = runtime.streams._hole_handler
+
+    def handle(offset):
+        log.append(f"{label} fills {offset}")
+        handler(offset)
+
+    runtime.streams._hole_handler = handle
+    return runtime
+
+
+def _run_holes(shards):
+    log = []
+    cluster = _faulty_cluster(shards, log)
+    applied = []
+    a, (ma,) = _hosting(cluster, 7, (3,), applied)
+    b, (mb,) = _hosting(cluster, 8, (3,), applied)
+    for label, runtime in (("a", a), ("b", b)):
+        _logging_holes(runtime, label, log)
+    stalled = cluster.client()
+    for i in range(3):
+        mb.put(f"k{i}", i)
+    log.append(f"first get -> {ma.get('k0')}")
+    log.append(f"stalled at {_stall(stalled, 3)}")
+    log.append(f"get of a lone hole -> {ma.get('k1')}")
+    mb.put("k1", 10)
+    log.append(f"stalled at {_stall(stalled, 3)}")
+    mb.put("k2", 20)
+    log.append(f"get of a window with a hole -> {ma.get('k2')}")
+    log.append(f"checkpoint -> {b.checkpoint(3, mode='full')}")
+    log.append(f"stalled at {_stall(stalled, checkpoint_stream(3))}")
+    fresh = _logging_holes(TangoRuntime(cluster, client_id=10), "fresh", log)
+    fresh.subscribe(
+        "apply", lambda ev: applied.append(f"10 applied {ev['offset']} {ev['oid']} {ev['key']!r}")
+    )
+    log.append(f"get over a checkpoint hole -> {TangoMap(fresh, 3).get('k2')}")
+    log.extend(applied)
+    log.extend(_cache_slots(a.streams))
+    log.extend(_cache_slots(fresh.streams))
+    return log
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_hole_rpcs_match_the_pinned_trace(shards):
+    log = _run_holes(shards)
+    stalled = [line.split()[-1] for line in log if line.startswith("stalled at ")]
+    filled = [line.split(" fills ") for line in log if " fills " in line]
+    # Each stalled offset is filled once, by the reader that reaches it.
+    assert [[who for who, off in filled if off == s] for s in stalled] == [["a"], ["a"], ["fresh"]]
+    assert any(" read_many " in line for line in log)
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert digest == HOLE_PINNED[shards]
 
 
 @pytest.mark.parametrize("shards", [1, 2])

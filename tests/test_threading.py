@@ -633,6 +633,35 @@ class TestSingleFlightWithoutEagerEvents:
         assert results["batch"][last].payload == b"b"
         assert results["batch"][hole].is_junk
 
+    def test_racing_windows_and_fetches_read_each_offset_once(self, cluster):
+        """Readers claiming overlapping scan rounds and lone offsets at
+        once, each starting elsewhere: every offset is read from the log
+        once, and every reader gets the entry written there."""
+        from repro.streams import StreamClient
+
+        writer = cluster.client()
+        written = {writer.append(b"e%d" % i, (1,)): b"e%d" % i for i in range(96)}
+        offsets = sorted(written)
+        corfu = cluster.client()
+        sclient = StreamClient(corfu)
+        n, errors = 6, []
+        barrier = threading.Barrier(n)
+
+        def reader(i):
+            try:
+                barrier.wait()
+                mine = offsets[i * 16 :] + offsets[: i * 16]
+                got = sclient.scan(mine) if i % 2 else ((o, sclient.fetch(o)) for o in mine)
+                for off, entry in got:
+                    assert entry.payload == written[off]
+            except BaseException as exc:  # pragma: no cover - fail loud
+                errors.append(exc)
+
+        reads = corfu.reads
+        self._race([threading.Thread(target=reader, args=(i,)) for i in range(n)])
+        assert not errors
+        assert corfu.reads - reads == len(offsets)
+
     def test_an_uncontended_miss_makes_no_event(self, cluster, monkeypatch):
         from repro.streams import StreamClient
 
